@@ -1,9 +1,10 @@
 // Micro-benchmark — batched pipeline throughput vs thread count.
 //
 // Measures the two thread-pooled stages of api::Pipeline on the MNIST MLP
-// benchmark: trace simulation (presentations/sec through Pipeline::run)
-// and backend execution (traces/sec through Pipeline::execute on the
-// RESPARC and CMOS backends).  Results go to stdout and to
+// benchmark: trace simulation (presentations/sec of Pipeline::run's
+// simulate stage, timed on its own) and backend execution (traces/sec
+// through Pipeline::execute on the RESPARC and CMOS backends).
+// Results go to stdout and to
 // bench/trajectory/pipeline_throughput.json so future PRs can track the
 // perf trajectory.
 //
@@ -15,6 +16,8 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <functional>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -22,7 +25,9 @@
 
 #include "api/pipeline.hpp"
 #include "bench_util.hpp"
+#include "common/thread_pool.hpp"
 #include "snn/benchmarks.hpp"
+#include "snn/simulator.hpp"
 
 namespace {
 
@@ -93,20 +98,23 @@ int main() {
   resparc_packed->load(warm.topology());
   cmos->load(warm.topology());
 
-  // The simulate rows re-run the workflow with the ALREADY-CALIBRATED
-  // network (Pipeline::network), so the serial overhead left to subtract
-  // is just dataset synthesis + the network copy — small and stable —
-  // rather than threshold calibration, whose run-to-run noise used to
-  // swamp the simulate stage itself.  Both sides of the subtraction are
-  // best-of-reps minima.
-  api::Pipeline sim_pipeline(opt);
-  sim_pipeline.dataset(spec.dataset).network(warm.network);
-  auto timed_run = [&](std::size_t threads, bool record) {
-    sim_pipeline.mutable_options().threads = threads;
-    sim_pipeline.mutable_options().record_traces = record;
-    return min_seconds(reps, [&] { (void)sim_pipeline.run(); });
-  };
-  const double overhead_s = timed_run(1, false);
+  // The simulate stage timed on its own: the warm workload's images go
+  // through the calibrated network exactly as Pipeline::run presents
+  // them (one reused simulator per pool worker, per-presentation seeds,
+  // traces recorded), so no other pipeline stage is inside the interval.
+  snn::SimConfig sim_config;
+  sim_config.timesteps = timesteps;
+  sim_config.encoder = opt.encoder;
+  ThreadPool& pool = ThreadPool::global();
+  std::vector<std::unique_ptr<snn::Simulator>> sims(pool.width());
+  const std::function<void(std::size_t, std::size_t)> present =
+      [&](std::size_t i, std::size_t worker) {
+        auto& sim = sims[worker];
+        if (!sim)
+          sim = std::make_unique<snn::Simulator>(warm.network, sim_config);
+        Rng rng(api::presentation_seed(opt.seed, i));
+        (void)sim->run(warm.test.images[i], rng);
+      };
 
   // Traces are thread-count invariant (test-enforced), so every row
   // replays the one warm workload's traces — no per-row pipeline rebuild.
@@ -115,9 +123,11 @@ int main() {
     Row row;
     row.threads = threads;
 
-    const double simulate_s =
-        std::max(timed_run(threads, true) - overhead_s, 1e-9);
-    row.simulate_tps = static_cast<double>(warm.traces.size()) / simulate_s;
+    row.simulate_tps =
+        static_cast<double>(warm.traces.size()) /
+        min_seconds(reps, [&] {
+          pool.run_indexed(warm.traces.size(), threads, present);
+        });
 
     row.execute_resparc_tps =
         static_cast<double>(warm.traces.size()) /

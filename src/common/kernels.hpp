@@ -14,7 +14,8 @@
 //     and sparse execution engines bit-identical (they call the same
 //     kernels in the same order);
 //   * no hidden allocation: kernels write into caller-provided buffers;
-//     the only scratch (im2col) lives in a caller-owned Scratch arena.
+//     workspace (im2col, the conv scatter accumulator) lives in a
+//     caller-owned Scratch arena.
 #pragma once
 
 #include <cstddef>
@@ -48,14 +49,6 @@ inline void row_add4(float* __restrict acc, const float* __restrict r0,
     v += r3[i];
     acc[i] = v;
   }
-}
-
-/// acc[i * stride] += row[i] for i in [0, n) — the conv scatter inner
-/// loop (one kernel-tap weight row added across output channels, whose
-/// feature maps are `stride` apart).
-inline void row_add_strided(float* __restrict acc, std::size_t stride,
-                            const float* __restrict row, std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) acc[i * stride] += row[i];
 }
 
 /// y[i] += a * x[i] for i in [0, n).
@@ -128,15 +121,23 @@ void matvec_in_major(const float* w, std::size_t rows, std::size_t cols,
 void matvec_out_major(const float* w, std::size_t rows, std::size_t cols,
                       const float* x, float* out);
 
-/// Caller-owned scratch arena for kernels that need workspace (im2col).
-/// Reused across calls: buffers only ever grow, so a warmed arena makes
-/// the steady state allocation-free.
+/// Caller-owned scratch arena for kernels that need workspace (im2col,
+/// the conv event scatter).  Reused across calls: buffers only ever
+/// grow, so a warmed arena makes the steady state allocation-free.
 struct Scratch {
   std::vector<float> col;  ///< im2col patch matrix (pixels x inC*k*k)
+  /// Channel-last conv scatter accumulator (pixel*outC + oc); all +0.0f
+  /// between calls (snn/scatter.hpp).
+  std::vector<float> acc;
 
   /// Grows `col` to at least `n` floats (never shrinks).
   void ensure_col(std::size_t n) {
     if (col.size() < n) col.resize(n);
+  }
+
+  /// Grows `acc` to at least `n` floats, new ones +0.0f (never shrinks).
+  void ensure_acc(std::size_t n) {
+    if (acc.size() < n) acc.resize(n, 0.0f);
   }
 };
 

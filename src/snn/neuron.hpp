@@ -33,18 +33,20 @@ class IfPopulation {
   const IfParams& params() const { return params_; }
 
   /// Integrates `current` (one value per neuron) and writes 0/1 spikes.
-  /// Returns the number of neurons that fired.
+  /// Returns the number of neurons that fired.  The update loop is
+  /// branch-free (the leak/reset regime is fixed before it), so it
+  /// vectorises.
   std::size_t step(std::span<const float> current,
                    std::span<std::uint8_t> spikes_out);
 
-  /// Packed variant of step(): identical membrane update and firing
-  /// decisions, but spikes go straight into `out`'s 64-bit words (one
-  /// SpikeVector::set_word per 64 neurons) instead of a byte buffer —
-  /// the producer side of the packed datapath (docs/performance.md).
-  /// `out` must be sized to the population; every word is fully
-  /// overwritten, so no stale bit survives from a previous step.
-  /// Returns the number of neurons that fired.  Bit-for-bit the same
-  /// spikes and membranes as step() (tests/test_differential.cpp).
+  /// Packed variant of step(): the same update loop, run 64 neurons at a
+  /// time into a lane mask that is packed into one word and stored with
+  /// SpikeVector::set_word — the producer side of the packed datapath
+  /// (docs/performance.md).  `out` must be sized to the population;
+  /// every word is fully overwritten, so no stale bit survives from a
+  /// previous step.  Returns the number of neurons that fired.
+  /// Bit-for-bit the same spikes and membranes as step()
+  /// (tests/test_neuron.cpp, tests/test_differential.cpp).
   std::size_t step_packed(std::span<const float> current, SpikeVector& out);
 
   /// Sparse variant of step(): integrates `current` for just the neurons

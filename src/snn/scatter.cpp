@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <bit>
 
-#include "common/kernels.hpp"
-
 namespace resparc::snn {
 
 namespace {
@@ -56,12 +54,14 @@ struct PackedEvents {
 
 /// Scatter form of the convolution: input (c,y,x) feeds output
 /// (oc, y-ky+pad, x-kx+pad) with kernel weight row (c*k+ky)*k+kx — one
-/// weight per output channel, feature maps out.h*out.w apart.  Partition =
-/// output-channel slice.
+/// weight per output channel.  The taps accumulate channel-last in
+/// scratch.acc (pixel*C + oc), so each is one unit-stride row_add across
+/// the partition's channels; one pass then moves the slice into the CHW
+/// `current` and re-zeroes it.  Partition = output-channel slice.
 template <typename Events>
 void scatter_conv(const LayerInfo& li, const Matrix& w, const Events& each,
-                  std::span<float> current, std::size_t part,
-                  std::size_t parts) {
+                  std::span<float> current, kernels::Scratch& scratch,
+                  std::size_t part, std::size_t parts) {
   const Shape3 in_shape = li.in_shape;
   const Shape3 out = li.out_shape;
   const std::size_t k = li.spec.kernel;
@@ -69,6 +69,9 @@ void scatter_conv(const LayerInfo& li, const Matrix& w, const Events& each,
   const std::size_t plane = out.h * out.w;
   const auto [oc0, oc1] = slice_of(out.c, part, parts);
   if (oc1 == oc0) return;
+  const std::size_t width = oc1 - oc0;
+  scratch.ensure_acc(out.size());
+  float* const acc = scratch.acc.data() + oc0;
   each([&](const std::uint32_t idx) {
     const std::size_t c = idx / (in_shape.h * in_shape.w);
     const std::size_t rem = idx % (in_shape.h * in_shape.w);
@@ -83,13 +86,18 @@ void scatter_conv(const LayerInfo& li, const Matrix& w, const Events& each,
             static_cast<std::ptrdiff_t>(x + pad) - static_cast<std::ptrdiff_t>(kx);
         if (ox < 0 || ox >= static_cast<std::ptrdiff_t>(out.w)) continue;
         const std::size_t wrow = (c * k + ky) * k + kx;
-        const std::size_t base =
+        const std::size_t pixel =
             static_cast<std::size_t>(oy) * out.w + static_cast<std::size_t>(ox);
-        kernels::row_add_strided(current.data() + oc0 * plane + base, plane,
-                                 w.row(wrow).data() + oc0, oc1 - oc0);
+        kernels::row_add(acc + pixel * out.c, w.row(wrow).data() + oc0, width);
       }
     }
   });
+  float* const dst = current.data() + oc0 * plane;
+  for (std::size_t pixel = 0; pixel < plane; ++pixel) {
+    float* const src = acc + pixel * out.c;
+    for (std::size_t j = 0; j < width; ++j) dst[j * plane + pixel] = src[j];
+    std::fill(src, src + width, 0.0f);
+  }
 }
 
 /// Each event touches exactly one output; partition = output-index slice,
@@ -117,8 +125,8 @@ void scatter_pool(const LayerInfo& li, const Events& each,
 
 void scatter_accumulate(const LayerInfo& li, const Matrix& w,
                         std::span<const std::uint32_t> in_active,
-                        std::span<float> current, std::size_t part,
-                        std::size_t parts) {
+                        std::span<float> current, kernels::Scratch& scratch,
+                        std::size_t part, std::size_t parts) {
   switch (li.spec.kind) {
     case LayerKind::kDense: {
       // Partition = column slice; every event drives every column, so the
@@ -129,7 +137,8 @@ void scatter_accumulate(const LayerInfo& li, const Matrix& w,
       break;
     }
     case LayerKind::kConv:
-      scatter_conv(li, w, IndexEvents{in_active}, current, part, parts);
+      scatter_conv(li, w, IndexEvents{in_active}, current, scratch, part,
+                   parts);
       break;
     case LayerKind::kAvgPool:
       scatter_pool(li, IndexEvents{in_active}, current, part, parts);
@@ -139,7 +148,8 @@ void scatter_accumulate(const LayerInfo& li, const Matrix& w,
 
 void scatter_accumulate(const LayerInfo& li, const Matrix& w,
                         const SpikeVector& in, std::span<float> current,
-                        std::size_t part, std::size_t parts) {
+                        kernels::Scratch& scratch, std::size_t part,
+                        std::size_t parts) {
   switch (li.spec.kind) {
     case LayerKind::kDense: {
       // masked_row_accumulate replicates accumulate_rows' row_add4
@@ -152,7 +162,7 @@ void scatter_accumulate(const LayerInfo& li, const Matrix& w,
       break;
     }
     case LayerKind::kConv:
-      scatter_conv(li, w, PackedEvents{in}, current, part, parts);
+      scatter_conv(li, w, PackedEvents{in}, current, scratch, part, parts);
       break;
     case LayerKind::kAvgPool:
       scatter_pool(li, PackedEvents{in}, current, part, parts);

@@ -19,6 +19,7 @@
 #include <cstdint>
 #include <span>
 
+#include "common/kernels.hpp"
 #include "common/matrix.hpp"
 #include "snn/topology.hpp"
 #include "snn/trace.hpp"
@@ -28,12 +29,23 @@ namespace resparc::snn {
 /// Scatters the fan-out of `in_active` (ascending input indices) of a
 /// layer described by `li` with weight matrix `w` (empty for pool
 /// layers) into `current`, writing only the output slice owned by
-/// partition `part` of `parts`.  `current` is NOT zeroed — callers own
-/// the all-zero (or carry-over) invariant.
+/// partition `part` of `parts`.
+///
+/// Precondition: every element of the slice of `current` is +0.0f.
+/// Dense and pool layers add onto it.  Conv layers accumulate in
+/// `scratch.acc` channel-last (pixel*C + oc), so each kernel tap is one
+/// unit-stride kernels::row_add across output channels, then move their
+/// slice into `current` (CHW), overwriting it.  Either way each output
+/// gets its additions in ascending input-index order starting from
+/// +0.0f, so the result does not depend on the layout.  `scratch.acc` is
+/// all +0.0f between calls.  The partitions of one call may share one
+/// arena (their channel slices are disjoint), but only if the caller
+/// grows it first (Scratch::ensure_acc(li.neurons)) so that no partition
+/// reallocates it.
 void scatter_accumulate(const LayerInfo& li, const Matrix& w,
                         std::span<const std::uint32_t> in_active,
-                        std::span<float> current, std::size_t part = 0,
-                        std::size_t parts = 1);
+                        std::span<float> current, kernels::Scratch& scratch,
+                        std::size_t part = 0, std::size_t parts = 1);
 
 /// Packed-spike form of scatter_accumulate: input events arrive as the
 /// SpikeVector's 64-bit words instead of an index list, so no AER list is
@@ -45,6 +57,7 @@ void scatter_accumulate(const LayerInfo& li, const Matrix& w,
 /// "+packed" execution mode (docs/execution.md).
 void scatter_accumulate(const LayerInfo& li, const Matrix& w,
                         const SpikeVector& in, std::span<float> current,
-                        std::size_t part = 0, std::size_t parts = 1);
+                        kernels::Scratch& scratch, std::size_t part = 0,
+                        std::size_t parts = 1);
 
 }  // namespace resparc::snn

@@ -43,12 +43,12 @@ Simulator::Simulator(const Network& net, SimConfig config)
   pool_fn_ = [this](std::size_t part, std::size_t /*worker*/) {
     scatter_accumulate(net_.topology().layers()[pool_job_layer_],
                        net_.layer(pool_job_layer_).weights, pool_job_active_,
-                       pool_job_current_, part, pool_parts_);
+                       pool_job_current_, scratch_, part, pool_parts_);
   };
   pool_packed_fn_ = [this](std::size_t part, std::size_t /*worker*/) {
     scatter_accumulate(net_.topology().layers()[pool_job_layer_],
                        net_.layer(pool_job_layer_).weights, *pool_job_packed_,
-                       pool_job_current_, part, pool_parts_);
+                       pool_job_current_, scratch_, part, pool_parts_);
   };
 }
 
@@ -72,10 +72,11 @@ void Simulator::accumulate_active(std::size_t l,
     pool_job_layer_ = l;
     pool_job_active_ = active;
     pool_job_current_ = current;
+    scratch_.ensure_acc(li.neurons);  // before the partitions share it
     pool_->run_indexed(pool_parts_, pool_parts_, pool_fn_);
     return;
   }
-  scatter_accumulate(li, net_.layer(l).weights, active, current);
+  scatter_accumulate(li, net_.layer(l).weights, active, current, scratch_);
 }
 
 void Simulator::accumulate_packed(std::size_t l, const SpikeVector& in,
@@ -86,10 +87,11 @@ void Simulator::accumulate_packed(std::size_t l, const SpikeVector& in,
     pool_job_layer_ = l;
     pool_job_packed_ = &in;
     pool_job_current_ = current;
+    scratch_.ensure_acc(li.neurons);  // before the partitions share it
     pool_->run_indexed(pool_parts_, pool_parts_, pool_packed_fn_);
     return;
   }
-  scatter_accumulate(li, net_.layer(l).weights, in, current);
+  scatter_accumulate(li, net_.layer(l).weights, in, current, scratch_);
 }
 
 void Simulator::ensure_dense_state() {
@@ -97,18 +99,17 @@ void Simulator::ensure_dense_state() {
   if (pops_.empty()) {
     pops_.reserve(topo.layer_count());
     currents_.resize(topo.layer_count());
-    spike_bytes_.resize(topo.layer_count());
     prev_holder_.resize(topo.layer_count());
     for (std::size_t l = 0; l < topo.layer_count(); ++l) {
       const std::size_t n = topo.layers()[l].neurons;
       pops_.emplace_back(n, net_.layer(l).neuron);
       currents_[l].assign(n, 0.0f);
-      spike_bytes_[l].assign(n, 0);
+      prev_holder_[l].reset(n);
     }
   } else {
     // Reuse: identical to reconstruction (IfPopulation::clear zeroes the
-    // membranes exactly like the constructor; currents/spike bytes are
-    // overwritten every step before being read).
+    // membranes exactly like the constructor; currents and spike words
+    // are overwritten every step before being read).
     for (auto& pop : pops_) pop.clear();
   }
 }
@@ -129,18 +130,16 @@ void Simulator::run(std::span<const float> image, Rng& rng, SimResult& out) {
   out.total_spikes = 0;
   if (config_.mode == ExecutionMode::kSparse)
     run_sparse(image, rng, out);
-  else if (config_.mode == ExecutionMode::kPacked)
-    run_packed(image, rng, out);
   else
-    run_dense(image, rng, out);
+    run_stepped(image, rng, out);
   out.predicted_class = static_cast<std::size_t>(std::distance(
       out.output_spike_counts.begin(),
       std::max_element(out.output_spike_counts.begin(),
                        out.output_spike_counts.end())));
 }
 
-void Simulator::run_dense(std::span<const float> image, Rng& rng,
-                          SimResult& result) {
+void Simulator::run_stepped(std::span<const float> image, Rng& rng,
+                            SimResult& result) {
   const Topology& topo = net_.topology();
   ensure_dense_state();
 
@@ -152,48 +151,7 @@ void Simulator::run_dense(std::span<const float> image, Rng& rng,
 
   encoder_.encode_into(image, T, rng, input_spikes_);
 
-  for (std::size_t t = 0; t < T; ++t) {
-    const SpikeVector* prev = &input_spikes_[t];
-    result.total_spikes += prev->count();
-    if (config_.record_trace) result.trace.layers[0].push_back(*prev);
-
-    for (std::size_t l = 0; l < topo.layer_count(); ++l) {
-      active_scratch_.clear();
-      prev->append_active(active_scratch_);
-      std::fill(currents_[l].begin(), currents_[l].end(), 0.0f);
-      accumulate_active(l, active_scratch_, currents_[l]);
-      pops_[l].step(currents_[l], spike_bytes_[l]);
-      prev_holder_[l].assign_bytes(spike_bytes_[l]);
-      prev = &prev_holder_[l];
-      result.total_spikes += prev->count();
-      if (config_.record_trace) result.trace.layers[l + 1].push_back(*prev);
-    }
-
-    const SpikeVector& out = prev_holder_.back();
-    for (std::size_t i = 0; i < out.size(); ++i)
-      if (out.get(i)) ++result.output_spike_counts[i];
-  }
-}
-
-void Simulator::run_packed(std::span<const float> image, Rng& rng,
-                           SimResult& result) {
-  const Topology& topo = net_.topology();
-  ensure_dense_state();
-
-  const std::size_t T = config_.timesteps;
-  if (config_.record_trace) {
-    result.trace.layers.resize(topo.layer_count() + 1);
-    for (auto& lt : result.trace.layers) lt.reserve(T);
-  }
-
-  encoder_.encode_into(image, T, rng, input_spikes_);
-
-  // Size the per-layer word buffers once per presentation; step_packed
-  // fully overwrites every word each step, so reset() is only needed to
-  // establish the size (reset on an already-sized vector reuses storage).
-  for (std::size_t l = 0; l < topo.layer_count(); ++l)
-    prev_holder_[l].reset(topo.layers()[l].neurons);
-
+  const bool packed = config_.mode == ExecutionMode::kPacked;
   for (std::size_t t = 0; t < T; ++t) {
     const SpikeVector* prev = &input_spikes_[t];
     result.total_spikes += prev->count();
@@ -201,7 +159,13 @@ void Simulator::run_packed(std::span<const float> image, Rng& rng,
 
     for (std::size_t l = 0; l < topo.layer_count(); ++l) {
       std::fill(currents_[l].begin(), currents_[l].end(), 0.0f);
-      accumulate_packed(l, *prev, currents_[l]);
+      if (packed) {
+        accumulate_packed(l, *prev, currents_[l]);
+      } else {
+        active_scratch_.clear();
+        prev->append_active(active_scratch_);
+        accumulate_active(l, active_scratch_, currents_[l]);
+      }
       pops_[l].step_packed(currents_[l], prev_holder_[l]);
       prev = &prev_holder_[l];
       result.total_spikes += prev->count();
@@ -266,16 +230,15 @@ void Simulator::observe_currents(std::span<const float> image, Rng& rng,
 
   std::vector<IfPopulation> pops;
   std::vector<std::vector<float>> currents;
-  std::vector<std::vector<std::uint8_t>> spike_bytes;
+  std::vector<SpikeVector> spikes;
   for (std::size_t l = 0; l <= layer; ++l) {
     const std::size_t n = topo.layers()[l].neurons;
     pops.emplace_back(n, net_.layer(l).neuron);
     currents.emplace_back(n, 0.0f);
-    spike_bytes.emplace_back(n, std::uint8_t{0});
+    spikes.emplace_back(n);
   }
 
   const auto input_spikes = encoder_.encode(image, config_.timesteps, rng);
-  std::vector<SpikeVector> prev_holder(layer + 1);
   std::vector<std::uint32_t> active;
 
   for (std::size_t t = 0; t < config_.timesteps; ++t) {
@@ -285,15 +248,14 @@ void Simulator::observe_currents(std::span<const float> image, Rng& rng,
       prev->append_active(active);
       std::fill(currents[l].begin(), currents[l].end(), 0.0f);
       scatter_accumulate(topo.layers()[l], net_.layer(l).weights, active,
-                         currents[l]);
+                         currents[l], scratch_);
       if (l == layer) {
         samples_out.insert(samples_out.end(), currents[l].begin(),
                            currents[l].end());
         break;
       }
-      pops[l].step(currents[l], spike_bytes[l]);
-      prev_holder[l] = SpikeVector::from_bytes(spike_bytes[l]);
-      prev = &prev_holder[l];
+      pops[l].step_packed(currents[l], spikes[l]);
+      prev = &spikes[l];
     }
   }
 }

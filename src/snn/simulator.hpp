@@ -19,6 +19,7 @@
 #include <string>
 #include <vector>
 
+#include "common/kernels.hpp"
 #include "common/rng.hpp"
 #include "snn/encoder.hpp"
 #include "snn/execution.hpp"
@@ -103,15 +104,15 @@ class Simulator {
   /// Builds (first run) or clears (reuse) the dense per-layer state.
   void ensure_dense_state();
 
-  /// run() body for ExecutionMode::kDense (the historical path).
-  void run_dense(std::span<const float> image, Rng& rng, SimResult& out);
+  /// run() body for ExecutionMode::kDense and kPacked: every layer is
+  /// scattered and stepped every timestep, with IfPopulation::step_packed
+  /// writing spikes straight into 64-bit words.  The two modes differ
+  /// only in how a layer's input reaches the scatter: dense builds the
+  /// active-index list, packed decodes the words (no per-step AER list).
+  /// Bit-for-bit identical traces (tests/test_differential.cpp).
+  void run_stepped(std::span<const float> image, Rng& rng, SimResult& out);
   /// run() body for ExecutionMode::kSparse (snn/sparse_engine.hpp).
   void run_sparse(std::span<const float> image, Rng& rng, SimResult& out);
-  /// run() body for ExecutionMode::kPacked: dense stepping entirely on
-  /// 64-bit spike words (packed scatter in, IfPopulation::step_packed
-  /// out) — no per-step AER list or byte buffer.  Bit-for-bit identical
-  /// traces to run_dense (tests/test_differential.cpp).
-  void run_packed(std::span<const float> image, Rng& rng, SimResult& out);
 
   const Network& net_;
   SimConfig config_;
@@ -136,8 +137,8 @@ class Simulator {
   // allocation-free (buffers only ever grow).
   std::vector<IfPopulation> pops_;                  ///< dense-path membranes
   std::vector<std::vector<float>> currents_;        ///< per-layer drive
-  std::vector<std::vector<std::uint8_t>> spike_bytes_;  ///< dense step out
-  std::vector<SpikeVector> prev_holder_;            ///< packed spikes
+  std::vector<SpikeVector> prev_holder_;            ///< per-layer spikes
+  kernels::Scratch scratch_;  ///< conv scatter accumulator (pool-shared)
   std::vector<SpikeVector> input_spikes_;           ///< encoded input
   std::vector<std::uint32_t> active_scratch_;       ///< event list per layer
   std::unique_ptr<SparseEngine> sparse_;            ///< sparse-mode engine

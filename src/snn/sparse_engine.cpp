@@ -52,7 +52,7 @@ void SparseEngine::accumulate(std::size_t l,
   // run the shared kernels in snn/scatter.cpp, so dense/sparse parity is
   // structural rather than maintained across two loop nests.
   if constexpr (!Stamp) {
-    scatter_accumulate(li, lp.weights, in_active, st.current);
+    scatter_accumulate(li, lp.weights, in_active, st.current, scratch_);
     return;
   }
 
@@ -180,7 +180,7 @@ const SpikeVector& SparseEngine::step_layer(
       // index list) instead of re-reading the AER indices.
       if (in_packed != nullptr)
         scatter_accumulate(net_.topology().layers()[l], net_.layer(l).weights,
-                           *in_packed, st.current);
+                           *in_packed, st.current, scratch_);
       else
         accumulate<false>(l, in_active, st);
     } else {

@@ -1,8 +1,8 @@
 // Sparse, spike-event-driven execution engine (docs/execution.md).
 //
 // The dense simulator path touches every neuron of every layer on every
-// timestep: it zero-fills a full current buffer, scans every input bit,
-// steps the whole population and re-packs the spike bytes — O(neurons)
+// timestep: it zero-fills a full current buffer, scans every input bit
+// and steps the whole population into packed spike words — O(neurons)
 // fixed cost per layer per step even when almost nothing spiked.  This
 // engine replaces that inner loop with an AER-style event path:
 //
@@ -32,6 +32,7 @@
 #include <span>
 #include <vector>
 
+#include "common/kernels.hpp"
 #include "snn/network.hpp"
 #include "snn/trace.hpp"
 
@@ -106,6 +107,7 @@ class SparseEngine {
 
   const Network& net_;
   std::vector<LayerState> state_;
+  kernels::Scratch scratch_;  ///< conv scatter accumulator (full drive)
 };
 
 }  // namespace resparc::snn

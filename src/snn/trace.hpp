@@ -33,14 +33,6 @@ class SpikeVector {
     words_.assign((neurons + 63) / 64, 0);
   }
 
-  /// Re-fills from a 0/1 byte vector, reusing the word buffer like
-  /// reset() — the allocation-free steady-state form of from_bytes().
-  void assign_bytes(std::span<const std::uint8_t> bytes) {
-    reset(bytes.size());
-    for (std::size_t i = 0; i < bytes.size(); ++i)
-      if (bytes[i]) set(i);
-  }
-
   std::size_t size() const { return neurons_; }
   std::size_t word_count() const { return words_.size(); }
 

@@ -14,6 +14,7 @@
 #include <new>
 #include <vector>
 
+#include "common/thread_pool.hpp"
 #include "core/executor.hpp"
 #include "core/mapper.hpp"
 #include "snn/benchmarks.hpp"
@@ -88,12 +89,15 @@ class AllocationSteadyState : public ::testing::Test {
   }
 
   /// Warm presentation, then a bit-identical second one with counting on.
-  std::size_t second_presentation_allocations(snn::ExecutionMode mode) {
+  /// A non-null `pool` partitions every layer's scatter in two.
+  std::size_t second_presentation_allocations(snn::ExecutionMode mode,
+                                              ThreadPool* pool = nullptr) {
     snn::SimConfig cfg;
     cfg.timesteps = 4;
     cfg.record_trace = false;  // traces are a deliverable, not steady state
     cfg.mode = mode;
     snn::Simulator sim(*net_, cfg);
+    if (pool != nullptr) sim.set_pool(pool, 2, 0);
     snn::SimResult result;
     Rng warm_rng(42);
     sim.run(image_, warm_rng, result);
@@ -111,6 +115,17 @@ TEST_F(AllocationSteadyState, DenseSimulateSecondPresentationAllocatesNothing) {
 
 TEST_F(AllocationSteadyState, SparseSimulateSecondPresentationAllocatesNothing) {
   EXPECT_EQ(second_presentation_allocations(snn::ExecutionMode::kSparse), 0u);
+}
+
+TEST_F(AllocationSteadyState, PackedSimulateSecondPresentationAllocatesNothing) {
+  EXPECT_EQ(second_presentation_allocations(snn::ExecutionMode::kPacked), 0u);
+}
+
+TEST_F(AllocationSteadyState,
+       PooledDenseSimulateSecondPresentationAllocatesNothing) {
+  EXPECT_EQ(second_presentation_allocations(snn::ExecutionMode::kDense,
+                                            &ThreadPool::global()),
+            0u);
 }
 
 TEST_F(AllocationSteadyState, ExecutorReplaySecondRunAllocatesNothing) {

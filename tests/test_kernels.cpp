@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "common/kernels.hpp"
@@ -228,14 +229,89 @@ TEST(Kernels, ScatterAccumulatePartitionInvariant) {
     std::vector<std::uint32_t> active;
     for (std::size_t i = 0; i < li.in_shape.size(); i += 3)
       active.push_back(static_cast<std::uint32_t>(i));
+    kernels::Scratch scratch;
     std::vector<float> serial(li.neurons, 0.0f);
-    snn::scatter_accumulate(li, net.layer(l).weights, active, serial);
+    snn::scatter_accumulate(li, net.layer(l).weights, active, serial, scratch);
     for (const std::size_t parts : {2u, 3u, 7u}) {
       std::vector<float> split(li.neurons, 0.0f);
       for (std::size_t p = 0; p < parts; ++p)
-        snn::scatter_accumulate(li, net.layer(l).weights, active, split, p,
-                                parts);
+        snn::scatter_accumulate(li, net.layer(l).weights, active, split,
+                                scratch, p, parts);
       EXPECT_EQ(serial, split) << "layer " << l << " parts " << parts;
+    }
+  }
+}
+
+// Naive CHW conv scatter: per event, per in-image tap, per output
+// channel, one add straight into the CHW buffer — the layout-free
+// definition the channel-last accumulator must reproduce.
+std::vector<float> naive_conv_scatter(const snn::LayerInfo& li,
+                                      const Matrix& w,
+                                      std::span<const std::uint32_t> active) {
+  const Shape3 in = li.in_shape;
+  const Shape3 out = li.out_shape;
+  const std::size_t k = li.spec.kernel;
+  const std::size_t pad = li.spec.same_padding ? k / 2 : 0;
+  std::vector<float> current(out.size(), 0.0f);
+  for (const std::uint32_t idx : active) {
+    const std::size_t c = idx / (in.h * in.w);
+    const std::size_t y = idx / in.w % in.h;
+    const std::size_t x = idx % in.w;
+    for (std::size_t ky = 0; ky < k; ++ky) {
+      for (std::size_t kx = 0; kx < k; ++kx) {
+        const std::ptrdiff_t oy = static_cast<std::ptrdiff_t>(y + pad) -
+                                  static_cast<std::ptrdiff_t>(ky);
+        const std::ptrdiff_t ox = static_cast<std::ptrdiff_t>(x + pad) -
+                                  static_cast<std::ptrdiff_t>(kx);
+        if (oy < 0 || oy >= static_cast<std::ptrdiff_t>(out.h) || ox < 0 ||
+            ox >= static_cast<std::ptrdiff_t>(out.w))
+          continue;
+        for (std::size_t oc = 0; oc < out.c; ++oc)
+          current[(oc * out.h + static_cast<std::size_t>(oy)) * out.w +
+                  static_cast<std::size_t>(ox)] += w((c * k + ky) * k + kx, oc);
+      }
+    }
+  }
+  return current;
+}
+
+TEST(Kernels, ConvScatterMatchesNaiveChwLoopBitForBit) {
+  // Both event overloads, every partition count, against the naive loop
+  // (not against each other, so a layout bug they share cannot pass).
+  // One arena serves every case, which also checks that each call leaves
+  // it all-zero for the next.
+  Rng rng(10);
+  kernels::Scratch scratch;
+  for (const std::size_t k : {1u, 3u, 5u}) {
+    for (const bool same : {true, false}) {
+      for (const std::size_t oc : {5u, 7u, 13u}) {
+        const Topology topo("conv-scatter", Shape3{2, 9, 8},
+                            {LayerSpec::conv(oc, k, same)});
+        snn::Network net(topo);
+        net.init_random(rng, 1.0f);
+        const snn::LayerInfo& li = topo.layers()[0];
+        const Matrix& w = net.layer(0).weights;
+        snn::SpikeVector in(li.in_shape.size());
+        for (std::size_t i = 0; i < in.size(); ++i)
+          if (rng.bernoulli(0.4)) in.set(i);
+        std::vector<std::uint32_t> active;
+        in.append_active(active);
+        const std::vector<float> want = naive_conv_scatter(li, w, active);
+
+        for (const std::size_t parts : {1u, 2u, 3u, 7u}) {
+          std::vector<float> by_index(li.neurons, 0.0f);
+          std::vector<float> by_words(li.neurons, 0.0f);
+          for (std::size_t p = 0; p < parts; ++p) {
+            snn::scatter_accumulate(li, w, active, by_index, scratch, p,
+                                    parts);
+            snn::scatter_accumulate(li, w, in, by_words, scratch, p, parts);
+          }
+          EXPECT_EQ(want, by_index) << "k" << k << (same ? " same" : " valid")
+                                    << " oc " << oc << " parts " << parts;
+          EXPECT_EQ(want, by_words) << "k" << k << (same ? " same" : " valid")
+                                    << " oc " << oc << " parts " << parts;
+        }
+      }
     }
   }
 }

@@ -22,6 +22,7 @@ Usage: validate_trajectory.py FILE [FILE...]
 Exits non-zero listing every violation.
 """
 import json
+import math
 import sys
 
 # Required numeric fields per tracked bench (rows may carry more).
@@ -70,6 +71,12 @@ PACKED_ACCUMULATE_MIN_SPEEDUP = 2.0
 # amortizes program/route lookups, so it must never fall meaningfully
 # below the sequential path.
 PACKED_EXECUTE_MIN_RATIO = 0.8
+
+# Ceiling on a plausible pipeline_throughput simulate rate (presentations
+# per second).  The committed MLP snapshot reads ~3.6k-3.9k; a value past
+# this ceiling means the interval was not measured (the old overhead
+# subtraction clamped its divisor and printed 8e9).
+SIMULATE_TPS_MAX = 1e7
 
 # Fresh CI runs re-measure wall clock; allow this much dip before calling
 # the sparse-throughput curve non-monotonic.
@@ -250,13 +257,20 @@ def validate_pipeline_semantics(results, path, errors):
     """The batched-replay acceptance property (docs/execution.md): the
     "+packed" executor amortizes per-trace route/program lookups, so its
     throughput must stay within PACKED_EXECUTE_MIN_RATIO of the
-    sequential replay at every thread count."""
-    needed = ("threads", "execute_resparc_tps", "execute_resparc_packed_tps")
+    sequential replay at every thread count.  Every simulate rate must be
+    finite, positive and at most SIMULATE_TPS_MAX."""
+    needed = ("threads", "simulate_tps", "execute_resparc_tps",
+              "execute_resparc_packed_tps")
     rows = [r for r in results
             if isinstance(r, dict) and all(k in r for k in needed)]
     if len(rows) != len(results):
         return  # field errors were already reported by validate_rows
     for row in rows:
+        tps = row["simulate_tps"]
+        if not (math.isfinite(tps) and 0 < tps <= SIMULATE_TPS_MAX):
+            fail(errors, path,
+                 f"threads={row['threads']}: simulate_tps {tps} is not a "
+                 f"finite rate in (0, {SIMULATE_TPS_MAX:g}]")
         floor = PACKED_EXECUTE_MIN_RATIO * row["execute_resparc_tps"]
         if row["execute_resparc_packed_tps"] < floor:
             fail(errors, path,
