@@ -54,11 +54,22 @@ Workload run_workload(const snn::Topology& topology, snn::DatasetKind kind,
 
 // ------------------------------------------------- dense/sparse parity ----
 
-class SparseParity
-    : public ::testing::TestWithParam<std::pair<const char*, snn::Topology>> {};
+struct NamedTopology {
+  const char* name;
+  snn::Topology topology;
+};
+
+// Prints the parameter by name only, so the listed test names do not carry
+// a string address or the topology's raw bytes, both of which change from
+// one run to the next.
+void PrintTo(const NamedTopology& p, std::ostream* os) {
+  *os << '(' << p.name << ')';
+}
+
+class SparseParity : public ::testing::TestWithParam<NamedTopology> {};
 
 TEST_P(SparseParity, TracesAreBitForBitIdentical) {
-  const snn::Topology& topo = GetParam().second;
+  const snn::Topology& topo = GetParam().topology;
   const Workload dense =
       run_workload(topo, snn::DatasetKind::kMnistLike, snn::ExecutionMode::kDense);
   const Workload sparse =
@@ -73,7 +84,7 @@ TEST_P(SparseParity, TracesAreBitForBitIdentical) {
 }
 
 TEST_P(SparseParity, ExecutorReportsMatchInBothEventDrivenModes) {
-  const snn::Topology& topo = GetParam().second;
+  const snn::Topology& topo = GetParam().topology;
   const Workload w =
       run_workload(topo, snn::DatasetKind::kMnistLike, snn::ExecutionMode::kSparse);
 
@@ -118,11 +129,11 @@ TEST_P(SparseParity, ExecutorReportsMatchInBothEventDrivenModes) {
 INSTANTIATE_TEST_SUITE_P(
     BundledTopologies, SparseParity,
     ::testing::Values(
-        std::pair<const char*, snn::Topology>{
-            "small_mlp", snn::small_mlp_topology(snn::DatasetKind::kMnistLike)},
-        std::pair<const char*, snn::Topology>{
-            "small_cnn", snn::small_cnn_topology(snn::DatasetKind::kMnistLike)}),
-    [](const auto& info) { return std::string(info.param.first); });
+        NamedTopology{"small_mlp",
+                      snn::small_mlp_topology(snn::DatasetKind::kMnistLike)},
+        NamedTopology{"small_cnn",
+                      snn::small_cnn_topology(snn::DatasetKind::kMnistLike)}),
+    [](const auto& info) { return std::string(info.param.name); });
 
 // Paper-scale shapes, one image each, so the parity claim covers the
 // exact benchmark topologies too (conv sliced + windowed + pool paths).
