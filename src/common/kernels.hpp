@@ -14,8 +14,7 @@
 //     and sparse execution engines bit-identical (they call the same
 //     kernels in the same order);
 //   * no hidden allocation: kernels write into caller-provided buffers;
-//     workspace (im2col, the conv scatter accumulator) lives in a
-//     caller-owned Scratch arena.
+//     workspace (im2col) lives in a caller-owned Scratch arena.
 #pragma once
 
 #include <cstddef>
@@ -81,7 +80,9 @@ inline void scaled_row_add(double* __restrict acc, double v,
 /// wider matrix (the simulator's within-trace partitioning).  This is
 /// THE row accumulate both execution engines call: the dense simulator
 /// passes the active-bit list of a SpikeVector, the sparse engine its
-/// AER event list, so dense/sparse parity is structural.
+/// AER event list, so dense/sparse parity is structural.  The conv
+/// gather (snn/scatter.cpp) calls it once per touched output pixel with
+/// that pixel's weight-row list.
 void accumulate_rows(const float* w, std::size_t stride, std::size_t cols,
                      std::span<const std::uint32_t> rows, float* acc);
 
@@ -121,23 +122,15 @@ void matvec_in_major(const float* w, std::size_t rows, std::size_t cols,
 void matvec_out_major(const float* w, std::size_t rows, std::size_t cols,
                       const float* x, float* out);
 
-/// Caller-owned scratch arena for kernels that need workspace (im2col,
-/// the conv event scatter).  Reused across calls: buffers only ever
-/// grow, so a warmed arena makes the steady state allocation-free.
+/// Caller-owned scratch arena for kernels that need workspace (im2col).
+/// Reused across calls: buffers only ever grow, so a warmed arena makes
+/// the steady state allocation-free.
 struct Scratch {
   std::vector<float> col;  ///< im2col patch matrix (pixels x inC*k*k)
-  /// Channel-last conv scatter accumulator (pixel*outC + oc); all +0.0f
-  /// between calls (snn/scatter.hpp).
-  std::vector<float> acc;
 
   /// Grows `col` to at least `n` floats (never shrinks).
   void ensure_col(std::size_t n) {
     if (col.size() < n) col.resize(n);
-  }
-
-  /// Grows `acc` to at least `n` floats, new ones +0.0f (never shrinks).
-  void ensure_acc(std::size_t n) {
-    if (acc.size() < n) acc.resize(n, 0.0f);
   }
 };
 

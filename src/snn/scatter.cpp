@@ -2,6 +2,9 @@
 
 #include <algorithm>
 #include <bit>
+#include <cassert>
+
+#include "common/kernels.hpp"
 
 namespace resparc::snn {
 
@@ -52,82 +55,127 @@ struct PackedEvents {
 // nest per layer kind regardless of how the events are delivered, so the
 // index-list and packed paths cannot drift apart.
 
-/// Scatter form of the convolution: input (c,y,x) feeds output
-/// (oc, y-ky+pad, x-kx+pad) with kernel weight row (c*k+ky)*k+kx — one
-/// weight per output channel.  The taps accumulate channel-last in
-/// scratch.acc (pixel*C + oc), so each is one unit-stride row_add across
-/// the partition's channels; one pass then moves the slice into the CHW
-/// `current` and re-zeroes it.  Partition = output-channel slice.
+/// Each event touches exactly one output, read from the plan's table;
+/// partition = output-index slice, membership-checked per event.
 template <typename Events>
-void scatter_conv(const LayerInfo& li, const Matrix& w, const Events& each,
-                  std::span<float> current, kernels::Scratch& scratch,
-                  std::size_t part, std::size_t parts) {
-  const Shape3 in_shape = li.in_shape;
-  const Shape3 out = li.out_shape;
-  const std::size_t k = li.spec.kernel;
-  const std::size_t pad = li.spec.same_padding ? k / 2 : 0;
-  const std::size_t plane = out.h * out.w;
-  const auto [oc0, oc1] = slice_of(out.c, part, parts);
-  if (oc1 == oc0) return;
-  const std::size_t width = oc1 - oc0;
-  scratch.ensure_acc(out.size());
-  float* const acc = scratch.acc.data() + oc0;
-  each([&](const std::uint32_t idx) {
-    const std::size_t c = idx / (in_shape.h * in_shape.w);
-    const std::size_t rem = idx % (in_shape.h * in_shape.w);
-    const std::size_t y = rem / in_shape.w;
-    const std::size_t x = rem % in_shape.w;
-    for (std::size_t ky = 0; ky < k; ++ky) {
-      const std::ptrdiff_t oy =
-          static_cast<std::ptrdiff_t>(y + pad) - static_cast<std::ptrdiff_t>(ky);
-      if (oy < 0 || oy >= static_cast<std::ptrdiff_t>(out.h)) continue;
-      for (std::size_t kx = 0; kx < k; ++kx) {
-        const std::ptrdiff_t ox =
-            static_cast<std::ptrdiff_t>(x + pad) - static_cast<std::ptrdiff_t>(kx);
-        if (ox < 0 || ox >= static_cast<std::ptrdiff_t>(out.w)) continue;
-        const std::size_t wrow = (c * k + ky) * k + kx;
-        const std::size_t pixel =
-            static_cast<std::size_t>(oy) * out.w + static_cast<std::size_t>(ox);
-        kernels::row_add(acc + pixel * out.c, w.row(wrow).data() + oc0, width);
-      }
-    }
-  });
-  float* const dst = current.data() + oc0 * plane;
-  for (std::size_t pixel = 0; pixel < plane; ++pixel) {
-    float* const src = acc + pixel * out.c;
-    for (std::size_t j = 0; j < width; ++j) dst[j * plane + pixel] = src[j];
-    std::fill(src, src + width, 0.0f);
-  }
-}
-
-/// Each event touches exactly one output; partition = output-index slice,
-/// membership-checked per event.
-template <typename Events>
-void scatter_pool(const LayerInfo& li, const Events& each,
+void scatter_pool(const ScatterPlan& plan, const Events& each,
                   std::span<float> current, std::size_t part,
                   std::size_t parts) {
-  const Shape3 in_shape = li.in_shape;
-  const Shape3 out = li.out_shape;
-  const std::size_t p = li.spec.pool;
+  const std::size_t p = plan.layer().spec.pool;
   const float share = 1.0f / static_cast<float>(p * p);
-  const auto [b, e] = slice_of(out.size(), part, parts);
+  const auto [b, e] = slice_of(plan.layer().out_shape.size(), part, parts);
   each([&](const std::uint32_t idx) {
-    const std::size_t c = idx / (in_shape.h * in_shape.w);
-    const std::size_t rem = idx % (in_shape.h * in_shape.w);
-    const std::size_t y = rem / in_shape.w;
-    const std::size_t x = rem % in_shape.w;
-    const std::size_t at = (c * out.h + y / p) * out.w + x / p;
+    const std::size_t at = plan.pool_target(idx);
     if (at >= b && at < e) current[at] += share;
   });
 }
 
 }  // namespace
 
-void scatter_accumulate(const LayerInfo& li, const Matrix& w,
-                        std::span<const std::uint32_t> in_active,
-                        std::span<float> current, kernels::Scratch& scratch,
-                        std::size_t part, std::size_t parts) {
+ScatterPlan::ScatterPlan(const LayerInfo& li) : li_(li) {
+  const Shape3 in = li.in_shape;
+  const Shape3 out = li.out_shape;
   switch (li.spec.kind) {
+    case LayerKind::kDense:
+      break;
+    case LayerKind::kAvgPool: {
+      const std::size_t p = li.spec.pool;
+      pool_target_.resize(in.size());
+      for (std::size_t c = 0, idx = 0; c < in.c; ++c)
+        for (std::size_t y = 0; y < in.h; ++y)
+          for (std::size_t x = 0; x < in.w; ++x, ++idx)
+            pool_target_[idx] =
+                static_cast<std::uint32_t>((c * out.h + y / p) * out.w + x / p);
+      break;
+    }
+    case LayerKind::kConv: {
+      // Input (y, x) feeds output (y+pad-ky, x+pad-kx) through tap
+      // (ky, kx); only in-image outputs get a table entry.
+      const std::size_t k = li.spec.kernel;
+      const std::ptrdiff_t pad =
+          static_cast<std::ptrdiff_t>(li.spec.same_padding ? k / 2 : 0);
+      taps_per_channel_ = k * k;
+      tap_begin_.reserve(in.h * in.w + 1);
+      tap_begin_.push_back(0);
+      for (std::size_t y = 0; y < in.h; ++y) {
+        for (std::size_t x = 0; x < in.w; ++x) {
+          for (std::size_t ky = 0; ky < k; ++ky) {
+            const std::ptrdiff_t oy = static_cast<std::ptrdiff_t>(y) + pad -
+                                      static_cast<std::ptrdiff_t>(ky);
+            if (oy < 0 || oy >= static_cast<std::ptrdiff_t>(out.h)) continue;
+            for (std::size_t kx = 0; kx < k; ++kx) {
+              const std::ptrdiff_t ox = static_cast<std::ptrdiff_t>(x) + pad -
+                                        static_cast<std::ptrdiff_t>(kx);
+              if (ox < 0 || ox >= static_cast<std::ptrdiff_t>(out.w)) continue;
+              const std::size_t pixel = static_cast<std::size_t>(oy) * out.w +
+                                        static_cast<std::size_t>(ox);
+              taps_.push_back({static_cast<std::uint32_t>(pixel),
+                               static_cast<std::uint32_t>(ky * k + kx)});
+            }
+          }
+          tap_begin_.push_back(static_cast<std::uint32_t>(taps_.size()));
+        }
+      }
+      rows_.resize(out.h * out.w * li.fan_in);
+      counts_.assign(out.h * out.w, 0);
+      break;
+    }
+  }
+}
+
+/// Output-stationary form of the convolution: every event appends its
+/// weight row c*k*k + tap to the list of each in-slice output pixel it
+/// feeds (ascending events, so each list is in ascending (c, ky, kx)
+/// order); then each touched pixel sums its list across all output
+/// channels with accumulate_rows into a stack accumulator that starts at
+/// +0.0f, and stores it into the CHW `current`.  Partition = output-pixel
+/// slice, so concurrent partitions write disjoint lists of one arena.
+template <typename Events>
+void gather_conv(ScatterPlan& plan, const Matrix& w, const Events& each,
+                 std::span<float> current, std::size_t part,
+                 std::size_t parts) {
+  const Shape3 in = plan.li_.in_shape;
+  const Shape3 out = plan.li_.out_shape;
+  const std::size_t plane = out.h * out.w;
+  const std::size_t cap = plan.li_.fan_in;
+  const auto [p0, p1] = slice_of(plane, part, parts);
+  if (p1 == p0) return;
+  std::uint32_t* const rows = plan.rows_.data();
+  std::uint32_t* const counts = plan.counts_.data();
+
+  ChannelCursor cursor(in.h * in.w);
+  each([&](const std::uint32_t idx) {
+    plan.for_each_tap(idx, cursor, [&](std::size_t row, std::size_t pixel) {
+      if (pixel < p0 || pixel >= p1) return;
+      assert(counts[pixel] < cap);  // a repeated event would overflow
+      rows[pixel * cap + counts[pixel]++] = static_cast<std::uint32_t>(row);
+    });
+  });
+
+  // Channel blocks bound the stack accumulator; every output still sees
+  // the whole list in order, so the blocking has no numeric effect.
+  constexpr std::size_t kBlock = 128;
+  float acc[kBlock] = {};
+  for (std::size_t pixel = p0; pixel < p1; ++pixel) {
+    const std::size_t n = counts[pixel];
+    if (n == 0) continue;
+    counts[pixel] = 0;
+    const std::span<const std::uint32_t> list(rows + pixel * cap, n);
+    for (std::size_t oc0 = 0; oc0 < out.c; oc0 += kBlock) {
+      const std::size_t width = std::min(kBlock, out.c - oc0);
+      std::fill(acc, acc + width, 0.0f);
+      kernels::accumulate_rows(w.flat().data() + oc0, out.c, width, list, acc);
+      float* const dst = current.data() + oc0 * plane + pixel;
+      for (std::size_t j = 0; j < width; ++j) dst[j * plane] = acc[j];
+    }
+  }
+}
+
+void scatter_accumulate(ScatterPlan& plan, const Matrix& w,
+                        std::span<const std::uint32_t> in_active,
+                        std::span<float> current, std::size_t part,
+                        std::size_t parts) {
+  switch (plan.layer().spec.kind) {
     case LayerKind::kDense: {
       // Partition = column slice; every event drives every column, so the
       // slice just narrows the accumulate width.
@@ -137,20 +185,18 @@ void scatter_accumulate(const LayerInfo& li, const Matrix& w,
       break;
     }
     case LayerKind::kConv:
-      scatter_conv(li, w, IndexEvents{in_active}, current, scratch, part,
-                   parts);
+      gather_conv(plan, w, IndexEvents{in_active}, current, part, parts);
       break;
     case LayerKind::kAvgPool:
-      scatter_pool(li, IndexEvents{in_active}, current, part, parts);
+      scatter_pool(plan, IndexEvents{in_active}, current, part, parts);
       break;
   }
 }
 
-void scatter_accumulate(const LayerInfo& li, const Matrix& w,
+void scatter_accumulate(ScatterPlan& plan, const Matrix& w,
                         const SpikeVector& in, std::span<float> current,
-                        kernels::Scratch& scratch, std::size_t part,
-                        std::size_t parts) {
-  switch (li.spec.kind) {
+                        std::size_t part, std::size_t parts) {
+  switch (plan.layer().spec.kind) {
     case LayerKind::kDense: {
       // masked_row_accumulate replicates accumulate_rows' row_add4
       // grouping over the packed words, so the column slice sees the
@@ -162,10 +208,10 @@ void scatter_accumulate(const LayerInfo& li, const Matrix& w,
       break;
     }
     case LayerKind::kConv:
-      scatter_conv(li, w, PackedEvents{in}, current, scratch, part, parts);
+      gather_conv(plan, w, PackedEvents{in}, current, part, parts);
       break;
     case LayerKind::kAvgPool:
-      scatter_pool(li, PackedEvents{in}, current, part, parts);
+      scatter_pool(plan, PackedEvents{in}, current, part, parts);
       break;
   }
 }

@@ -8,44 +8,132 @@
 // bit-for-bit identical by construction, not by parallel maintenance of
 // two loop nests (docs/performance.md).
 //
+// Every geometry decision (which output an input feeds, through which
+// weight row) is read from a per-layer ScatterPlan that the engine builds
+// once, so the per-event work is table loads and adds — no divisions, no
+// border tests.
+//
 // The `part/parts` pair partitions the OUTPUT space (dense columns, conv
-// output channels, pool output indices) so the simulator can spread one
+// output pixels, pool output indices) so the simulator can spread one
 // big layer across pool workers: each output element is written by
 // exactly one partition and sees its additions in the exact order the
 // unpartitioned call would use, so results are partition-count
 // invariant.
 #pragma once
 
+#include <cassert>
 #include <cstdint>
 #include <span>
+#include <vector>
 
-#include "common/kernels.hpp"
 #include "common/matrix.hpp"
 #include "snn/topology.hpp"
 #include "snn/trace.hpp"
 
 namespace resparc::snn {
 
-/// Scatters the fan-out of `in_active` (ascending input indices) of a
-/// layer described by `li` with weight matrix `w` (empty for pool
-/// layers) into `current`, writing only the output slice owned by
-/// partition `part` of `parts`.
+/// Splits ascending input indices into (channel, in-plane pixel) without
+/// a division: the events of one call arrive in ascending order, so the
+/// channel only ever advances.
+class ChannelCursor {
+ public:
+  /// `plane` = in_h * in_w, the index stride of one input channel.
+  explicit ChannelCursor(std::size_t plane) : plane_(plane) {}
+
+  /// In-plane pixel of input `idx`, which must not be below the previous
+  /// index passed to this cursor.
+  std::size_t pixel(std::size_t idx) {
+    assert(idx >= base_);
+    while (idx - base_ >= plane_) {
+      base_ += plane_;
+      ++channel_;
+    }
+    return idx - base_;
+  }
+
+  /// Channel of the index last passed to pixel().
+  std::size_t channel() const { return channel_; }
+
+ private:
+  std::size_t plane_;
+  std::size_t base_ = 0;
+  std::size_t channel_ = 0;
+};
+
+/// Per-layer scatter geometry plus the conv gather's workspace.  Built
+/// once per layer (Simulator, SparseEngine), never per call; the steady
+/// state reuses it without allocating.
 ///
-/// Precondition: every element of the slice of `current` is +0.0f.
-/// Dense and pool layers add onto it.  Conv layers accumulate in
-/// `scratch.acc` channel-last (pixel*C + oc), so each kernel tap is one
-/// unit-stride kernels::row_add across output channels, then move their
-/// slice into `current` (CHW), overwriting it.  Either way each output
-/// gets its additions in ascending input-index order starting from
-/// +0.0f, so the result does not depend on the layout.  `scratch.acc` is
-/// all +0.0f between calls.  The partitions of one call may share one
-/// arena (their channel slices are disjoint), but only if the caller
-/// grows it first (Scratch::ensure_acc(li.neurons)) so that no partition
-/// reallocates it.
-void scatter_accumulate(const LayerInfo& li, const Matrix& w,
+///   * Avg-pool: the output index every input index feeds.
+///   * Conv: for every input-plane pixel, its in-image kernel taps as
+///     (output pixel, tap index ky*k + kx) in ascending tap order, and a
+///     list arena with one fixed-capacity weight-row list per output pixel.
+///   * Dense: nothing beyond the layer description.
+class ScatterPlan {
+ public:
+  /// One in-image kernel tap of an input pixel.
+  struct Tap {
+    std::uint32_t pixel;  ///< output pixel oy*out_w + ox it feeds
+    std::uint32_t tap;    ///< ky*k + kx
+  };
+
+  /// Builds the tables for layer `li` and sizes the conv gather arena
+  /// (out_h*out_w lists of fan_in row ids).
+  explicit ScatterPlan(const LayerInfo& li);
+
+  /// The layer this plan was built for.
+  const LayerInfo& layer() const { return li_; }
+
+  /// Avg-pool: the output index input `idx` feeds.
+  std::uint32_t pool_target(std::size_t idx) const { return pool_target_[idx]; }
+
+  /// Conv: calls fn(weight_row, out_pixel) for each in-image tap of input
+  /// `idx`, in ascending tap order — so over ascending events every output
+  /// pixel sees its weight rows in ascending (c, ky, kx) order.  `cursor`
+  /// (built on in_h*in_w) carries the channel between events.
+  template <typename Fn>
+  void for_each_tap(std::size_t idx, ChannelCursor& cursor, Fn&& fn) const {
+    const std::size_t q = cursor.pixel(idx);
+    const std::size_t row0 = cursor.channel() * taps_per_channel_;
+    for (std::uint32_t i = tap_begin_[q]; i < tap_begin_[q + 1]; ++i)
+      fn(row0 + taps_[i].tap, static_cast<std::size_t>(taps_[i].pixel));
+  }
+
+ private:
+  template <typename Events>
+  friend void gather_conv(ScatterPlan&, const Matrix&, const Events&,
+                          std::span<float>, std::size_t, std::size_t);
+
+  LayerInfo li_;
+  std::vector<std::uint32_t> pool_target_;  ///< avg-pool: in idx -> out idx
+  std::size_t taps_per_channel_ = 0;        ///< conv: k*k
+  std::vector<std::uint32_t> tap_begin_;    ///< conv: taps_ range per in pixel
+  std::vector<Tap> taps_;                   ///< conv: in-image taps
+  /// Conv gather arena: output pixel p owns rows_[p*fan_in, (p+1)*fan_in);
+  /// counts_[p] is its list length, 0 between calls.
+  std::vector<std::uint32_t> rows_;
+  std::vector<std::uint32_t> counts_;
+};
+
+/// Scatters the fan-out of `in_active` (strictly ascending input indices,
+/// as append_active() emits them) of the layer `plan` was built for, with
+/// weight matrix `w` (empty for pool layers), into `current`, writing
+/// only the outputs owned by partition `part` of `parts`.
+///
+/// Precondition: every output of the partition is +0.0f.  Dense and pool
+/// layers add onto it.  Conv layers gather: each event appends its weight
+/// row to the list of every output pixel it feeds, then each touched
+/// pixel sums its list into a small accumulator with
+/// kernels::accumulate_rows and writes it into `current` (CHW); untouched
+/// outputs are not written.  A conv partition is an output-pixel slice
+/// (all channels of those pixels).  Either way each output gets its
+/// additions in ascending input-index order starting from +0.0f.  The
+/// partitions of one call may run concurrently on one plan: each writes
+/// only its own pixels' lists.
+void scatter_accumulate(ScatterPlan& plan, const Matrix& w,
                         std::span<const std::uint32_t> in_active,
-                        std::span<float> current, kernels::Scratch& scratch,
-                        std::size_t part = 0, std::size_t parts = 1);
+                        std::span<float> current, std::size_t part = 0,
+                        std::size_t parts = 1);
 
 /// Packed-spike form of scatter_accumulate: input events arrive as the
 /// SpikeVector's 64-bit words instead of an index list, so no AER list is
@@ -55,9 +143,8 @@ void scatter_accumulate(const LayerInfo& li, const Matrix& w,
 /// is bit-for-bit identical to the index-list overload on the same spike
 /// pattern (tests/test_differential.cpp).  This is the scatter of the
 /// "+packed" execution mode (docs/execution.md).
-void scatter_accumulate(const LayerInfo& li, const Matrix& w,
+void scatter_accumulate(ScatterPlan& plan, const Matrix& w,
                         const SpikeVector& in, std::span<float> current,
-                        kernels::Scratch& scratch, std::size_t part = 0,
-                        std::size_t parts = 1);
+                        std::size_t part = 0, std::size_t parts = 1);
 
 }  // namespace resparc::snn

@@ -41,14 +41,14 @@ Simulator::Simulator(const Network& net, SimConfig config)
   // One reusable pool job: run_indexed takes it by const reference, so
   // the pooled steady state allocates nothing per call.
   pool_fn_ = [this](std::size_t part, std::size_t /*worker*/) {
-    scatter_accumulate(net_.topology().layers()[pool_job_layer_],
+    scatter_accumulate(plans_[pool_job_layer_],
                        net_.layer(pool_job_layer_).weights, pool_job_active_,
-                       pool_job_current_, scratch_, part, pool_parts_);
+                       pool_job_current_, part, pool_parts_);
   };
   pool_packed_fn_ = [this](std::size_t part, std::size_t /*worker*/) {
-    scatter_accumulate(net_.topology().layers()[pool_job_layer_],
+    scatter_accumulate(plans_[pool_job_layer_],
                        net_.layer(pool_job_layer_).weights, *pool_job_packed_,
-                       pool_job_current_, scratch_, part, pool_parts_);
+                       pool_job_current_, part, pool_parts_);
   };
 }
 
@@ -72,11 +72,10 @@ void Simulator::accumulate_active(std::size_t l,
     pool_job_layer_ = l;
     pool_job_active_ = active;
     pool_job_current_ = current;
-    scratch_.ensure_acc(li.neurons);  // before the partitions share it
     pool_->run_indexed(pool_parts_, pool_parts_, pool_fn_);
     return;
   }
-  scatter_accumulate(li, net_.layer(l).weights, active, current, scratch_);
+  scatter_accumulate(plans_[l], net_.layer(l).weights, active, current);
 }
 
 void Simulator::accumulate_packed(std::size_t l, const SpikeVector& in,
@@ -87,15 +86,22 @@ void Simulator::accumulate_packed(std::size_t l, const SpikeVector& in,
     pool_job_layer_ = l;
     pool_job_packed_ = &in;
     pool_job_current_ = current;
-    scratch_.ensure_acc(li.neurons);  // before the partitions share it
     pool_->run_indexed(pool_parts_, pool_parts_, pool_packed_fn_);
     return;
   }
-  scatter_accumulate(li, net_.layer(l).weights, in, current, scratch_);
+  scatter_accumulate(plans_[l], net_.layer(l).weights, in, current);
+}
+
+void Simulator::ensure_plans() {
+  if (!plans_.empty()) return;
+  const Topology& topo = net_.topology();
+  plans_.reserve(topo.layer_count());
+  for (const LayerInfo& li : topo.layers()) plans_.emplace_back(li);
 }
 
 void Simulator::ensure_dense_state() {
   const Topology& topo = net_.topology();
+  ensure_plans();
   if (pops_.empty()) {
     pops_.reserve(topo.layer_count());
     currents_.resize(topo.layer_count());
@@ -240,6 +246,7 @@ void Simulator::observe_currents(std::span<const float> image, Rng& rng,
 
   const auto input_spikes = encoder_.encode(image, config_.timesteps, rng);
   std::vector<std::uint32_t> active;
+  ensure_plans();
 
   for (std::size_t t = 0; t < config_.timesteps; ++t) {
     const SpikeVector* prev = &input_spikes[t];
@@ -247,8 +254,8 @@ void Simulator::observe_currents(std::span<const float> image, Rng& rng,
       active.clear();
       prev->append_active(active);
       std::fill(currents[l].begin(), currents[l].end(), 0.0f);
-      scatter_accumulate(topo.layers()[l], net_.layer(l).weights, active,
-                         currents[l], scratch_);
+      scatter_accumulate(plans_[l], net_.layer(l).weights, active,
+                         currents[l]);
       if (l == layer) {
         samples_out.insert(samples_out.end(), currents[l].begin(),
                            currents[l].end());

@@ -19,11 +19,11 @@
 #include <string>
 #include <vector>
 
-#include "common/kernels.hpp"
 #include "common/rng.hpp"
 #include "snn/encoder.hpp"
 #include "snn/execution.hpp"
 #include "snn/network.hpp"
+#include "snn/scatter.hpp"
 #include "snn/trace.hpp"
 
 namespace resparc {
@@ -101,6 +101,9 @@ class Simulator {
   void accumulate_packed(std::size_t l, const SpikeVector& in,
                          std::span<float> current);
 
+  /// Builds the per-layer scatter plans on first use.
+  void ensure_plans();
+
   /// Builds (first run) or clears (reuse) the dense per-layer state.
   void ensure_dense_state();
 
@@ -138,7 +141,7 @@ class Simulator {
   std::vector<IfPopulation> pops_;                  ///< dense-path membranes
   std::vector<std::vector<float>> currents_;        ///< per-layer drive
   std::vector<SpikeVector> prev_holder_;            ///< per-layer spikes
-  kernels::Scratch scratch_;  ///< conv scatter accumulator (pool-shared)
+  std::vector<ScatterPlan> plans_;  ///< per-layer scatter tables (pool-shared)
   std::vector<SpikeVector> input_spikes_;           ///< encoded input
   std::vector<std::uint32_t> active_scratch_;       ///< event list per layer
   std::unique_ptr<SparseEngine> sparse_;            ///< sparse-mode engine

@@ -14,7 +14,7 @@ SparseEngine::SparseEngine(const Network& net) : net_(net) {
   for (std::size_t l = 0; l < topo.layer_count(); ++l) {
     const LayerInfo& li = topo.layers()[l];
     const IfParams& p = net.layer(l).neuron;
-    state_.emplace_back(li.neurons, p);
+    state_.emplace_back(li, p);
     LayerState& st = state_.back();
     // Any event into a fully connected layer drives every output column,
     // so per-column stamping is pure overhead there.
@@ -45,14 +45,14 @@ template <bool Stamp>
 void SparseEngine::accumulate(std::size_t l,
                               std::span<const std::uint32_t> in_active,
                               LayerState& st) {
-  const LayerInfo& li = net_.topology().layers()[l];
-  const LayerParams& lp = net_.layer(l);
+  const LayerInfo& li = st.plan.layer();
+  const Matrix& w = net_.layer(l).weights;
 
   // The stamp-free (full-drive) form IS the dense engine's scatter: both
   // run the shared kernels in snn/scatter.cpp, so dense/sparse parity is
   // structural rather than maintained across two loop nests.
   if constexpr (!Stamp) {
-    scatter_accumulate(li, lp.weights, in_active, st.current, scratch_);
+    scatter_accumulate(st.plan, w, in_active, st.current);
     return;
   }
 
@@ -67,13 +67,13 @@ void SparseEngine::accumulate(std::size_t l,
     }
   };
 
-  // The loop bodies below mirror snn/scatter.cpp exactly — same event
-  // order, same addition order — so the floating-point result is
-  // bit-for-bit identical to the stamp-free path (each output element
-  // sees one plain add per touching event either way).
+  // The stamped loops read the same ScatterPlan tables as snn/scatter.cpp
+  // and keep its event order, so each output element sees the same plain
+  // adds in the same order and the result is bit-for-bit identical to the
+  // stamp-free path.  Only the traversal differs: stamped conv adds each
+  // tap across channels straight into `current` instead of gathering.
   switch (li.spec.kind) {
     case LayerKind::kDense: {
-      const Matrix& w = lp.weights;
       for (const std::uint32_t r : in_active) {
         const auto row = w.row(r);
         for (std::size_t c = 0; c < row.size(); ++c) current[c] += row[c];
@@ -81,49 +81,27 @@ void SparseEngine::accumulate(std::size_t l,
       break;
     }
     case LayerKind::kConv: {
-      const Matrix& w = lp.weights;  // (inC*k*k) x outC
-      const Shape3 in_shape = li.in_shape;
       const Shape3 out = li.out_shape;
-      const std::size_t k = li.spec.kernel;
-      const std::size_t pad = li.spec.same_padding ? k / 2 : 0;
+      const std::size_t plane = out.h * out.w;
+      ChannelCursor cursor(li.in_shape.h * li.in_shape.w);
       for (const std::uint32_t idx : in_active) {
-        const std::size_t c = idx / (in_shape.h * in_shape.w);
-        const std::size_t rem = idx % (in_shape.h * in_shape.w);
-        const std::size_t y = rem / in_shape.w;
-        const std::size_t x = rem % in_shape.w;
-        for (std::size_t ky = 0; ky < k; ++ky) {
-          const std::ptrdiff_t oy =
-              static_cast<std::ptrdiff_t>(y + pad) - static_cast<std::ptrdiff_t>(ky);
-          if (oy < 0 || oy >= static_cast<std::ptrdiff_t>(out.h)) continue;
-          for (std::size_t kx = 0; kx < k; ++kx) {
-            const std::ptrdiff_t ox =
-                static_cast<std::ptrdiff_t>(x + pad) - static_cast<std::ptrdiff_t>(kx);
-            if (ox < 0 || ox >= static_cast<std::ptrdiff_t>(out.w)) continue;
-            const std::size_t wrow = (c * k + ky) * k + kx;
-            const auto kernels = w.row(wrow);
-            const std::size_t base =
-                static_cast<std::size_t>(oy) * out.w + static_cast<std::size_t>(ox);
-            for (std::size_t oc = 0; oc < out.c; ++oc) {
-              const std::size_t at = oc * out.h * out.w + base;
-              touch(at);
-              current[at] += kernels[oc];
-            }
-          }
-        }
+        st.plan.for_each_tap(
+            idx, cursor, [&](std::size_t row, std::size_t pixel) {
+              const auto kernels = w.row(row);
+              for (std::size_t oc = 0; oc < out.c; ++oc) {
+                const std::size_t at = oc * plane + pixel;
+                touch(at);
+                current[at] += kernels[oc];
+              }
+            });
       }
       break;
     }
     case LayerKind::kAvgPool: {
-      const Shape3 in_shape = li.in_shape;
-      const Shape3 out = li.out_shape;
       const std::size_t p = li.spec.pool;
       const float share = 1.0f / static_cast<float>(p * p);
       for (const std::uint32_t idx : in_active) {
-        const std::size_t c = idx / (in_shape.h * in_shape.w);
-        const std::size_t rem = idx % (in_shape.h * in_shape.w);
-        const std::size_t y = rem / in_shape.w;
-        const std::size_t x = rem % in_shape.w;
-        const std::size_t at = (c * out.h + y / p) * out.w + x / p;
+        const std::size_t at = st.plan.pool_target(idx);
         touch(at);
         current[at] += share;
       }
@@ -179,8 +157,8 @@ const SpikeVector& SparseEngine::step_layer(
       // words at hand, decode them inline (same ascending order as the
       // index list) instead of re-reading the AER indices.
       if (in_packed != nullptr)
-        scatter_accumulate(net_.topology().layers()[l], net_.layer(l).weights,
-                           *in_packed, st.current, scratch_);
+        scatter_accumulate(st.plan, net_.layer(l).weights, *in_packed,
+                           st.current);
       else
         accumulate<false>(l, in_active, st);
     } else {

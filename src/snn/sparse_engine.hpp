@@ -32,8 +32,8 @@
 #include <span>
 #include <vector>
 
-#include "common/kernels.hpp"
 #include "snn/network.hpp"
+#include "snn/scatter.hpp"
 #include "snn/trace.hpp"
 
 namespace resparc::snn {
@@ -91,9 +91,14 @@ class SparseEngine {
     /// saturates to a stamp-free full drive so a busy step never costs
     /// more than the dense path.
     std::size_t touches_per_event = 0;
+    ScatterPlan plan;  ///< geometry tables + conv gather arena
 
-    LayerState(std::size_t n, const IfParams& params)
-        : pop(n, params), current(n, 0.0f), stamp(n, 0), out(n) {}
+    LayerState(const LayerInfo& li, const IfParams& params)
+        : pop(li.neurons, params),
+          current(li.neurons, 0.0f),
+          stamp(li.neurons, 0),
+          out(li.neurons),
+          plan(li) {}
   };
 
   /// Scatters `in_active` through layer `l`'s connectivity into the
@@ -107,7 +112,6 @@ class SparseEngine {
 
   const Network& net_;
   std::vector<LayerState> state_;
-  kernels::Scratch scratch_;  ///< conv scatter accumulator (full drive)
 };
 
 }  // namespace resparc::snn

@@ -1,11 +1,12 @@
 // Allocation-regression guard: steady-state simulate/execute must
 // perform ZERO heap allocations per presentation (docs/performance.md).
 //
-// The whole test binary's global operator new/delete are replaced with
-// counting forwarders to malloc/free; counting is enabled only around
-// the measured region.  The protocol per engine: run one paper-scale
-// CNN presentation to warm the simulator's scratch arenas, then run a
-// second identical presentation and require that it allocated nothing.
+// The whole test binary's global operator new/delete (every form) are
+// replaced with counting forwarders to malloc/free; counting is enabled
+// only around the measured region.  The protocol per engine: run one
+// paper-scale CNN presentation to warm the simulator's scratch arenas,
+// then run a second identical presentation and require that it
+// allocated nothing.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -26,18 +27,26 @@ namespace {
 std::atomic<bool> g_track{false};
 std::atomic<std::size_t> g_allocations{0};
 
-void* counted_alloc(std::size_t size, std::size_t align) {
+/// Counted malloc/aligned_alloc; nullptr on failure.
+void* counted_alloc_nothrow(std::size_t size, std::size_t align) noexcept {
   if (g_track.load(std::memory_order_relaxed))
     g_allocations.fetch_add(1, std::memory_order_relaxed);
-  void* p = align > alignof(std::max_align_t)
-                ? std::aligned_alloc(align, (size + align - 1) / align * align)
-                : std::malloc(size == 0 ? 1 : size);
+  return align > alignof(std::max_align_t)
+             ? std::aligned_alloc(align, (size + align - 1) / align * align)
+             : std::malloc(size == 0 ? 1 : size);
+}
+
+void* counted_alloc(std::size_t size, std::size_t align) {
+  void* p = counted_alloc_nothrow(size, align);
   if (!p) throw std::bad_alloc();
   return p;
 }
 
 }  // namespace
 
+// Every allocating form is replaced, the std::nothrow_t ones included
+// (std::stable_sort's temporary buffer uses them): a form left to the
+// runtime would pair the runtime's allocator with the free() below.
 void* operator new(std::size_t size) {
   return counted_alloc(size, alignof(std::max_align_t));
 }
@@ -50,6 +59,20 @@ void* operator new(std::size_t size, std::align_val_t align) {
 void* operator new[](std::size_t size, std::align_val_t align) {
   return counted_alloc(size, static_cast<std::size_t>(align));
 }
+void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
+  return counted_alloc_nothrow(size, alignof(std::max_align_t));
+}
+void* operator new[](std::size_t size, const std::nothrow_t&) noexcept {
+  return counted_alloc_nothrow(size, alignof(std::max_align_t));
+}
+void* operator new(std::size_t size, std::align_val_t align,
+                   const std::nothrow_t&) noexcept {
+  return counted_alloc_nothrow(size, static_cast<std::size_t>(align));
+}
+void* operator new[](std::size_t size, std::align_val_t align,
+                     const std::nothrow_t&) noexcept {
+  return counted_alloc_nothrow(size, static_cast<std::size_t>(align));
+}
 void operator delete(void* p) noexcept { std::free(p); }
 void operator delete[](void* p) noexcept { std::free(p); }
 void operator delete(void* p, std::size_t) noexcept { std::free(p); }
@@ -60,6 +83,18 @@ void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
   std::free(p);
 }
 void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
+  std::free(p);
+}
+void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
+void operator delete[](void* p, const std::nothrow_t&) noexcept {
+  std::free(p);
+}
+void operator delete(void* p, std::align_val_t,
+                     const std::nothrow_t&) noexcept {
+  std::free(p);
+}
+void operator delete[](void* p, std::align_val_t,
+                       const std::nothrow_t&) noexcept {
   std::free(p);
 }
 

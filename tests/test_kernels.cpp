@@ -8,7 +8,9 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstring>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "common/kernels.hpp"
@@ -229,22 +231,57 @@ TEST(Kernels, ScatterAccumulatePartitionInvariant) {
     std::vector<std::uint32_t> active;
     for (std::size_t i = 0; i < li.in_shape.size(); i += 3)
       active.push_back(static_cast<std::uint32_t>(i));
-    kernels::Scratch scratch;
+    snn::ScatterPlan plan(li);
     std::vector<float> serial(li.neurons, 0.0f);
-    snn::scatter_accumulate(li, net.layer(l).weights, active, serial, scratch);
+    snn::scatter_accumulate(plan, net.layer(l).weights, active, serial);
     for (const std::size_t parts : {2u, 3u, 7u}) {
       std::vector<float> split(li.neurons, 0.0f);
       for (std::size_t p = 0; p < parts; ++p)
-        snn::scatter_accumulate(li, net.layer(l).weights, active, split,
-                                scratch, p, parts);
+        snn::scatter_accumulate(plan, net.layer(l).weights, active, split, p,
+                                parts);
       EXPECT_EQ(serial, split) << "layer " << l << " parts " << parts;
     }
   }
 }
 
+/// Bitwise equality: unlike operator==, tells +0.0f from -0.0f, so an
+/// output the scatter must leave untouched cannot pass as a written zero.
+bool same_bits(std::span<const float> a, std::span<const float> b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
+}
+
+/// Input spikes with per-neuron probability `density` (0 = all silent).
+snn::SpikeVector random_spikes(std::size_t n, double density, Rng& rng) {
+  snn::SpikeVector in(n);
+  for (std::size_t i = 0; i < n; ++i)
+    if (rng.bernoulli(density)) in.set(i);
+  return in;
+}
+
+/// Runs both event overloads of scatter_accumulate over every partition
+/// count on one plan and compares each result bitwise with `want`.
+void expect_scatter_matches(snn::ScatterPlan& plan, const Matrix& w,
+                            const snn::SpikeVector& in,
+                            const std::vector<float>& want,
+                            const std::string& label) {
+  std::vector<std::uint32_t> active;
+  in.append_active(active);
+  for (const std::size_t parts : {1u, 2u, 3u, 7u}) {
+    std::vector<float> by_index(plan.layer().neurons, 0.0f);
+    std::vector<float> by_words(plan.layer().neurons, 0.0f);
+    for (std::size_t p = 0; p < parts; ++p) {
+      snn::scatter_accumulate(plan, w, active, by_index, p, parts);
+      snn::scatter_accumulate(plan, w, in, by_words, p, parts);
+    }
+    EXPECT_TRUE(same_bits(want, by_index)) << label << " parts " << parts;
+    EXPECT_TRUE(same_bits(want, by_words)) << label << " parts " << parts;
+  }
+}
+
 // Naive CHW conv scatter: per event, per in-image tap, per output
 // channel, one add straight into the CHW buffer — the layout-free
-// definition the channel-last accumulator must reproduce.
+// definition the output-stationary gather must reproduce.
 std::vector<float> naive_conv_scatter(const snn::LayerInfo& li,
                                       const Matrix& w,
                                       std::span<const std::uint32_t> active) {
@@ -278,40 +315,66 @@ std::vector<float> naive_conv_scatter(const snn::LayerInfo& li,
 TEST(Kernels, ConvScatterMatchesNaiveChwLoopBitForBit) {
   // Both event overloads, every partition count, against the naive loop
   // (not against each other, so a layout bug they share cannot pass).
-  // One arena serves every case, which also checks that each call leaves
-  // it all-zero for the next.
+  // Each plan serves every partition count and both overloads, which
+  // also checks that each call leaves its gather lists empty for the
+  // next.  The 5x67 input has rows wider than one 64-bit spike word.
   Rng rng(10);
-  kernels::Scratch scratch;
-  for (const std::size_t k : {1u, 3u, 5u}) {
-    for (const bool same : {true, false}) {
-      for (const std::size_t oc : {5u, 7u, 13u}) {
-        const Topology topo("conv-scatter", Shape3{2, 9, 8},
-                            {LayerSpec::conv(oc, k, same)});
-        snn::Network net(topo);
-        net.init_random(rng, 1.0f);
-        const snn::LayerInfo& li = topo.layers()[0];
-        const Matrix& w = net.layer(0).weights;
-        snn::SpikeVector in(li.in_shape.size());
-        for (std::size_t i = 0; i < in.size(); ++i)
-          if (rng.bernoulli(0.4)) in.set(i);
-        std::vector<std::uint32_t> active;
-        in.append_active(active);
-        const std::vector<float> want = naive_conv_scatter(li, w, active);
-
-        for (const std::size_t parts : {1u, 2u, 3u, 7u}) {
-          std::vector<float> by_index(li.neurons, 0.0f);
-          std::vector<float> by_words(li.neurons, 0.0f);
-          for (std::size_t p = 0; p < parts; ++p) {
-            snn::scatter_accumulate(li, w, active, by_index, scratch, p,
-                                    parts);
-            snn::scatter_accumulate(li, w, in, by_words, scratch, p, parts);
+  for (const Shape3 shape : {Shape3{2, 9, 8}, Shape3{2, 5, 67}}) {
+    for (const std::size_t k : {1u, 3u, 5u}) {
+      for (const bool same : {true, false}) {
+        for (const std::size_t oc : {5u, 7u, 13u}) {
+          const Topology topo("conv-scatter", shape,
+                              {LayerSpec::conv(oc, k, same)});
+          snn::Network net(topo);
+          net.init_random(rng, 1.0f);
+          const snn::LayerInfo& li = topo.layers()[0];
+          const Matrix& w = net.layer(0).weights;
+          snn::ScatterPlan plan(li);
+          for (const double density : {0.4, 0.0}) {
+            const snn::SpikeVector in =
+                random_spikes(li.in_shape.size(), density, rng);
+            std::vector<std::uint32_t> active;
+            in.append_active(active);
+            expect_scatter_matches(
+                plan, w, in, naive_conv_scatter(li, w, active),
+                "in " + std::to_string(shape.h) + "x" +
+                    std::to_string(shape.w) + " k" + std::to_string(k) +
+                    (same ? " same" : " valid") + " oc " + std::to_string(oc) +
+                    " density " + std::to_string(density));
           }
-          EXPECT_EQ(want, by_index) << "k" << k << (same ? " same" : " valid")
-                                    << " oc " << oc << " parts " << parts;
-          EXPECT_EQ(want, by_words) << "k" << k << (same ? " same" : " valid")
-                                    << " oc " << oc << " parts " << parts;
         }
       }
+    }
+  }
+}
+
+TEST(Kernels, PoolScatterMatchesNaiveLoopBitForBit) {
+  // Odd channel count, rows wider than one spike word, pool 2 and 3:
+  // the table-driven pool scatter against the per-event decode it
+  // replaced.
+  Rng rng(11);
+  for (const std::size_t pool : {2u, 3u}) {
+    const Topology topo("pool-scatter", Shape3{5, 6, 66},
+                        {LayerSpec::avg_pool(pool)});
+    const snn::LayerInfo& li = topo.layers()[0];
+    const Shape3 in = li.in_shape;
+    const Shape3 out = li.out_shape;
+    const Matrix none;
+    snn::ScatterPlan plan(li);
+    for (const double density : {0.4, 0.0}) {
+      const snn::SpikeVector spikes = random_spikes(in.size(), density, rng);
+      std::vector<float> want(out.size(), 0.0f);
+      const float share = 1.0f / static_cast<float>(pool * pool);
+      for (std::size_t idx = 0; idx < in.size(); ++idx) {
+        if (!spikes.get(idx)) continue;
+        const std::size_t c = idx / (in.h * in.w);
+        const std::size_t y = idx / in.w % in.h;
+        const std::size_t x = idx % in.w;
+        want[(c * out.h + y / pool) * out.w + x / pool] += share;
+      }
+      expect_scatter_matches(plan, none, spikes, want,
+                             "pool " + std::to_string(pool) + " density " +
+                                 std::to_string(density));
     }
   }
 }
