@@ -62,7 +62,6 @@ int main() {
         // the leakage term integrates over the stalled wall time, so the
         // replay exposes exactly what a placement costs.
         api::ResparcBackend backend(core::config_with_mca(mca), strategy,
-                                    snn::ExecutionMode::kDense,
                                     noc::Fidelity::kEvent);
         backend.load(spec.topology);
         const core::Mapping& m = backend.mapping();

@@ -63,7 +63,6 @@ struct Row {
   std::size_t threads = 0;
   double simulate_tps = 0.0;          ///< presentations simulated per second
   double execute_resparc_tps = 0.0;   ///< traces replayed per second
-  double execute_resparc_packed_tps = 0.0;  ///< via the "+packed" batched path
   double execute_cmos_tps = 0.0;
 };
 
@@ -92,10 +91,8 @@ int main() {
   const api::Workload warm = api::Pipeline(opt).benchmark(spec).run();
 
   const auto resparc = api::make_accelerator("resparc-64");
-  const auto resparc_packed = api::make_accelerator("resparc-64+packed");
   const auto cmos = api::make_accelerator("cmos");
   resparc->load(warm.topology());
-  resparc_packed->load(warm.topology());
   cmos->load(warm.topology());
 
   // The simulate stage timed on its own: the warm workload's images go
@@ -135,12 +132,6 @@ int main() {
           (void)api::Pipeline::execute(*resparc, warm.traces, threads);
         });
 
-    row.execute_resparc_packed_tps =
-        static_cast<double>(warm.traces.size()) /
-        min_seconds(reps, [&] {
-          (void)api::Pipeline::execute(*resparc_packed, warm.traces, threads);
-        });
-
     row.execute_cmos_tps =
         static_cast<double>(warm.traces.size()) /
         min_seconds(reps, [&] {
@@ -149,10 +140,9 @@ int main() {
 
     rows.push_back(row);
     std::printf("threads %2zu: simulate %8.2f pres/s | execute resparc "
-                "%8.2f traces/s | packed %8.2f traces/s | execute cmos "
-                "%8.2f traces/s\n",
+                "%8.2f traces/s | execute cmos %8.2f traces/s\n",
                 row.threads, row.simulate_tps, row.execute_resparc_tps,
-                row.execute_resparc_packed_tps, row.execute_cmos_tps);
+                row.execute_cmos_tps);
   }
 
   std::ostringstream config;
@@ -166,8 +156,6 @@ int main() {
     metrics << "    {\"threads\": " << r.threads
             << ", \"simulate_tps\": " << r.simulate_tps
             << ", \"execute_resparc_tps\": " << r.execute_resparc_tps
-            << ", \"execute_resparc_packed_tps\": "
-            << r.execute_resparc_packed_tps
             << ", \"execute_cmos_tps\": " << r.execute_cmos_tps << "}"
             << (i + 1 < rows.size() ? "," : "") << "\n";
   }

@@ -65,7 +65,6 @@ int main() {
     // Event fidelity: real switch FIFOs, so stall cycles are measured
     // congestion, and the leakage term integrates over the stalled step.
     api::ResparcBackend backend(core::config_with_mca(mca), strategy,
-                                snn::ExecutionMode::kDense,
                                 noc::Fidelity::kEvent);
     backend.load(spec.topology);
     const core::Mapping& m = backend.mapping();

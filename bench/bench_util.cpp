@@ -54,8 +54,9 @@ std::vector<Workload> paper_workloads() {
 
 std::string bench_commit() {
   const char* value = std::getenv("RESPARC_GIT_COMMIT");
-  return value != nullptr && value[0] != '\0' ? std::string(value)
-                                              : std::string("unknown");
+  return value != nullptr && value[0] != '\0'
+             ? std::string(value)
+             : std::string(RESPARC_CONFIGURE_COMMIT);
 }
 
 std::string trajectory_envelope(const std::string& bench,

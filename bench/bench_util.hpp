@@ -60,7 +60,8 @@ std::vector<Workload> paper_workloads();
 void note_csv_written(const std::string& path, bool ok);
 
 /// Commit hash recorded in trajectory JSON: RESPARC_GIT_COMMIT when set
-/// (CI injects the SHA), "unknown" otherwise.
+/// (CI injects the SHA), otherwise the short hash CMake read at configure
+/// time ("unknown" when the source tree is not a git checkout).
 std::string bench_commit();
 
 /// Renders the versioned bench-trajectory envelope documented in

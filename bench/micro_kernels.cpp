@@ -199,77 +199,6 @@ Row bench_row_accumulate(std::size_t reps) {
   return row;
 }
 
-Row bench_masked_row_accumulate(std::size_t reps) {
-  // The packed-datapath dense scatter (docs/performance.md): a sparse
-  // spike word mask over a large layer.  The naive baseline is the
-  // byte-scan the pre-packed engines effectively perform — test every
-  // row's activity byte, accumulate the active ones.
-  const std::size_t rows = 4096, cols = 800, iters = 16;
-  Rng rng(stream_seed(bench::bench_seed(), 3));
-  Matrix w(rows, cols);
-  for (float& v : w.flat()) v = static_cast<float>(rng.normal(0.0, 0.1));
-  std::vector<std::uint8_t> bytes(rows, 0);
-  std::vector<std::uint64_t> mask((rows + 63) / 64, 0);
-  for (std::size_t r = 0; r < rows; ++r)
-    if (rng.bernoulli(0.01)) {  // ~99% sparse: the event-driven regime
-      bytes[r] = 1;
-      mask[r >> 6] |= std::uint64_t{1} << (r & 63);
-    }
-  std::vector<float> acc(cols, 0.0f);
-
-  Row row;
-  row.kernel = "masked_row_accumulate";
-  row.items = rows * iters;  // rows *tested* per pass (the scan is the cost)
-  row.naive_ms = min_ms(reps, [&] {
-    for (std::size_t it = 0; it < iters; ++it) {
-      std::fill(acc.begin(), acc.end(), 0.0f);
-      for (std::size_t r = 0; r < rows; ++r) {
-        if (!bytes[r]) continue;
-        const auto wrow = w.row(r);
-        for (std::size_t c = 0; c < cols; ++c) acc[c] += wrow[c];
-      }
-    }
-    g_sink_f = acc[0];
-  });
-  row.kernel_ms = min_ms(reps, [&] {
-    for (std::size_t it = 0; it < iters; ++it) {
-      std::fill(acc.begin(), acc.end(), 0.0f);
-      kernels::masked_row_accumulate(w.flat().data(), cols, cols, mask.data(),
-                                     rows, acc.data());
-    }
-    g_sink_f = acc[0];
-  });
-  return row;
-}
-
-/// Defeats dead-code elimination of a popcount result.
-volatile std::size_t g_sink_z = 0;
-
-Row bench_popcount_dot(std::size_t reps) {
-  // Binary spike x mask inner product, packed words vs a bit-at-a-time
-  // scan (what per-neuron bookkeeping costs without the word datapath).
-  const std::size_t bits = 1 << 20;
-  const std::size_t words = bits / 64;
-  Rng rng(stream_seed(bench::bench_seed(), 4));
-  std::vector<std::uint64_t> a(words), b(words);
-  for (auto& v : a) v = rng();
-  for (auto& v : b) v = rng();
-
-  Row row;
-  row.kernel = "popcount_dot";
-  row.items = bits;
-  row.naive_ms = min_ms(reps, [&] {
-    std::size_t n = 0;
-    for (std::size_t i = 0; i < bits; ++i)
-      n += ((a[i >> 6] >> (i & 63)) & (b[i >> 6] >> (i & 63))) & 1u;
-    g_sink_z = n;
-  });
-  row.kernel_ms = min_ms(reps, [&] {
-    g_sink_z = kernels::popcount_dot(a.data(), b.data(), bits);
-  });
-  return row;
-}
-
 }  // namespace
 
 int main() {
@@ -283,8 +212,6 @@ int main() {
   rows.push_back(bench_conv_forward(reps));
   rows.push_back(bench_matvec(reps));
   rows.push_back(bench_row_accumulate(reps));
-  rows.push_back(bench_masked_row_accumulate(reps));
-  rows.push_back(bench_popcount_dot(reps));
 
   for (const Row& r : rows)
     std::printf("%-16s %12zu items | naive %9.4f ms | kernel %9.4f ms | "

@@ -24,7 +24,6 @@
 
 #include "cmos/falcon.hpp"
 #include "core/energy.hpp"
-#include "core/events.hpp"
 #include "snn/topology.hpp"
 #include "snn/trace.hpp"
 
@@ -68,13 +67,6 @@ struct ExecutionReport {
   /// Native typed report when the producer is the CMOS baseline backend.
   std::optional<cmos::CmosReport> cmos;
 
-  /// Per-timestep, per-stage hardware event record, summed over the
-  /// replayed presentations.  Populated by backends executing in sparse
-  /// mode ("+sparse" registry keys / BackendOptions::execution); the
-  /// headline numbers are identical either way — the stream adds
-  /// timestep resolution, not different totals.
-  std::optional<core::EventStream> events;
-
   /// Value of one named breakdown bucket (0 when absent).
   double bucket_pj(const std::string& name) const {
     for (const auto& [key, value] : energy_breakdown_pj)
@@ -117,14 +109,11 @@ class Accelerator {
   }
 
   /// Replays every trace separately: `reports_out` is cleared and
-  /// refilled with one report per trace, in trace order, each bit-for-bit
-  /// identical to execute(traces[i]).  The default loops the single-trace
-  /// execute(); backends with a batched datapath (RESPARC in packed mode)
-  /// override it to replay all traces in one pass over their route
-  /// tables (docs/execution.md).  Must stay const and thread-safe like
-  /// execute().
-  virtual void execute_each(std::span<const snn::SpikeTrace> traces,
-                            std::vector<ExecutionReport>& reports_out) const;
+  /// refilled with one report per trace, in trace order, each
+  /// execute(traces[i]).  Pipeline::execute_each fans this out over
+  /// threads.
+  void execute_each(std::span<const snn::SpikeTrace> traces,
+                    std::vector<ExecutionReport>& reports_out) const;
 
   /// Implementation metrics of one tile (area/power/gates/frequency).
   virtual AcceleratorMetrics metrics() const = 0;
@@ -134,11 +123,6 @@ class Accelerator {
   /// registry-key suffixes).  The registry rejects a strategy suffix on
   /// backends that return false instead of silently ignoring it.
   virtual bool supports_mapping_strategies() const { return false; }
-
-  /// True when this backend honours BackendOptions::execution (the
-  /// `"+<mode>"` registry-key suffix).  As with strategies, the registry
-  /// rejects a mode suffix on backends that return false.
-  virtual bool supports_execution_modes() const { return false; }
 };
 
 /// Converts a native RESPARC report to the unified form.

@@ -53,11 +53,8 @@ ExecutionReport to_execution_report(const cmos::CmosReport& report,
 // ----------------------------------------------------------------- RESPARC --
 
 ResparcBackend::ResparcBackend(core::ResparcConfig config, std::string strategy,
-                               snn::ExecutionMode execution,
                                noc::Fidelity noc)
-    : chip_(std::move(config), noc),
-      strategy_(std::move(strategy)),
-      execution_(execution) {
+    : chip_(std::move(config), noc), strategy_(std::move(strategy)) {
   require(!strategy_.empty(), "ResparcBackend: empty strategy name");
 }
 
@@ -65,8 +62,6 @@ std::string ResparcBackend::name() const {
   const std::string& s = strategy();  // the loaded program's, once loaded
   std::string name = s == "paper" ? chip_.config().label()
                                   : chip_.config().label() + "/" + s;
-  if (execution_ != snn::ExecutionMode::kDense)
-    name += "+" + snn::to_string(execution_);
   if (chip_.fidelity() == noc::Fidelity::kEvent) name += "@event";
   return name;
 }
@@ -84,34 +79,7 @@ void ResparcBackend::load_program(const snn::Topology& topology,
 ExecutionReport ResparcBackend::execute(
     std::span<const snn::SpikeTrace> traces) const {
   require(loaded(), "ResparcBackend: no network loaded");
-  if (execution_ == snn::ExecutionMode::kPacked)
-    // Trace-per-lane batched replay: bit-for-bit the sequential report
-    // from one pass over the route table (core/executor.hpp).
-    return to_execution_report(chip_.execute_batched(traces), name());
-  if (execution_ != snn::ExecutionMode::kSparse)
-    return to_execution_report(chip_.execute(traces), name());
-  core::EventStream stream;
-  ExecutionReport report =
-      to_execution_report(chip_.execute(traces, &stream), name());
-  report.events = std::move(stream);
-  return report;
-}
-
-void ResparcBackend::execute_each(
-    std::span<const snn::SpikeTrace> traces,
-    std::vector<ExecutionReport>& reports_out) const {
-  require(loaded(), "ResparcBackend: no network loaded");
-  if (execution_ != snn::ExecutionMode::kPacked) {
-    Accelerator::execute_each(traces, reports_out);
-    return;
-  }
-  std::vector<core::RunReport> native(traces.size());
-  chip_.execute_each(traces, native);
-  reports_out.clear();
-  reports_out.reserve(traces.size());
-  const std::string label = name();
-  for (core::RunReport& r : native)
-    reports_out.push_back(to_execution_report(r, label));
+  return to_execution_report(chip_.execute(traces), name());
 }
 
 AcceleratorMetrics ResparcBackend::metrics() const {

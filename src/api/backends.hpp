@@ -16,7 +16,6 @@
 #include "compile/program.hpp"
 #include "core/resparc.hpp"
 #include "noc/route.hpp"
-#include "snn/execution.hpp"
 
 namespace resparc::api {
 
@@ -27,45 +26,29 @@ namespace resparc::api {
 class ResparcBackend final : public Accelerator {
  public:
   /// Builds an unloaded backend for `config`; `strategy` picks the
-  /// compile-layer mapping policy, `execution` the trace-replay mode and
-  /// `noc` the Ml-NoC timing fidelity (docs/noc.md).
+  /// compile-layer mapping policy and `noc` the Ml-NoC timing fidelity
+  /// (docs/noc.md).
   explicit ResparcBackend(
       core::ResparcConfig config = core::default_config(),
       std::string strategy = "paper",
-      snn::ExecutionMode execution = snn::ExecutionMode::kDense,
       noc::Fidelity noc = noc::Fidelity::kAnalytic);
 
   /// Config label, e.g. "RESPARC-64"; non-default strategies append
-  /// `"/<strategy>"`, non-dense execution appends "+sparse"/"+packed" and
-  /// event NoC fidelity appends "@event"
-  /// ("RESPARC-64/greedy-pack+sparse@event").
+  /// `"/<strategy>"` and event NoC fidelity appends "@event"
+  /// ("RESPARC-64/greedy-pack@event").
   std::string name() const override;
   /// Compiles `topology` with the configured strategy and hosts it.
   void load(const snn::Topology& topology) override;
   /// True once a network is loaded.
   bool loaded() const override { return chip_.loaded(); }
-  /// Replays the traces; in sparse mode the report additionally carries
-  /// the merged per-timestep event stream (ExecutionReport::events) with
-  /// headline numbers bit-for-bit identical to dense mode.  Packed mode
-  /// replays all traces in one batched trace-per-lane pass
-  /// (core::ResparcChip::execute_batched) — identical report, fewer
-  /// route-table walks.
+  /// Replays the traces through core::ResparcChip::execute (whose
+  /// optional EventStream argument records the per-timestep events).
   ExecutionReport execute(
       std::span<const snn::SpikeTrace> traces) const override;
-  /// Per-trace replay; packed mode batches all lanes through one pass
-  /// (core::ResparcChip::execute_each), other modes use the base loop.
-  /// Either way reports_out[i] is bit-for-bit execute(traces[i]).
-  void execute_each(std::span<const snn::SpikeTrace> traces,
-                    std::vector<ExecutionReport>& reports_out) const override;
   /// Fig. 8 metric roll-up of one NeuroCell at this configuration.
   AcceleratorMetrics metrics() const override;
   /// RESPARC compiles through the mapping-strategy layer.
   bool supports_mapping_strategies() const override { return true; }
-  /// RESPARC honours BackendOptions::execution / `"+<mode>"` suffixes.
-  bool supports_execution_modes() const override { return true; }
-
-  /// The configured execution mode.
-  snn::ExecutionMode execution() const { return execution_; }
 
   /// The configured Ml-NoC timing fidelity.
   noc::Fidelity noc_fidelity() const { return chip_.fidelity(); }
@@ -91,7 +74,6 @@ class ResparcBackend final : public Accelerator {
  private:
   core::ResparcChip chip_;
   std::string strategy_;
-  snn::ExecutionMode execution_ = snn::ExecutionMode::kDense;
 };
 
 /// The digital CMOS baseline behind the unified interface.

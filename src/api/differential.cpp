@@ -1,24 +1,15 @@
 #include "api/differential.hpp"
 
+#include <algorithm>
 #include <vector>
 
+#include "api/pipeline.hpp"
 #include "api/registry.hpp"
-#include "common/rng.hpp"
-#include "snn/simulator.hpp"
+#include "common/error.hpp"
 
 namespace resparc::api {
 
 namespace {
-
-/// Names an execution mode for failure messages.
-const char* mode_name(snn::ExecutionMode m) {
-  switch (m) {
-    case snn::ExecutionMode::kSparse: return "sparse";
-    case snn::ExecutionMode::kPacked: return "packed";
-    case snn::ExecutionMode::kDense: break;
-  }
-  return "dense";
-}
 
 std::string diverged(const snn::FuzzCase& c, const std::string& what) {
   return c.summary() + ": " + what;
@@ -153,80 +144,150 @@ bool same_report(const ExecutionReport& a, const ExecutionReport& b,
   return true;
 }
 
+/// Adds the fan-out of input `idx` of layer `li` (weights `w`) into
+/// `current`, one output at a time.
+void add_fan_out(const snn::LayerInfo& li, const Matrix& w, std::size_t idx,
+                 std::vector<float>& current) {
+  const Shape3 in = li.in_shape;
+  const Shape3 out = li.out_shape;
+  switch (li.spec.kind) {
+    case snn::LayerKind::kDense:
+      for (std::size_t c = 0; c < li.neurons; ++c) current[c] += w(idx, c);
+      break;
+    case snn::LayerKind::kConv: {
+      const std::size_t k = li.spec.kernel;
+      const std::size_t pad = li.spec.same_padding ? k / 2 : 0;
+      const std::size_t c = idx / (in.h * in.w);
+      const std::size_t y = idx / in.w % in.h;
+      const std::size_t x = idx % in.w;
+      for (std::size_t ky = 0; ky < k; ++ky) {
+        // Output row oy = y + pad - ky, kept only when inside the image.
+        if (y + pad < ky || y + pad - ky >= out.h) continue;
+        for (std::size_t kx = 0; kx < k; ++kx) {
+          if (x + pad < kx || x + pad - kx >= out.w) continue;
+          const std::size_t pixel = (y + pad - ky) * out.w + (x + pad - kx);
+          const std::size_t row = (c * k + ky) * k + kx;
+          for (std::size_t oc = 0; oc < out.c; ++oc)
+            current[oc * out.h * out.w + pixel] += w(row, oc);
+        }
+      }
+      break;
+    }
+    case snn::LayerKind::kAvgPool: {
+      const std::size_t p = li.spec.pool;
+      const std::size_t c = idx / (in.h * in.w);
+      const std::size_t y = idx / in.w % in.h;
+      const std::size_t x = idx % in.w;
+      current[(c * out.h + y / p) * out.w + x / p] +=
+          1.0f / static_cast<float>(p * p);
+      break;
+    }
+  }
+}
+
+/// The scalar IF rule on one neuron: integrate, optional leak, threshold,
+/// reset.  Returns true when it fires.
+bool if_rule(const snn::IfParams& p, float& membrane, float current) {
+  const float vth = static_cast<float>(p.v_threshold);
+  const float vreset = static_cast<float>(p.v_reset);
+  const float leak = static_cast<float>(p.leak_per_step);
+  float v = membrane + current;
+  if (leak > 0.0f) v = v > leak ? v - leak : 0.0f;
+  const bool fire = v >= vth;
+  if (fire) {
+    if (p.subtractive_reset) {
+      v -= vth;
+      if (v < vreset) v = vreset;
+    } else {
+      v = vreset;
+    }
+  }
+  membrane = v;
+  return fire;
+}
+
 }  // namespace
+
+snn::SimResult reference_run(const snn::Network& net,
+                             const snn::SimConfig& config,
+                             std::span<const float> image, Rng& rng) {
+  const snn::Topology& topo = net.topology();
+  require(image.size() == topo.input_shape().size(),
+          "reference_run: image size does not match topology input");
+  snn::SimResult out;
+  out.output_spike_counts.assign(topo.output_count(), 0);
+  if (config.record_trace) out.trace.layers.resize(topo.layer_count() + 1);
+
+  std::vector<std::vector<float>> membranes;
+  for (const snn::LayerInfo& li : topo.layers())
+    membranes.emplace_back(li.neurons, 0.0f);
+
+  snn::RateEncoder encoder(config.encoder);
+  const std::vector<snn::SpikeVector> input =
+      encoder.encode(image, config.timesteps, rng);
+  for (std::size_t t = 0; t < config.timesteps; ++t) {
+    snn::SpikeVector prev = input[t];
+    out.total_spikes += prev.count();
+    if (config.record_trace) out.trace.layers[0].push_back(prev);
+    for (std::size_t l = 0; l < topo.layer_count(); ++l) {
+      const snn::LayerInfo& li = topo.layers()[l];
+      std::vector<float> current(li.neurons, 0.0f);
+      for (std::size_t i = 0; i < prev.size(); ++i)
+        if (prev.get(i)) add_fan_out(li, net.layer(l).weights, i, current);
+      snn::SpikeVector spikes(li.neurons);
+      for (std::size_t i = 0; i < li.neurons; ++i)
+        if (if_rule(net.layer(l).neuron, membranes[l][i], current[i]))
+          spikes.set(i);
+      out.total_spikes += spikes.count();
+      if (config.record_trace) out.trace.layers[l + 1].push_back(spikes);
+      prev = std::move(spikes);
+    }
+    for (std::size_t i = 0; i < prev.size(); ++i)
+      if (prev.get(i)) ++out.output_spike_counts[i];
+  }
+  out.predicted_class = static_cast<std::size_t>(std::distance(
+      out.output_spike_counts.begin(),
+      std::max_element(out.output_spike_counts.begin(),
+                       out.output_spike_counts.end())));
+  return out;
+}
 
 DifferentialResult check_differential(const snn::FuzzCase& c) {
   DifferentialResult out;
   const snn::Network net = snn::make_fuzz_network(c);
 
-  // -- simulation: dense is the oracle; sparse and packed must match it --
+  // -- simulation: the engine must match the naive reference -----------
   snn::SimConfig cfg;
   cfg.timesteps = c.timesteps;
   cfg.encoder = c.encoder;
   cfg.record_trace = true;
 
-  snn::SimResult results[3];
-  const snn::ExecutionMode modes[] = {snn::ExecutionMode::kDense,
-                                      snn::ExecutionMode::kSparse,
-                                      snn::ExecutionMode::kPacked};
-  for (std::size_t m = 0; m < 3; ++m) {
-    cfg.mode = modes[m];
-    snn::Simulator sim(net, cfg);
-    // Same seed per mode: the encoder consumes identical random streams,
-    // so any divergence is the engine's, not the input's.
-    Rng rng(c.seed ^ 0xd1ffe8e47ull);
-    results[m] = sim.run(c.image, rng);
-  }
-  for (std::size_t m = 1; m < 3; ++m) {
-    std::string why;
-    if (!same_sim(results[0], results[m], why)) {
-      out.ok = false;
-      out.detail = diverged(
-          c, std::string("dense vs ") + mode_name(modes[m]) + ": " + why);
-      return out;
-    }
-  }
-
-  // -- replay: sequential dense executor vs the "+packed" batched path --
-  const std::string base = "resparc-" + std::to_string(c.mca_size);
-  const auto dense_accel = make_accelerator(base);
-  const auto packed_accel = make_accelerator(base + "+packed");
-  dense_accel->load(c.topology);
-  packed_accel->load(c.topology);
-
-  // Two presentations (the same trace twice) exercise the multi-lane path
-  // even though one fuzz case yields one trace.
-  const std::vector<snn::SpikeTrace> traces = {results[0].trace,
-                                               results[0].trace};
-  const ExecutionReport ref = dense_accel->execute(traces);
-  ExecutionReport batched = packed_accel->execute(traces);
-  // The backend label legitimately differs ("+packed"); align it so
-  // same_report compares only the numbers.
-  batched.backend = ref.backend;
+  // Same seed for both: the encoder consumes identical random streams, so
+  // any divergence is the engine's, not the input's.
+  Rng engine_rng(c.seed ^ 0xd1ffe8e47ull);
+  const snn::SimResult engine = snn::Simulator(net, cfg).run(c.image, engine_rng);
+  Rng reference_rng(c.seed ^ 0xd1ffe8e47ull);
+  const snn::SimResult reference =
+      reference_run(net, cfg, c.image, reference_rng);
   std::string why;
-  if (!same_report(ref, batched, why)) {
+  if (!same_sim(reference, engine, why)) {
     out.ok = false;
-    out.detail = diverged(c, "executor dense vs batched: " + why);
+    out.detail = diverged(c, "engine vs reference: " + why);
     return out;
   }
 
-  // -- per-trace replay: execute_each lanes vs solo execute() ----------
-  std::vector<ExecutionReport> each;
-  packed_accel->execute_each(traces, each);
-  if (each.size() != traces.size()) {
+  // -- replay: multi-trace execute vs reduced per-trace execute_each ----
+  const auto accel = make_accelerator("resparc-" + std::to_string(c.mca_size));
+  accel->load(c.topology);
+  // Two presentations (the same trace twice) so the reduction has more
+  // than one part even though one fuzz case yields one trace.
+  const std::vector<snn::SpikeTrace> traces = {engine.trace, engine.trace};
+  const ExecutionReport whole = accel->execute(traces);
+  const ExecutionReport reduced = Pipeline::execute(*accel, traces, 2);
+  if (!same_report(whole, reduced, why)) {
     out.ok = false;
-    out.detail = diverged(c, "execute_each report count");
+    out.detail = diverged(c, "execute vs execute_each: " + why);
     return out;
-  }
-  for (std::size_t i = 0; i < traces.size(); ++i) {
-    ExecutionReport solo = dense_accel->execute(traces[i]);
-    each[i].backend = solo.backend;
-    if (!same_report(solo, each[i], why)) {
-      out.ok = false;
-      out.detail = diverged(c, "execute_each lane " + std::to_string(i) +
-                                   " vs solo execute: " + why);
-      return out;
-    }
   }
   return out;
 }

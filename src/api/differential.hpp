@@ -3,14 +3,14 @@
 // One fuzz case (snn/fuzz.hpp) is pushed through every path that claims
 // bit-for-bit equivalence and the results are compared exactly:
 //
-//   * simulation — dense, sparse and packed Simulator runs must agree
-//     spike-for-spike (full trace), on every output count and on the
-//     total spike tally;
-//   * replay — the "resparc-<mca>" accelerator's sequential execute()
-//     and its "+packed" batched twin must produce identical reports,
-//     field for field, including every native counter;
-//   * per-trace replay — Accelerator::execute_each reports must equal
-//     the per-trace execute() reports.
+//   * simulation — snn::Simulator (whichever branch each layer and step
+//     takes) must agree spike-for-spike with reference_run, a naive
+//     whole-network simulator kept here, on the full trace, every output
+//     count and the total spike tally;
+//   * replay — the "resparc-<mca>" accelerator's multi-trace execute()
+//     must equal the per-trace execute_each reports reduced in trace
+//     order (Pipeline::execute on two threads), field for field,
+//     including every native counter.
 //
 // check_differential returns the first divergence as a human-readable
 // string naming the seed, the paths compared and the field that split,
@@ -19,20 +19,33 @@
 // (tests/data/corpus/seeds.txt); tools/fuzz_topology drives bulk hunts.
 #pragma once
 
+#include <span>
 #include <string>
 
+#include "common/rng.hpp"
 #include "snn/fuzz.hpp"
+#include "snn/simulator.hpp"
 
 namespace resparc::api {
 
 /// Outcome of one differential run.
 struct DifferentialResult {
   bool ok = true;      ///< every compared path agreed exactly
-  std::string detail;  ///< first divergence ("seed=.. dense vs packed ..");
+  std::string detail;  ///< first divergence ("seed=.. engine vs reference ..");
                        ///< empty when ok
 };
 
-/// Runs `c` through every engine and replay path and compares exactly.
+/// Naive reference for snn::Simulator::run: the same encoder and RNG
+/// stream, then per step and layer a zeroed current buffer that every
+/// active input (ascending index) adds its weights into — no ScatterPlan,
+/// no kernels — and the scalar IF rule over every neuron.  Slow and
+/// obviously correct; the oracle the engine is checked against.
+snn::SimResult reference_run(const snn::Network& net,
+                             const snn::SimConfig& config,
+                             std::span<const float> image, Rng& rng);
+
+/// Runs `c` through the engine, the reference and both replay paths and
+/// compares exactly.
 /// Deterministic: the same case always produces the same verdict.
 DifferentialResult check_differential(const snn::FuzzCase& c);
 

@@ -166,7 +166,6 @@ Workload Pipeline::run() {
     cfg.timesteps = options_.timesteps;
     cfg.encoder = options_.encoder;
     cfg.record_trace = true;
-    cfg.mode = options_.execution;
     traces.resize(n);
     predicted.resize(n);
     const snn::Network& net_ref = *net;
@@ -239,28 +238,20 @@ ExecutionReport merge_reports(std::vector<ExecutionReport>& parts) {
 
   if (all_resparc) {
     core::RunReport total;
-    core::EventStream stream;
-    bool all_streams = true;
     for (const auto& p : parts) {
       total.energy += p.resparc->energy;
       total.events += p.resparc->events;
       total.perf += p.resparc->perf;
       total.noc += p.resparc->noc;
       total.classifications += p.resparc->classifications;
-      if (p.events.has_value())
-        stream.merge(*p.events);
-      else
-        all_streams = false;
     }
     const double n = static_cast<double>(total.classifications);
     total.energy /= n;
     total.perf /= n;
-    ExecutionReport merged =
-        to_execution_report(total, parts.front().backend);
-    // Sparse-mode parts each carry a per-presentation stream; the merged
-    // report sums them, matching the sequential chip_.execute(traces).
-    if (all_streams) merged.events = std::move(stream);
-    return merged;
+    // Every part replayed on the same chip instance, so they share one
+    // fault manifest; run_all stamps it the same way.
+    total.faults = parts.front().resparc->faults;
+    return to_execution_report(total, parts.front().backend);
   }
 
   if (all_cmos) {
@@ -330,15 +321,11 @@ void Pipeline::execute_each(const Accelerator& accelerator,
   if (traces.empty()) return;
   const std::size_t workers = resolve_threads(threads, traces.size());
   if (workers <= 1) {
-    // One call covers the whole span so batched backends (packed mode)
-    // replay every trace in a single route-table pass.
     accelerator.execute_each(traces, out);
     return;
   }
-  // Contiguous per-worker chunks, each replayed through the accelerator's
-  // execute_each: a batched backend amortizes within every chunk, and
-  // stitching chunks back in index order keeps out[i] == execute(traces[i])
-  // for any thread count (each lane's report is bit-for-bit the solo one).
+  // Contiguous per-worker chunks; stitching them back in index order keeps
+  // out[i] == execute(traces[i]) for any thread count.
   out.resize(traces.size());
   std::vector<std::vector<ExecutionReport>> chunks(workers);
   const std::size_t n = traces.size();

@@ -52,12 +52,6 @@ struct PipelineOptions {
   double noise = 0.03;               ///< synthetic dataset pixel noise
   double jitter_pixels = 1.5;        ///< synthetic dataset glyph jitter
   snn::EncoderConfig encoder{};      ///< input spike encoding
-  /// Simulation engine: kDense (historical path), kSparse (AER event
-  /// path, snn/sparse_engine.hpp) or kPacked (64-bit word datapath,
-  /// docs/performance.md).  Bit-for-bit identical traces in every mode;
-  /// sparse wall-clock scales with spike count instead of network size
-  /// (docs/execution.md).
-  snn::ExecutionMode execution = snn::ExecutionMode::kDense;
   bool train = false;                ///< offline ANN training + conversion
   std::size_t train_images = 120;    ///< training split size (train = true)
   train::TrainConfig train_config{
@@ -146,9 +140,8 @@ class Pipeline {
 
   /// Replays each trace individually into `out[i]` (resized to
   /// traces.size()), fanning contiguous chunks over the global pool when
-  /// threads != 1; each chunk goes through Accelerator::execute_each, so
-  /// batched backends ("+packed") amortize route lookups across their
-  /// chunk.  The execute-into form the serving layer batches over:
+  /// threads != 1; each chunk goes through Accelerator::execute_each.
+  /// The execute-into form the serving layer batches over:
   /// per-trace reports survive, so callers can attribute latency/energy
   /// to individual requests instead of a merged aggregate.  out[i] is
   /// bit-for-bit execute(traces[i]) for any thread count.

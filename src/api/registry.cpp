@@ -15,8 +15,7 @@ NamedRegistry<BackendFactory>& registry() {
   static std::once_flag once;
   std::call_once(once, [] {
     instance.set("resparc", [](const BackendOptions& o) {
-      return std::make_unique<ResparcBackend>(o.resparc, o.strategy,
-                                              o.execution, o.noc);
+      return std::make_unique<ResparcBackend>(o.resparc, o.strategy, o.noc);
     });
     for (const std::size_t mca : {32u, 64u, 128u, 256u}) {
       instance.set("resparc-" + std::to_string(mca),
@@ -24,7 +23,7 @@ NamedRegistry<BackendFactory>& registry() {
                      core::ResparcConfig config = o.resparc;
                      config.mca_size = mca;
                      return std::make_unique<ResparcBackend>(config, o.strategy,
-                                                             o.execution, o.noc);
+                                                             o.noc);
                    });
     }
     const BackendFactory cmos = [](const BackendOptions& o) {
@@ -40,8 +39,6 @@ std::string strategies_list() {
   return join_names(compile::registered_strategies()) + ", auto";
 }
 
-constexpr const char* kModesList = "dense, sparse, packed";
-
 }  // namespace
 
 std::unique_ptr<Accelerator> make_accelerator(const std::string& name,
@@ -49,28 +46,14 @@ std::unique_ptr<Accelerator> make_accelerator(const std::string& name,
   NamedRegistry<BackendFactory>& r = registry();
 
   // An exactly registered name always wins (register_backend places no
-  // restriction on '/' or '+' in names); otherwise split the optional
-  // suffixes in canonical order "base/<strategy>+<mode>":
-  // "resparc-64/greedy-pack+sparse".
+  // restriction on '/' in names); otherwise split the optional
+  // "base/<strategy>" suffix.
   std::optional<BackendFactory> factory = r.find(name);
   std::string strategy;  // suffix override; empty = honour options.strategy
-  std::optional<snn::ExecutionMode> mode;  // suffix override
   if (!factory) {
-    std::string rest = name;
-    const std::size_t plus = rest.rfind('+');
-    if (plus != std::string::npos) {
-      const std::string mode_text = rest.substr(plus + 1);
-      rest = rest.substr(0, plus);
-      snn::ExecutionMode parsed;
-      if (!snn::parse_execution_mode(mode_text, parsed))
-        throw BackendError("unknown execution mode \"" + mode_text +
-                           "\" in \"" + name + "\" (modes: " +
-                           std::string(kModesList) + ")");
-      mode = parsed;
-    }
-    const std::size_t slash = rest.find('/');
-    const std::string base = rest.substr(0, slash);
-    strategy = slash == std::string::npos ? std::string() : rest.substr(slash + 1);
+    const std::size_t slash = name.find('/');
+    const std::string base = name.substr(0, slash);
+    strategy = slash == std::string::npos ? std::string() : name.substr(slash + 1);
     if (slash != std::string::npos && strategy.empty())
       throw BackendError("empty mapping strategy in \"" + name +
                          "\" (strategies: " + strategies_list() + ")");
@@ -78,8 +61,7 @@ std::unique_ptr<Accelerator> make_accelerator(const std::string& name,
     if (!factory)
       throw BackendError("unknown backend \"" + base + "\" (registered: " +
                          join_names(r.names()) +
-                         "; strategies: " + strategies_list() +
-                         "; modes: " + std::string(kModesList) + ")");
+                         "; strategies: " + strategies_list() + ")");
   }
 
   // Whichever channel chose the strategy (suffix or options), a typo must
@@ -93,21 +75,16 @@ std::unique_ptr<Accelerator> make_accelerator(const std::string& name,
                        "\" in \"" + name +
                        "\" (strategies: " + strategies_list() + ")");
 
-  if (strategy.empty() && !mode) return (*factory)(options);
+  if (strategy.empty()) return (*factory)(options);
 
-  BackendOptions with_suffixes = options;
-  if (!strategy.empty()) with_suffixes.strategy = strategy;
-  if (mode) with_suffixes.execution = *mode;
-  auto accelerator = (*factory)(with_suffixes);
+  BackendOptions with_suffix = options;
+  with_suffix.strategy = strategy;
+  auto accelerator = (*factory)(with_suffix);
   // A suffix on a backend that cannot honour it would be silently
   // ignored — reject it instead.
-  if (!strategy.empty() && !accelerator->supports_mapping_strategies())
+  if (!accelerator->supports_mapping_strategies())
     throw BackendError("backend \"" + name.substr(0, name.find('/')) +
                        "\" does not support mapping strategies (\"" + name +
-                       "\")");
-  if (mode && !accelerator->supports_execution_modes())
-    throw BackendError("backend \"" + name.substr(0, name.find('+')) +
-                       "\" does not support execution modes (\"" + name +
                        "\")");
   return accelerator;
 }

@@ -15,14 +15,8 @@
 // Any RESPARC key accepts a "/<strategy>" suffix selecting the mapping
 // strategy the compile layer uses (compile/strategy.hpp: "paper",
 // "greedy-pack", "balanced", "auto", plus anything added through
-// compile::register_strategy) and a "+<mode>" suffix selecting the
-// execution mode ("dense"/"sparse"/"packed", docs/execution.md):
-//
-//   auto sparse = api::make_accelerator("resparc-64/greedy-pack+sparse");
-//   auto packed = api::make_accelerator("resparc-64+packed");
-//
-// The same choices are available programmatically through
-// BackendOptions::strategy and BackendOptions::execution.
+// compile::register_strategy); BackendOptions::strategy is the same
+// choice made programmatically.
 //
 // Future variants (analog-noise crossbars, sharded multi-chip, ...) plug in
 // via register_backend without touching any caller.
@@ -38,7 +32,6 @@
 #include "common/error.hpp"
 #include "core/config.hpp"
 #include "noc/route.hpp"
-#include "snn/execution.hpp"
 
 namespace resparc::api {
 
@@ -60,13 +53,6 @@ struct BackendOptions {
   /// "balanced", "auto", ...).  A `"/<strategy>"` key suffix overrides this.
   /// Backends without a compile step (the CMOS baseline) ignore it.
   std::string strategy = "paper";
-  /// Execution mode for backends that support it (the RESPARC fabric):
-  /// kSparse makes execute() record the per-timestep hardware event
-  /// streams into ExecutionReport::events; kPacked replays trace batches
-  /// lane-per-trace through one route-table pass.  Headline numbers are
-  /// bit-for-bit identical to dense either way.  A `"+<mode>"` key suffix
-  /// overrides this.  Backends without mode support ignore it.
-  snn::ExecutionMode execution = snn::ExecutionMode::kDense;
   /// Ml-NoC timing fidelity for the RESPARC fabric (docs/noc.md):
   /// kAnalytic reproduces the flat per-word transfer charges bit-for-bit;
   /// kEvent drives switch-FIFO queues and adds hop pipeline-fill plus
@@ -78,11 +64,10 @@ struct BackendOptions {
 using BackendFactory =
     std::function<std::unique_ptr<Accelerator>(const BackendOptions&)>;
 
-/// Creates the backend registered under `name`; optional suffixes select
-/// the mapping strategy and execution mode, in the canonical order
-/// `"base/<strategy>+<mode>"` (e.g. "resparc-64/greedy-pack+sparse").
-/// Throws BackendError for unknown backend names, strategies or modes —
-/// the message lists what is registered.
+/// Creates the backend registered under `name`; an optional
+/// `"/<strategy>"` suffix selects the mapping strategy
+/// (e.g. "resparc-64/greedy-pack").  Throws BackendError for unknown
+/// backend names or strategies — the message lists what is registered.
 std::unique_ptr<Accelerator> make_accelerator(const std::string& name,
                                               const BackendOptions& options = {});
 

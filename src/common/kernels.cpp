@@ -1,71 +1,9 @@
 #include "common/kernels.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <cstring>
 
 namespace resparc::kernels {
-
-namespace {
-
-/// Masks off the bits of `word` at and above `bits % 64` (no-op when
-/// `bits` is word-aligned).
-inline std::uint64_t tail_mask(std::uint64_t word, std::size_t bits) {
-  const std::size_t rem = bits & 63;
-  return rem == 0 ? word : word & ((std::uint64_t{1} << rem) - 1);
-}
-
-}  // namespace
-
-std::size_t popcount_bits(const std::uint64_t* a, std::size_t bits) {
-  std::size_t n = 0;
-  const std::size_t full = bits >> 6;
-  for (std::size_t i = 0; i < full; ++i)
-    n += static_cast<std::size_t>(std::popcount(a[i]));
-  if (bits & 63)
-    n += static_cast<std::size_t>(std::popcount(tail_mask(a[full], bits)));
-  return n;
-}
-
-std::size_t popcount_dot(const std::uint64_t* a, const std::uint64_t* b,
-                         std::size_t bits) {
-  std::size_t n = 0;
-  const std::size_t full = bits >> 6;
-  for (std::size_t i = 0; i < full; ++i)
-    n += static_cast<std::size_t>(std::popcount(a[i] & b[i]));
-  if (bits & 63)
-    n += static_cast<std::size_t>(
-        std::popcount(tail_mask(a[full] & b[full], bits)));
-  return n;
-}
-
-void masked_row_accumulate(const float* w, std::size_t stride,
-                           std::size_t cols, const std::uint64_t* mask,
-                           std::size_t rows, float* acc) {
-  // Decoded rows are buffered four at a time and flushed through
-  // row_add4 — the same grouping accumulate_rows applies to its index
-  // list, so per output element the additions happen in identical
-  // ascending-row order (bit-for-bit parity is test-enforced,
-  // tests/test_packed_kernels.cpp).
-  const float* pending[4];
-  std::size_t npending = 0;
-  const std::size_t nwords = (rows + 63) / 64;
-  for (std::size_t j = 0; j < nwords; ++j) {
-    std::uint64_t word = mask[j];
-    if (j + 1 == nwords) word = tail_mask(word, rows);
-    while (word) {
-      const std::size_t r = (j << 6) +
-                            static_cast<std::size_t>(std::countr_zero(word));
-      word &= word - 1;  // clear the lowest set bit
-      pending[npending++] = w + r * stride;
-      if (npending == 4) {
-        row_add4(acc, pending[0], pending[1], pending[2], pending[3], cols);
-        npending = 0;
-      }
-    }
-  }
-  for (std::size_t i = 0; i < npending; ++i) row_add(acc, pending[i], cols);
-}
 
 void accumulate_rows(const float* w, std::size_t stride, std::size_t cols,
                      std::span<const std::uint32_t> rows, float* acc) {

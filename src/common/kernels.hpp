@@ -1,18 +1,17 @@
 // Shared SIMD-friendly hot-loop kernels (docs/performance.md).
 //
 // Every hot inner loop of the repository — the trainer's dense/conv
-// forward, the functional simulator's spike-driven row accumulate, the
-// sparse engine's event scatter, and the crossbar/MCA read paths — is
-// implemented exactly once here.  The kernels share three invariants:
+// forward, the functional simulator's spike-driven row accumulate and
+// conv gather, and the crossbar/MCA read paths — is implemented exactly
+// once here.  The kernels share three invariants:
 //
 //   * contiguous unit-stride inner loops over `__restrict` pointers, so
 //     the compiler can auto-vectorize without runtime alias checks;
 //   * a FIXED accumulation order: for every output element the floating-
 //     point additions happen in one documented order that does not depend
 //     on blocking, thread count, or call site.  Results are bit-for-bit
-//     deterministic and thread-invariant, which is what keeps the dense
-//     and sparse execution engines bit-identical (they call the same
-//     kernels in the same order);
+//     deterministic and thread-invariant, which is what keeps every
+//     partitioning of the simulator's scatter bit-identical;
 //   * no hidden allocation: kernels write into caller-provided buffers;
 //     workspace (im2col) lives in a caller-owned Scratch arena.
 #pragma once
@@ -78,38 +77,11 @@ inline void scaled_row_add(double* __restrict acc, double v,
 /// four fused via row_add4 — bit-for-bit identical to one row_add per
 /// row).  `cols <= stride` lets a caller accumulate a column slice of a
 /// wider matrix (the simulator's within-trace partitioning).  This is
-/// THE row accumulate both execution engines call: the dense simulator
-/// passes the active-bit list of a SpikeVector, the sparse engine its
-/// AER event list, so dense/sparse parity is structural.  The conv
-/// gather (snn/scatter.cpp) calls it once per touched output pixel with
-/// that pixel's weight-row list.
+/// the simulator's dense-layer scatter, fed the active-bit list of a
+/// SpikeVector; the conv gather (snn/scatter.cpp) calls it once per
+/// touched output pixel with that pixel's weight-row list.
 void accumulate_rows(const float* w, std::size_t stride, std::size_t cols,
                      std::span<const std::uint32_t> rows, float* acc);
-
-/// Number of set bits among the first `bits` bits of `a` (64-bit words,
-/// little-endian bit order: bit i of word j = element j*64+i).  Bits of
-/// the tail word at and above `bits` are masked off, so callers may pass
-/// buffers whose trailing bits are stale.
-std::size_t popcount_bits(const std::uint64_t* a, std::size_t bits);
-
-/// popcount(a AND b) over the first `bits` bits — the inner product of
-/// two binary vectors in packed form (the spike x mask dot product of the
-/// packed datapath, docs/performance.md).  Tail bits at and above `bits`
-/// are masked off in both operands; commutative and exact.
-std::size_t popcount_dot(const std::uint64_t* a, const std::uint64_t* b,
-                         std::size_t bits);
-
-/// Packed-mask form of accumulate_rows: adds weight row r (starting at
-/// w + r*stride) onto acc[0, cols) for every set bit r of `mask` (bit i
-/// of word j = row j*64+i; bits at and above `rows` are ignored).  Rows
-/// are decoded in ascending order and fused in groups of four via
-/// row_add4 — exactly the grouping accumulate_rows uses — so the result
-/// is bit-for-bit identical to accumulate_rows over the mask's
-/// append_active() index list.  This is the dense-layer scatter of the
-/// packed execution mode ("+packed", docs/execution.md).
-void masked_row_accumulate(const float* w, std::size_t stride,
-                           std::size_t cols, const std::uint64_t* mask,
-                           std::size_t rows, float* acc);
 
 /// out[c] = sum_r x[r] * w[r*cols + c] — input-major matvec (the layer
 /// forward convention, paper Fig. 2).  Zero-fills `out`, skips zero

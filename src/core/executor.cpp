@@ -25,7 +25,7 @@ std::size_t nonzero_words(const SpikeVector& v) {
 }  // namespace
 
 /// Technology constants every stage of every step reads: hoisted once per
-/// replay call so the batched path fetches them once for the whole batch.
+/// replay call.
 struct Executor::ReplayCosts {
   const ResparcConfig& cfg;
   const tech::Technology& t;
@@ -37,10 +37,9 @@ struct Executor::ReplayCosts {
   tech::SramModel sram;
 };
 
-/// One replay lane: its report under construction, cycle tallies, and —
-/// under event fidelity — its own NoC fabric (FIFO clocks are per-trace
-/// state and must not be shared across lanes).
-struct Executor::LaneAccum {
+/// One replay: its report under construction, cycle tallies, and — under
+/// event fidelity — its own NoC fabric (FIFO clocks are per-trace state).
+struct Executor::ReplayState {
   RunReport report;
   double cycles_pipelined = 0.0;
   double cycles_serial = 0.0;
@@ -149,19 +148,19 @@ Executor::ReplayCosts Executor::make_costs() const {
           {.capacity_bytes = cfg.input_sram_bytes, .word_bits = 64}}};
 }
 
-void Executor::step_lane(const snn::SpikeTrace& trace, std::size_t step,
-                         const ReplayCosts& costs, LaneAccum& lane) const {
+void Executor::replay_step(const snn::SpikeTrace& trace, std::size_t step,
+                         const ReplayCosts& costs, ReplayState& state) const {
   const ResparcConfig& cfg = costs.cfg;
   const tech::DigitalCosts& d = costs.d;
   const double cell_pj = costs.cell_pj;
   const double cell_off_pj = costs.cell_off_pj;
   const double sneak = costs.sneak;
 
-  EnergyBreakdown& e = lane.report.energy;
-  EventCounts& ev = lane.report.events;
-  noc::NocStats& nstats = lane.report.noc;
-  std::optional<noc::Fabric>& fabric = lane.fabric;
-  EventStream* stream = lane.stream;
+  EnergyBreakdown& e = state.report.energy;
+  EventCounts& ev = state.report.events;
+  noc::NocStats& nstats = state.report.noc;
+  std::optional<noc::Fabric>& fabric = state.fabric;
+  EventStream* stream = state.stream;
 
   double stage_max = 0.0;
   if (fabric) fabric->begin_step();
@@ -188,9 +187,9 @@ void Executor::step_lane(const snn::SpikeTrace& trace, std::size_t step,
         fabric ? fabric->transfer(route, sent, zeros, 0.0)
                : noc::analytic_transfer(route, sent, zeros, cfg, nstats);
     stage_max = std::max(stage_max, tr.cycles);
-    lane.cycles_serial += tr.cycles;
-    lane.cycles_transport += tr.cycles - tr.stall_cycles;
-    lane.cycles_stall += tr.stall_cycles;
+    state.cycles_serial += tr.cycles;
+    state.cycles_transport += tr.cycles - tr.stall_cycles;
+    state.cycles_stall += tr.stall_cycles;
   }
 
   for (std::size_t l = 0; l < topology_.layer_count(); ++l) {
@@ -291,22 +290,22 @@ void Executor::step_lane(const snn::SpikeTrace& trace, std::size_t step,
     const double stage =
         fabric ? compute_c + tr.cycles : std::max(compute_c, tr.cycles);
     stage_max = std::max(stage_max, stage);
-    lane.cycles_serial += compute_c + tr.cycles;
-    lane.cycles_compute += compute_c;
-    lane.cycles_transport += tr.cycles - tr.stall_cycles;
-    lane.cycles_stall += tr.stall_cycles;
+    state.cycles_serial += compute_c + tr.cycles;
+    state.cycles_compute += compute_c;
+    state.cycles_transport += tr.cycles - tr.stall_cycles;
+    state.cycles_stall += tr.stall_cycles;
   }
 
-  lane.cycles_pipelined += stage_max;
+  state.cycles_pipelined += stage_max;
 }
 
-void Executor::finish_lane(const ReplayCosts& costs, LaneAccum& lane) const {
-  RunReport& report = lane.report;
+void Executor::finish_replay(const ReplayCosts& costs, ReplayState& state) const {
+  RunReport& report = state.report;
   EnergyBreakdown& e = report.energy;
   const EventCounts& ev = report.events;
   const tech::DigitalCosts& d = costs.d;
 
-  if (lane.fabric) report.noc = lane.fabric->stats();
+  if (state.fabric) report.noc = state.fabric->stats();
   const noc::NocStats& nstats = report.noc;
 
   // -- convert counters to energy ------------------------------------------
@@ -332,11 +331,11 @@ void Executor::finish_lane(const ReplayCosts& costs, LaneAccum& lane) const {
   }
 
   report.perf.clock_mhz = costs.t.resparc_clock_mhz;
-  report.perf.cycles_pipelined = lane.cycles_pipelined;
-  report.perf.cycles_serial = lane.cycles_serial;
-  report.perf.cycles_compute = lane.cycles_compute;
-  report.perf.cycles_transport = lane.cycles_transport;
-  report.perf.cycles_stall = lane.cycles_stall;
+  report.perf.cycles_pipelined = state.cycles_pipelined;
+  report.perf.cycles_serial = state.cycles_serial;
+  report.perf.cycles_compute = state.cycles_compute;
+  report.perf.cycles_transport = state.cycles_transport;
+  report.perf.cycles_stall = state.cycles_stall;
 
   // Leakage integrates over the steady-state (pipelined) latency: in
   // throughput mode the chip retires one classification per pipelined
@@ -351,10 +350,6 @@ void Executor::finish_lane(const ReplayCosts& costs, LaneAccum& lane) const {
   if (fault_manifest_) report.faults = fault_manifest_;
 }
 
-RunReport Executor::run(const snn::SpikeTrace& trace) const {
-  return run(trace, nullptr);
-}
-
 RunReport Executor::run(const snn::SpikeTrace& trace,
                         EventStream* stream) const {
   require(trace.layer_count() == topology_.layer_count() + 1,
@@ -364,79 +359,23 @@ RunReport Executor::run(const snn::SpikeTrace& trace,
 
   const ReplayCosts costs = make_costs();
 
-  LaneAccum lane;
-  lane.report.classifications = 1;
+  ReplayState state;
+  state.report.classifications = 1;
   // The event fabric keeps FIFO queues and per-resource clocks; the
   // analytic path is pure counter arithmetic (zero-allocation steady
   // state, tests/test_allocation.cpp) through noc::analytic_transfer.
   if (fidelity_ == noc::Fidelity::kEvent)
-    lane.fabric.emplace(costs.cfg, mapping_.total_neurocells);
+    state.fabric.emplace(costs.cfg, mapping_.total_neurocells);
   if (stream) {
     *stream = EventStream(T, topology_.layer_count() + 1);
-    lane.stream = stream;
+    state.stream = stream;
   }
 
   for (std::size_t step = 0; step < T; ++step)
-    step_lane(trace, step, costs, lane);
+    replay_step(trace, step, costs, state);
 
-  finish_lane(costs, lane);
-  return lane.report;
-}
-
-void Executor::run_each(std::span<const snn::SpikeTrace> traces,
-                        std::span<RunReport> reports) const {
-  require(traces.size() == reports.size(),
-          "executor: run_each needs one report slot per trace");
-  const ReplayCosts costs = make_costs();
-
-  std::vector<LaneAccum> lanes(traces.size());
-  std::size_t max_T = 0;
-  for (std::size_t i = 0; i < traces.size(); ++i) {
-    require(traces[i].layer_count() == topology_.layer_count() + 1,
-            "executor: trace does not match topology");
-    require(traces[i].timesteps() > 0, "executor: empty trace");
-    max_T = std::max(max_T, traces[i].timesteps());
-    lanes[i].report.classifications = 1;
-    if (fidelity_ == noc::Fidelity::kEvent)
-      lanes[i].fabric.emplace(costs.cfg, mapping_.total_neurocells);
-  }
-
-  // Steps outer, lanes inner: within one lane the stage order per step is
-  // exactly run()'s, so every float accumulator sees the same addition
-  // sequence — bit-for-bit identical reports — while the route/cost
-  // lookups of a step are amortized over the whole batch.
-  for (std::size_t step = 0; step < max_T; ++step)
-    for (std::size_t i = 0; i < traces.size(); ++i)
-      if (step < traces[i].timesteps())
-        step_lane(traces[i], step, costs, lanes[i]);
-
-  for (std::size_t i = 0; i < traces.size(); ++i) {
-    finish_lane(costs, lanes[i]);
-    reports[i] = std::move(lanes[i].report);
-  }
-}
-
-RunReport Executor::run_batched(std::span<const snn::SpikeTrace> traces) const {
-  require(!traces.empty(), "executor: no traces");
-  std::vector<RunReport> reports(traces.size());
-  run_each(traces, reports);
-  RunReport total;
-  for (const RunReport& r : reports) {
-    total.energy += r.energy;
-    total.events += r.events;
-    total.perf += r.perf;
-    total.noc += r.noc;
-    total.classifications += r.classifications;
-  }
-  const double n = static_cast<double>(total.classifications);
-  total.energy /= n;
-  total.perf /= n;
-  if (fault_manifest_) total.faults = fault_manifest_;
-  return total;
-}
-
-RunReport Executor::run_all(std::span<const snn::SpikeTrace> traces) const {
-  return run_all(traces, nullptr);
+  finish_replay(costs, state);
+  return state.report;
 }
 
 RunReport Executor::run_all(std::span<const snn::SpikeTrace> traces,

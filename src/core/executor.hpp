@@ -48,41 +48,19 @@ class Executor {
            noc::RouteTable routes, noc::Fidelity fidelity);
 
   /// Replays one presentation (trace from Simulator::run with
-  /// record_trace=true) and returns the per-classification report.
-  RunReport run(const snn::SpikeTrace& trace) const;
-
-  /// Same replay, additionally filling `stream` (when non-null) with the
-  /// per-timestep, per-stage event record the counters are summed from —
-  /// the actual spike-driven event streams rather than their totals
-  /// (docs/execution.md).  The returned report is bit-for-bit identical
-  /// to run(trace).
-  RunReport run(const snn::SpikeTrace& trace, EventStream* stream) const;
+  /// record_trace=true) and returns the per-classification report.  When
+  /// `stream` is non-null it is filled with the per-timestep, per-stage
+  /// event record the counters are summed from — the actual spike-driven
+  /// event streams rather than their totals (docs/execution.md); the
+  /// report is the same either way.
+  RunReport run(const snn::SpikeTrace& trace,
+                EventStream* stream = nullptr) const;
 
   /// Replays many presentations; energy/perf are averaged per
-  /// classification, events and NoC counters are summed.
-  RunReport run_all(std::span<const snn::SpikeTrace> traces) const;
-
-  /// run_all with each presentation's event stream merged into `stream`
-  /// (when non-null); the report is bit-for-bit identical to run_all.
+  /// classification, events and NoC counters are summed.  Each
+  /// presentation's event stream is merged into `stream` when non-null.
   RunReport run_all(std::span<const snn::SpikeTrace> traces,
-                    EventStream* stream) const;
-
-  /// Batched replay, trace-per-lane: retires step `s` of every trace
-  /// before step `s+1` of any, so the per-boundary route lookups, layer
-  /// metadata and technology cost constants are fetched once per step
-  /// for the whole batch instead of once per trace.  Each lane keeps its
-  /// own accumulators (and, under event fidelity, its own NoC fabric),
-  /// so `reports[i]` is bit-for-bit identical to run(traces[i]) — the
-  /// packed execution mode's throughput lever (docs/execution.md).
-  /// Lanes may have different lengths; `reports.size()` must equal
-  /// `traces.size()`.
-  void run_each(std::span<const snn::SpikeTrace> traces,
-                std::span<RunReport> reports) const;
-
-  /// run_each followed by the run_all reduction (sum in trace order,
-  /// then average energy/perf per classification): bit-for-bit
-  /// identical to run_all(traces).
-  RunReport run_batched(std::span<const snn::SpikeTrace> traces) const;
+                    EventStream* stream = nullptr) const;
 
   const Mapping& mapping() const { return mapping_; }
 
@@ -94,21 +72,20 @@ class Executor {
 
  private:
   /// Technology cost constants hoisted out of the replay loops (defined in
-  /// executor.cpp); built once per run()/run_each() call.
+  /// executor.cpp); built once per run() call.
   struct ReplayCosts;
-  /// Per-trace accumulator state of one replay lane (defined in
-  /// executor.cpp): the report being built, the cycle tallies, and the
-  /// lane's optional event-fidelity fabric.
-  struct LaneAccum;
+  /// Accumulator state of one replay (defined in executor.cpp): the report
+  /// being built, the cycle tallies, and the optional event-fidelity
+  /// fabric.
+  struct ReplayState;
 
   ReplayCosts make_costs() const;
-  /// Retires one timestep of one lane — the shared per-step body of run()
-  /// and run_each(), so solo and batched replays are the same code path.
-  void step_lane(const snn::SpikeTrace& trace, std::size_t step,
-                 const ReplayCosts& costs, LaneAccum& lane) const;
-  /// Converts a finished lane's event counters to energy and fills the
+  /// Retires one timestep of a replay.
+  void replay_step(const snn::SpikeTrace& trace, std::size_t step,
+                 const ReplayCosts& costs, ReplayState& state) const;
+  /// Converts a finished replay's event counters to energy and fills the
   /// perf/leakage fields (the run() epilogue).
-  void finish_lane(const ReplayCosts& costs, LaneAccum& lane) const;
+  void finish_replay(const ReplayCosts& costs, ReplayState& state) const;
 
   /// Spikes inside an input slice, given the layer's input spike vector.
   std::size_t active_in_slice(const InputSlice& slice, const Shape3& in_shape,
@@ -117,7 +94,7 @@ class Executor {
   std::size_t slice_bits(const InputSlice& slice, const Shape3& in_shape) const;
 
   /// Per-group constants of the replay inner loop, precomputed at
-  /// construction so step_lane performs no integer->double conversion or
+  /// construction so replay_step performs no integer->double conversion or
   /// per-group multiply on the hot path.  Every field is the exact value
   /// the loop used to recompute per step (same operands, same operations),
   /// so replay results are bit-for-bit unchanged.

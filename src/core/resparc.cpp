@@ -85,27 +85,10 @@ RunReport ResparcChip::execute(const snn::SpikeTrace& trace) const {
   return executor_->run(trace);
 }
 
-RunReport ResparcChip::execute(std::span<const snn::SpikeTrace> traces) const {
-  require(executor_ != nullptr, "ResparcChip: no network loaded");
-  return executor_->run_all(traces);
-}
-
 RunReport ResparcChip::execute(std::span<const snn::SpikeTrace> traces,
                                EventStream* stream) const {
   require(executor_ != nullptr, "ResparcChip: no network loaded");
   return executor_->run_all(traces, stream);
-}
-
-RunReport ResparcChip::execute_batched(
-    std::span<const snn::SpikeTrace> traces) const {
-  require(executor_ != nullptr, "ResparcChip: no network loaded");
-  return executor_->run_batched(traces);
-}
-
-void ResparcChip::execute_each(std::span<const snn::SpikeTrace> traces,
-                               std::span<RunReport> reports) const {
-  require(executor_ != nullptr, "ResparcChip: no network loaded");
-  executor_->run_each(traces, reports);
 }
 
 }  // namespace resparc::core

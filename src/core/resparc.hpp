@@ -84,24 +84,10 @@ class ResparcChip {
   RunReport execute(const snn::SpikeTrace& trace) const;
 
   /// Replays a set of traces; energy/perf averaged per classification.
-  RunReport execute(std::span<const snn::SpikeTrace> traces) const;
-
-  /// Replays a set of traces, merging each presentation's per-timestep
-  /// event stream into `stream` (when non-null); the report is
-  /// bit-for-bit identical to the stream-less overload.
+  /// When `stream` is non-null, each presentation's per-timestep event
+  /// stream is merged into it; the report is the same either way.
   RunReport execute(std::span<const snn::SpikeTrace> traces,
-                    EventStream* stream) const;
-
-  /// Batched (trace-per-lane) replay: bit-for-bit the report of
-  /// execute(traces), produced by one pass over the route table
-  /// (Executor::run_batched — the "+packed" execution mode's path).
-  RunReport execute_batched(std::span<const snn::SpikeTrace> traces) const;
-
-  /// Batched replay keeping the per-trace reports: `reports[i]` is
-  /// bit-for-bit execute(traces[i]).  `reports` must have one slot per
-  /// trace.
-  void execute_each(std::span<const snn::SpikeTrace> traces,
-                    std::span<RunReport> reports) const;
+                    EventStream* stream = nullptr) const;
 
  private:
   ResparcConfig config_;

@@ -75,8 +75,8 @@ FuzzCase make_fuzz_case(std::uint64_t seed) {
     fc.thresholds.push_back(li.spec.kind == LayerKind::kAvgPool
                                 ? 0.5
                                 : rng.uniform(0.4, 2.5));
-  // ~10% of cases exercise the leak regime (the sparse engine's dense
-  // fallback and step_packed's leak branch).
+  // ~10% of cases exercise the leak regime (layers that always take the
+  // simulator's stepped branch, and step_packed's leak branch).
   if (rng.bernoulli(0.1)) fc.leak = rng.uniform(0.05, 0.3);
   fc.subtractive = rng.bernoulli(0.8);
   fc.init_scale = static_cast<float>(rng.uniform(0.5, 2.0));

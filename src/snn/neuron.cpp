@@ -129,6 +129,11 @@ void IfPopulation::step_at(std::span<const std::uint32_t> indices,
   }
 }
 
+void IfPopulation::retain_hot(std::vector<std::uint32_t>& indices) const {
+  const float vth = static_cast<float>(params_.v_threshold);
+  std::erase_if(indices, [&](std::uint32_t i) { return !(membrane_[i] >= vth); });
+}
+
 void IfPopulation::reset() {
   membrane_.assign(membrane_.size(), static_cast<float>(params_.v_reset));
 }

@@ -54,14 +54,20 @@ class IfPopulation {
   /// firing index to `fired_out`.  A stepped neuron whose post-step
   /// membrane still sits at or above threshold is appended to `hot_out`:
   /// under subtractive reset it fires again next step even with zero
-  /// input, so the sparse engine must re-step it.  Bit-for-bit equivalent
-  /// to step() only when leak_per_step == 0 and v_threshold > 0 — the
-  /// regime where un-stepped silent neurons are provably inert; callers
-  /// (snn/sparse_engine.cpp) check that and fall back to step() otherwise.
+  /// input, so the caller must re-step it.  Bit-for-bit equivalent to
+  /// step() only when leak_per_step == 0 and v_threshold > 0 — the regime
+  /// where un-stepped silent neurons are provably inert; the simulator's
+  /// touched branch (snn/simulator.hpp) runs only there.
   void step_at(std::span<const std::uint32_t> indices,
                std::span<const float> current,
                std::vector<std::uint32_t>& fired_out,
                std::vector<std::uint32_t>& hot_out);
+
+  /// Drops from `indices` every neuron whose membrane sits below
+  /// threshold, keeping the order — applied to the neurons that fired in
+  /// a step() / step_packed(), it leaves the hot set step_at() would have
+  /// reported (a neuron that did not fire ends the step below threshold).
+  void retain_hot(std::vector<std::uint32_t>& indices) const;
 
   /// Resets all membranes to v_reset (between input presentations).
   void reset();

@@ -1,7 +1,6 @@
 #include "snn/scatter.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <cassert>
 
 #include "common/kernels.hpp"
@@ -23,51 +22,24 @@ Slice slice_of(std::size_t n, std::size_t part, std::size_t parts) {
   return {begin, begin + base + (part < extra ? 1 : 0)};
 }
 
-/// Event driver over an explicit ascending index list.
-struct IndexEvents {
-  std::span<const std::uint32_t> active;
-  template <typename Fn>
-  void operator()(Fn&& fn) const {
-    for (const std::uint32_t idx : active) fn(idx);
-  }
-};
-
-/// Event driver over a SpikeVector's packed words: decodes set bits in
-/// ascending order — exactly the order append_active() emits — so both
-/// drivers visit events identically.
-struct PackedEvents {
-  const SpikeVector& in;
-  template <typename Fn>
-  void operator()(Fn&& fn) const {
-    const std::span<const std::uint64_t> words = in.words();
-    for (std::size_t w = 0; w < words.size(); ++w) {
-      std::uint64_t word = words[w];
-      while (word) {
-        const unsigned bit = static_cast<unsigned>(std::countr_zero(word));
-        fn(static_cast<std::uint32_t>((w << 6) + bit));
-        word &= word - 1;  // clear the lowest set bit
-      }
-    }
-  }
-};
-
-// The conv/pool scatter bodies are shared by both event drivers: ONE loop
-// nest per layer kind regardless of how the events are delivered, so the
-// index-list and packed paths cannot drift apart.
+/// The current one input spike adds to its avg-pool output.
+float pool_share(const LayerInfo& li) {
+  const std::size_t p = li.spec.pool;
+  return 1.0f / static_cast<float>(p * p);
+}
 
 /// Each event touches exactly one output, read from the plan's table;
 /// partition = output-index slice, membership-checked per event.
-template <typename Events>
-void scatter_pool(const ScatterPlan& plan, const Events& each,
+void scatter_pool(const ScatterPlan& plan,
+                  std::span<const std::uint32_t> in_active,
                   std::span<float> current, std::size_t part,
                   std::size_t parts) {
-  const std::size_t p = plan.layer().spec.pool;
-  const float share = 1.0f / static_cast<float>(p * p);
+  const float share = pool_share(plan.layer());
   const auto [b, e] = slice_of(plan.layer().out_shape.size(), part, parts);
-  each([&](const std::uint32_t idx) {
+  for (const std::uint32_t idx : in_active) {
     const std::size_t at = plan.pool_target(idx);
     if (at >= b && at < e) current[at] += share;
-  });
+  }
 }
 
 }  // namespace
@@ -130,8 +102,8 @@ ScatterPlan::ScatterPlan(const LayerInfo& li) : li_(li) {
 /// channels with accumulate_rows into a stack accumulator that starts at
 /// +0.0f, and stores it into the CHW `current`.  Partition = output-pixel
 /// slice, so concurrent partitions write disjoint lists of one arena.
-template <typename Events>
-void gather_conv(ScatterPlan& plan, const Matrix& w, const Events& each,
+void gather_conv(ScatterPlan& plan, const Matrix& w,
+                 std::span<const std::uint32_t> in_active,
                  std::span<float> current, std::size_t part,
                  std::size_t parts) {
   const Shape3 in = plan.li_.in_shape;
@@ -144,13 +116,13 @@ void gather_conv(ScatterPlan& plan, const Matrix& w, const Events& each,
   std::uint32_t* const counts = plan.counts_.data();
 
   ChannelCursor cursor(in.h * in.w);
-  each([&](const std::uint32_t idx) {
+  for (const std::uint32_t idx : in_active) {
     plan.for_each_tap(idx, cursor, [&](std::size_t row, std::size_t pixel) {
       if (pixel < p0 || pixel >= p1) return;
       assert(counts[pixel] < cap);  // a repeated event would overflow
       rows[pixel * cap + counts[pixel]++] = static_cast<std::uint32_t>(row);
     });
-  });
+  }
 
   // Channel blocks bound the stack accumulator; every output still sees
   // the whole list in order, so the blocking has no numeric effect.
@@ -185,34 +157,57 @@ void scatter_accumulate(ScatterPlan& plan, const Matrix& w,
       break;
     }
     case LayerKind::kConv:
-      gather_conv(plan, w, IndexEvents{in_active}, current, part, parts);
+      gather_conv(plan, w, in_active, current, part, parts);
       break;
     case LayerKind::kAvgPool:
-      scatter_pool(plan, IndexEvents{in_active}, current, part, parts);
+      scatter_pool(plan, in_active, current, part, parts);
       break;
   }
 }
 
-void scatter_accumulate(ScatterPlan& plan, const Matrix& w,
-                        const SpikeVector& in, std::span<float> current,
-                        std::size_t part, std::size_t parts) {
-  switch (plan.layer().spec.kind) {
-    case LayerKind::kDense: {
-      // masked_row_accumulate replicates accumulate_rows' row_add4
-      // grouping over the packed words, so the column slice sees the
-      // exact additions the index-list overload performs.
-      const auto [c0, c1] = slice_of(w.cols(), part, parts);
-      kernels::masked_row_accumulate(w.flat().data() + c0, w.cols(), c1 - c0,
-                                     in.words().data(), in.size(),
-                                     current.data() + c0);
+void scatter_touched(const ScatterPlan& plan, const Matrix& w,
+                     std::span<const std::uint32_t> in_active,
+                     std::span<float> current, std::span<std::uint32_t> stamp,
+                     std::uint32_t epoch, std::vector<std::uint32_t>& touched) {
+  const LayerInfo& li = plan.layer();
+  const auto touch = [&](std::size_t at) {
+    if (stamp[at] != epoch) {
+      stamp[at] = epoch;
+      touched.push_back(static_cast<std::uint32_t>(at));
+    }
+  };
+  switch (li.spec.kind) {
+    case LayerKind::kDense:
+      assert(false && "dense layers have no touched form");
+      break;
+    case LayerKind::kConv: {
+      // Each tap adds its kernel row across the output channels; over
+      // ascending events every output sees its rows in the gather's
+      // ascending (c, ky, kx) order.
+      const std::size_t channels = li.out_shape.c;
+      const std::size_t plane = li.out_shape.h * li.out_shape.w;
+      ChannelCursor cursor(li.in_shape.h * li.in_shape.w);
+      for (const std::uint32_t idx : in_active) {
+        plan.for_each_tap(idx, cursor, [&](std::size_t row, std::size_t pixel) {
+          const auto kernels = w.row(row);
+          for (std::size_t oc = 0; oc < channels; ++oc) {
+            const std::size_t at = oc * plane + pixel;
+            touch(at);
+            current[at] += kernels[oc];
+          }
+        });
+      }
       break;
     }
-    case LayerKind::kConv:
-      gather_conv(plan, w, PackedEvents{in}, current, part, parts);
+    case LayerKind::kAvgPool: {
+      const float share = pool_share(li);
+      for (const std::uint32_t idx : in_active) {
+        const std::size_t at = plan.pool_target(idx);
+        touch(at);
+        current[at] += share;
+      }
       break;
-    case LayerKind::kAvgPool:
-      scatter_pool(plan, PackedEvents{in}, current, part, parts);
-      break;
+    }
   }
 }
 

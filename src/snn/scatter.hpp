@@ -2,11 +2,12 @@
 // these input events into the output current buffer" for every layer
 // kind, built on the kernels layer (common/kernels.hpp).
 //
-// Both execution engines call these functions — the dense simulator with
-// the active-bit list of the previous layer's SpikeVector, the sparse
-// engine with its AER event list — so their floating-point results are
-// bit-for-bit identical by construction, not by parallel maintenance of
-// two loop nests (docs/performance.md).
+// The simulator's two branches (snn/simulator.hpp) both come here: the
+// stepped branch through scatter_accumulate, the touched branch through
+// scatter_touched.  Both read the same per-layer tables and give every
+// output its additions in ascending input-index order from +0.0f, so
+// their floating-point results are bit-for-bit identical by construction
+// (docs/performance.md).
 //
 // Every geometry decision (which output an input feeds, through which
 // weight row) is read from a per-layer ScatterPlan that the engine builds
@@ -61,7 +62,7 @@ class ChannelCursor {
 };
 
 /// Per-layer scatter geometry plus the conv gather's workspace.  Built
-/// once per layer (Simulator, SparseEngine), never per call; the steady
+/// once per layer by the Simulator, never per call; the steady
 /// state reuses it without allocating.
 ///
 ///   * Avg-pool: the output index every input index feeds.
@@ -100,9 +101,9 @@ class ScatterPlan {
   }
 
  private:
-  template <typename Events>
-  friend void gather_conv(ScatterPlan&, const Matrix&, const Events&,
-                          std::span<float>, std::size_t, std::size_t);
+  friend void gather_conv(ScatterPlan&, const Matrix&,
+                          std::span<const std::uint32_t>, std::span<float>,
+                          std::size_t, std::size_t);
 
   LayerInfo li_;
   std::vector<std::uint32_t> pool_target_;  ///< avg-pool: in idx -> out idx
@@ -135,16 +136,17 @@ void scatter_accumulate(ScatterPlan& plan, const Matrix& w,
                         std::span<float> current, std::size_t part = 0,
                         std::size_t parts = 1);
 
-/// Packed-spike form of scatter_accumulate: input events arrive as the
-/// SpikeVector's 64-bit words instead of an index list, so no AER list is
-/// materialized.  Set bits are decoded in ascending order — the order
-/// append_active() emits — and dense layers run
-/// kernels::masked_row_accumulate straight off the words, so the result
-/// is bit-for-bit identical to the index-list overload on the same spike
-/// pattern (tests/test_differential.cpp).  This is the scatter of the
-/// "+packed" execution mode (docs/execution.md).
-void scatter_accumulate(ScatterPlan& plan, const Matrix& w,
-                        const SpikeVector& in, std::span<float> current,
-                        std::size_t part = 0, std::size_t parts = 1);
+/// Touched form of scatter_accumulate for conv and avg-pool layers:
+/// adds the fan-out of `in_active` straight into `current` (which must be
+/// +0.0f at every output) and appends each output written for the first
+/// time in `epoch` to `touched`, marking it with stamp[output] = epoch.
+/// Every output receives the additions scatter_accumulate gives it, in
+/// the same order, so the touched values are bit-for-bit identical; the
+/// cost is one stamp test per write instead of a pass over the layer.
+/// `epoch` must differ from every stamp left by earlier calls.
+void scatter_touched(const ScatterPlan& plan, const Matrix& w,
+                     std::span<const std::uint32_t> in_active,
+                     std::span<float> current, std::span<std::uint32_t> stamp,
+                     std::uint32_t epoch, std::vector<std::uint32_t>& touched);
 
 }  // namespace resparc::snn

@@ -6,34 +6,57 @@
 #include "common/error.hpp"
 #include "common/thread_pool.hpp"
 #include "snn/scatter.hpp"
-#include "snn/sparse_engine.hpp"
 
 namespace resparc::snn {
 
-std::string to_string(ExecutionMode mode) {
-  switch (mode) {
-    case ExecutionMode::kSparse: return "sparse";
-    case ExecutionMode::kPacked: return "packed";
-    case ExecutionMode::kDense: break;
-  }
-  return "dense";
-}
+/// One layer's membranes, drive and spikes, plus the touched branch's
+/// bookkeeping.
+struct Simulator::Layer {
+  IfPopulation pop;
+  std::vector<float> current;  ///< +0.0f everywhere between steps
+  SpikeVector out;             ///< spikes of the latest step
+  ScatterPlan plan;            ///< scatter tables (pool-shared)
+  /// Most outputs one input event can write: k*k*out_c for conv, 1 for
+  /// avg-pool.
+  std::size_t fan_out = 0;
+  /// Conv/pool layer with no leak and vth > 0: the regime where an
+  /// untouched, non-hot neuron provably keeps its membrane and stays
+  /// silent, so the touched branch is exact.
+  bool may_touch = false;
+  /// `fired` names exactly the set bits of `out` and `hot` exactly the
+  /// neurons at or above threshold; false after a stepped step, which
+  /// maintains neither.
+  bool lists_valid = true;
+  std::uint32_t epoch = 0;             ///< touched-step counter
+  std::vector<std::uint32_t> stamp;    ///< epoch of each output's last write
+  std::vector<std::uint32_t> touched;  ///< outputs written this step
+  std::vector<std::uint32_t> step_set; ///< touched plus hot, deduplicated
+  std::vector<std::uint32_t> fired;    ///< spikes of a touched step
+  std::vector<std::uint32_t> hot;      ///< membrane >= vth after the step
 
-bool parse_execution_mode(const std::string& text, ExecutionMode& out) {
-  if (text == "dense") {
-    out = ExecutionMode::kDense;
-    return true;
+  Layer(const LayerInfo& li, const IfParams& params)
+      : pop(li.neurons, params),
+        current(li.neurons, 0.0f),
+        out(li.neurons),
+        plan(li) {
+    // The regime test runs on the float values the IF update compares.
+    const bool inert = static_cast<float>(params.leak_per_step) <= 0.0f &&
+                       static_cast<float>(params.v_threshold) > 0.0f;
+    switch (li.spec.kind) {
+      case LayerKind::kDense:
+        break;  // every event drives every column: always stepped
+      case LayerKind::kConv:
+        fan_out = li.spec.kernel * li.spec.kernel * li.out_shape.c;
+        may_touch = inert;
+        break;
+      case LayerKind::kAvgPool:
+        fan_out = 1;
+        may_touch = inert;
+        break;
+    }
+    if (may_touch) stamp.assign(li.neurons, 0);
   }
-  if (text == "sparse") {
-    out = ExecutionMode::kSparse;
-    return true;
-  }
-  if (text == "packed") {
-    out = ExecutionMode::kPacked;
-    return true;
-  }
-  return false;
-}
+};
 
 Simulator::Simulator(const Network& net, SimConfig config)
     : net_(net), config_(config), encoder_(config.encoder) {
@@ -41,13 +64,8 @@ Simulator::Simulator(const Network& net, SimConfig config)
   // One reusable pool job: run_indexed takes it by const reference, so
   // the pooled steady state allocates nothing per call.
   pool_fn_ = [this](std::size_t part, std::size_t /*worker*/) {
-    scatter_accumulate(plans_[pool_job_layer_],
+    scatter_accumulate(layers_[pool_job_layer_].plan,
                        net_.layer(pool_job_layer_).weights, pool_job_active_,
-                       pool_job_current_, part, pool_parts_);
-  };
-  pool_packed_fn_ = [this](std::size_t part, std::size_t /*worker*/) {
-    scatter_accumulate(plans_[pool_job_layer_],
-                       net_.layer(pool_job_layer_).weights, *pool_job_packed_,
                        pool_job_current_, part, pool_parts_);
   };
 }
@@ -75,48 +93,25 @@ void Simulator::accumulate_active(std::size_t l,
     pool_->run_indexed(pool_parts_, pool_parts_, pool_fn_);
     return;
   }
-  scatter_accumulate(plans_[l], net_.layer(l).weights, active, current);
+  scatter_accumulate(layers_[l].plan, net_.layer(l).weights, active, current);
 }
 
-void Simulator::accumulate_packed(std::size_t l, const SpikeVector& in,
-                                  std::span<float> current) {
-  const LayerInfo& li = net_.topology().layers()[l];
-  if (pool_ != nullptr && pool_parts_ > 1 && li.neurons >= pool_min_outputs_ &&
-      !in.none()) {
-    pool_job_layer_ = l;
-    pool_job_packed_ = &in;
-    pool_job_current_ = current;
-    pool_->run_indexed(pool_parts_, pool_parts_, pool_packed_fn_);
+void Simulator::ensure_layers() {
+  const Topology& topo = net_.topology();
+  if (layers_.empty()) {
+    layers_.reserve(topo.layer_count());
+    for (std::size_t l = 0; l < topo.layer_count(); ++l)
+      layers_.emplace_back(topo.layers()[l], net_.layer(l).neuron);
     return;
   }
-  scatter_accumulate(plans_[l], net_.layer(l).weights, in, current);
-}
-
-void Simulator::ensure_plans() {
-  if (!plans_.empty()) return;
-  const Topology& topo = net_.topology();
-  plans_.reserve(topo.layer_count());
-  for (const LayerInfo& li : topo.layers()) plans_.emplace_back(li);
-}
-
-void Simulator::ensure_dense_state() {
-  const Topology& topo = net_.topology();
-  ensure_plans();
-  if (pops_.empty()) {
-    pops_.reserve(topo.layer_count());
-    currents_.resize(topo.layer_count());
-    prev_holder_.resize(topo.layer_count());
-    for (std::size_t l = 0; l < topo.layer_count(); ++l) {
-      const std::size_t n = topo.layers()[l].neurons;
-      pops_.emplace_back(n, net_.layer(l).neuron);
-      currents_[l].assign(n, 0.0f);
-      prev_holder_[l].reset(n);
-    }
-  } else {
-    // Reuse: identical to reconstruction (IfPopulation::clear zeroes the
-    // membranes exactly like the constructor; currents and spike words
-    // are overwritten every step before being read).
-    for (auto& pop : pops_) pop.clear();
+  // Reuse: back to the constructed state.  The current buffers are
+  // already zero, and stamps self-correct because the epoch only grows.
+  for (Layer& layer : layers_) {
+    layer.pop.clear();
+    layer.out.reset(layer.out.size());
+    layer.fired.clear();
+    layer.hot.clear();
+    layer.lists_valid = true;
   }
 }
 
@@ -134,98 +129,88 @@ void Simulator::run(std::span<const float> image, Rng& rng, SimResult& out) {
   out.output_spike_counts.assign(topo.output_count(), 0);
   out.predicted_class = 0;
   out.total_spikes = 0;
-  if (config_.mode == ExecutionMode::kSparse)
-    run_sparse(image, rng, out);
-  else
-    run_stepped(image, rng, out);
+  ensure_layers();
+
+  const std::size_t T = config_.timesteps;
+  if (config_.record_trace) {
+    out.trace.layers.resize(topo.layer_count() + 1);
+    for (auto& lt : out.trace.layers) lt.reserve(T);
+  }
+
+  encoder_.encode_into(image, T, rng, input_spikes_);
+
+  for (std::size_t t = 0; t < T; ++t) {
+    const SpikeVector* prev = &input_spikes_[t];
+    out.total_spikes += prev->count();
+    if (config_.record_trace) out.trace.layers[0].push_back(*prev);
+
+    for (std::size_t l = 0; l < topo.layer_count(); ++l) {
+      active_scratch_.clear();
+      prev->append_active(active_scratch_);
+      const Layer& layer = layers_[l];
+      // Most outputs this step can write, against the layer size.
+      const double cover =
+          static_cast<double>(active_scratch_.size() * layer.fan_out);
+      const bool touched =
+          layer.may_touch &&
+          cover < kTouchedCrossover * static_cast<double>(layer.out.size());
+      out.total_spikes += touched ? step_touched(l, active_scratch_)
+                                  : step_stepped(l, active_scratch_);
+      prev = &layer.out;
+      if (config_.record_trace) out.trace.layers[l + 1].push_back(*prev);
+    }
+
+    const SpikeVector& spikes = layers_.back().out;
+    for (std::size_t i = 0; i < spikes.size(); ++i)
+      if (spikes.get(i)) ++out.output_spike_counts[i];
+  }
   out.predicted_class = static_cast<std::size_t>(std::distance(
       out.output_spike_counts.begin(),
       std::max_element(out.output_spike_counts.begin(),
                        out.output_spike_counts.end())));
 }
 
-void Simulator::run_stepped(std::span<const float> image, Rng& rng,
-                            SimResult& result) {
-  const Topology& topo = net_.topology();
-  ensure_dense_state();
-
-  const std::size_t T = config_.timesteps;
-  if (config_.record_trace) {
-    result.trace.layers.resize(topo.layer_count() + 1);
-    for (auto& lt : result.trace.layers) lt.reserve(T);
-  }
-
-  encoder_.encode_into(image, T, rng, input_spikes_);
-
-  const bool packed = config_.mode == ExecutionMode::kPacked;
-  for (std::size_t t = 0; t < T; ++t) {
-    const SpikeVector* prev = &input_spikes_[t];
-    result.total_spikes += prev->count();
-    if (config_.record_trace) result.trace.layers[0].push_back(*prev);
-
-    for (std::size_t l = 0; l < topo.layer_count(); ++l) {
-      std::fill(currents_[l].begin(), currents_[l].end(), 0.0f);
-      if (packed) {
-        accumulate_packed(l, *prev, currents_[l]);
-      } else {
-        active_scratch_.clear();
-        prev->append_active(active_scratch_);
-        accumulate_active(l, active_scratch_, currents_[l]);
-      }
-      pops_[l].step_packed(currents_[l], prev_holder_[l]);
-      prev = &prev_holder_[l];
-      result.total_spikes += prev->count();
-      if (config_.record_trace) result.trace.layers[l + 1].push_back(*prev);
-    }
-
-    const SpikeVector& out = prev_holder_.back();
-    for (std::size_t i = 0; i < out.size(); ++i)
-      if (out.get(i)) ++result.output_spike_counts[i];
-  }
+std::size_t Simulator::step_stepped(std::size_t l,
+                                    std::span<const std::uint32_t> active) {
+  Layer& layer = layers_[l];
+  accumulate_active(l, active, layer.current);
+  const std::size_t fired = layer.pop.step_packed(layer.current, layer.out);
+  std::fill(layer.current.begin(), layer.current.end(), 0.0f);
+  layer.lists_valid = false;
+  return fired;
 }
 
-void Simulator::run_sparse(std::span<const float> image, Rng& rng,
-                           SimResult& result) {
-  const Topology& topo = net_.topology();
-
-  const std::size_t T = config_.timesteps;
-  if (config_.record_trace) {
-    result.trace.layers.resize(topo.layer_count() + 1);
-    for (auto& lt : result.trace.layers) lt.reserve(T);
+std::size_t Simulator::step_touched(std::size_t l,
+                                    std::span<const std::uint32_t> active) {
+  Layer& layer = layers_[l];
+  if (layer.lists_valid) {
+    for (const std::uint32_t i : layer.fired) layer.out.clear(i);
+  } else {
+    // Coming off a stepped step: a neuron a reset left at or above
+    // threshold fires again with no input, and only neurons that fired
+    // in that step can be such, so filter its spikes.
+    layer.hot.clear();
+    layer.out.append_active(layer.hot);
+    layer.pop.retain_hot(layer.hot);
+    layer.out.reset(layer.out.size());
   }
+  const std::uint32_t epoch = ++layer.epoch;
+  layer.touched.clear();
+  scatter_touched(layer.plan, net_.layer(l).weights, active, layer.current,
+                  layer.stamp, epoch, layer.touched);
 
-  encoder_.encode_into(image, T, rng, input_spikes_);
+  layer.step_set.assign(layer.touched.begin(), layer.touched.end());
+  for (const std::uint32_t i : layer.hot)
+    if (layer.stamp[i] != epoch) layer.step_set.push_back(i);
+  layer.hot.clear();
+  layer.fired.clear();
+  layer.pop.step_at(layer.step_set, layer.current, layer.fired, layer.hot);
+  for (const std::uint32_t i : layer.fired) layer.out.set(i);
+  layer.lists_valid = true;
 
-  if (!sparse_)
-    sparse_ = std::make_unique<SparseEngine>(net_);
-  else
-    sparse_->reset();
-  SparseEngine& engine = *sparse_;
-
-  // Double-buffered AER lists: the input side of one layer is the output
-  // side of the previous one.
-  for (std::size_t t = 0; t < T; ++t) {
-    active_in_.clear();
-    input_spikes_[t].append_active(active_in_);
-    result.total_spikes += active_in_.size();
-    if (config_.record_trace)
-      result.trace.layers[0].push_back(input_spikes_[t]);
-
-    // Word-form view of the same spikes: saturated full-drive steps
-    // scatter straight from these packed words (see step_layer).
-    const SpikeVector* prev_vec = &input_spikes_[t];
-    for (std::size_t l = 0; l < topo.layer_count(); ++l) {
-      const SpikeVector& out =
-          engine.step_layer(l, active_in_, active_out_, prev_vec);
-      prev_vec = &out;
-      active_in_.swap(active_out_);
-      result.total_spikes += active_in_.size();
-      if (config_.record_trace) result.trace.layers[l + 1].push_back(out);
-    }
-
-    // active_in_ now holds the output layer's spikes for this step.
-    for (const std::uint32_t i : active_in_) ++result.output_spike_counts[i];
-  }
+  // Restore the all-zero current, clearing only what was written.
+  for (const std::uint32_t i : layer.touched) layer.current[i] = 0.0f;
+  return layer.fired.size();
 }
 
 void Simulator::observe_currents(std::span<const float> image, Rng& rng,
@@ -234,36 +219,24 @@ void Simulator::observe_currents(std::span<const float> image, Rng& rng,
   const Topology& topo = net_.topology();
   require(layer < topo.layer_count(), "observe_currents: layer out of range");
 
-  std::vector<IfPopulation> pops;
-  std::vector<std::vector<float>> currents;
-  std::vector<SpikeVector> spikes;
-  for (std::size_t l = 0; l <= layer; ++l) {
-    const std::size_t n = topo.layers()[l].neurons;
-    pops.emplace_back(n, net_.layer(l).neuron);
-    currents.emplace_back(n, 0.0f);
-    spikes.emplace_back(n);
-  }
-
-  const auto input_spikes = encoder_.encode(image, config_.timesteps, rng);
-  std::vector<std::uint32_t> active;
-  ensure_plans();
-
+  ensure_layers();
+  encoder_.encode_into(image, config_.timesteps, rng, input_spikes_);
+  Layer& observed = layers_[layer];
   for (std::size_t t = 0; t < config_.timesteps; ++t) {
-    const SpikeVector* prev = &input_spikes[t];
-    for (std::size_t l = 0; l <= layer; ++l) {
-      active.clear();
-      prev->append_active(active);
-      std::fill(currents[l].begin(), currents[l].end(), 0.0f);
-      scatter_accumulate(plans_[l], net_.layer(l).weights, active,
-                         currents[l]);
-      if (l == layer) {
-        samples_out.insert(samples_out.end(), currents[l].begin(),
-                           currents[l].end());
-        break;
-      }
-      pops[l].step_packed(currents[l], spikes[l]);
-      prev = &spikes[l];
+    const SpikeVector* prev = &input_spikes_[t];
+    for (std::size_t l = 0; l < layer; ++l) {
+      active_scratch_.clear();
+      prev->append_active(active_scratch_);
+      step_stepped(l, active_scratch_);
+      prev = &layers_[l].out;
     }
+    active_scratch_.clear();
+    prev->append_active(active_scratch_);
+    scatter_accumulate(observed.plan, net_.layer(layer).weights,
+                       active_scratch_, observed.current);
+    samples_out.insert(samples_out.end(), observed.current.begin(),
+                       observed.current.end());
+    std::fill(observed.current.begin(), observed.current.end(), 0.0f);
   }
 }
 

@@ -1,10 +1,28 @@
-// Event-driven functional SNN simulator.
+// Event-driven functional SNN simulator: the repository's one spike
+// engine (docs/execution.md).
 //
 // Executes a Network for T timesteps on one encoded input and records the
 // full spike trace.  Propagation is input-driven ("event-driven"): only
 // spiking neurons scatter their fan-out, mirroring both the biological
 // motivation and the architecture's zero-skipping (section 3.2) — and
 // making paper-scale networks simulable on a laptop.
+//
+// Every layer on every timestep takes one of two branches, chosen from
+// what the step itself shows (events x fan-out against the layer size):
+//
+//   * stepped — scatter the input events (snn/scatter.hpp), then run the
+//     branch-free IF update over the whole population straight into
+//     packed spike words.  Busy steps, fully connected layers and layers
+//     whose silent neurons still evolve (leak > 0, vth <= 0) go here.
+//   * touched — scatter while stamping the outputs written, then step
+//     only those plus the "hot" neurons a subtractive reset left at or
+//     above threshold.  With no leak and vth > 0 an untouched, non-hot
+//     membrane cannot change or fire, so skipping it is exact.
+//
+// Both branches add each output's inputs in the same order from +0.0f
+// and apply the same IF rule, so the trace is bit-for-bit independent of
+// which branch ran (api::check_differential proves it against a naive
+// reference).
 //
 // The simulator is the single source of spike traces for BOTH architecture
 // models (RESPARC and the CMOS baseline), which guarantees the two sides of
@@ -14,14 +32,12 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <span>
 #include <string>
 #include <vector>
 
 #include "common/rng.hpp"
 #include "snn/encoder.hpp"
-#include "snn/execution.hpp"
 #include "snn/network.hpp"
 #include "snn/scatter.hpp"
 #include "snn/trace.hpp"
@@ -32,16 +48,11 @@ class ThreadPool;
 
 namespace resparc::snn {
 
-class SparseEngine;
-
 /// Simulation configuration.
 struct SimConfig {
   std::size_t timesteps = 32;  ///< presentation length per classification
   EncoderConfig encoder{};     ///< input spike encoding
   bool record_trace = true;    ///< keep the packed trace (off for accuracy-only runs)
-  ExecutionMode mode = ExecutionMode::kDense;  ///< execution engine; all
-                                               ///< modes are bit-for-bit
-                                               ///< identical (test-enforced)
 };
 
 /// Result of one presentation.
@@ -59,6 +70,7 @@ class Simulator {
   Simulator(const Network& net, SimConfig config);
   ~Simulator();
 
+  /// The configuration this simulator runs with.
   const SimConfig& config() const { return config_; }
 
   /// Presents one image (flat CHW intensities in [0,1]) and returns spikes.
@@ -72,9 +84,9 @@ class Simulator {
   void run(std::span<const float> image, Rng& rng, SimResult& out);
 
   /// Enables within-trace parallelism: layers with at least
-  /// `min_outputs` neurons spread their event scatter over `parts`
-  /// output partitions on `pool` (0 = pool width).  Results are
-  /// bit-for-bit identical with any pool/parts value — each output
+  /// `min_outputs` neurons spread their stepped-branch event scatter
+  /// over `parts` output partitions on `pool` (0 = pool width).  Results
+  /// are bit-for-bit identical with any pool/parts value — each output
   /// element is written by exactly one partition in the serial order
   /// (docs/performance.md).  Pass nullptr to disable (the default).
   void set_pool(ThreadPool* pool, std::size_t parts = 0,
@@ -84,6 +96,12 @@ class Simulator {
   /// qualify, MLP layers (where one presentation is already cheap) don't.
   static constexpr std::size_t kMinPooledOutputs = 8192;
 
+  /// Branch crossover: a conv/pool step takes the touched branch while
+  /// events x fan-out (the most outputs the step can write) stays below
+  /// this fraction of the layer's neurons.  Measured with
+  /// bench/bench_sparse_execution on the paper-scale MNIST-CNN.
+  static constexpr double kTouchedCrossover = 0.25;
+
   /// Collects per-neuron per-step input currents arriving at `layer` over
   /// one presentation (used by threshold calibration).  Layers after
   /// `layer` are not executed.
@@ -91,31 +109,23 @@ class Simulator {
                         std::size_t layer, std::vector<float>& samples_out);
 
  private:
+  /// Per-layer engine state (defined in simulator.cpp).
+  struct Layer;
+
   /// Scatters the active list of layer l's input into `current` —
   /// partitioned over the pool when enabled, serial otherwise.
   void accumulate_active(std::size_t l, std::span<const std::uint32_t> active,
                          std::span<float> current);
 
-  /// Packed-word twin of accumulate_active: scatters straight from the
-  /// input SpikeVector's words (no AER list), same pool partitioning.
-  void accumulate_packed(std::size_t l, const SpikeVector& in,
-                         std::span<float> current);
+  /// Builds (first run) or clears (reuse) the per-layer state.
+  void ensure_layers();
 
-  /// Builds the per-layer scatter plans on first use.
-  void ensure_plans();
-
-  /// Builds (first run) or clears (reuse) the dense per-layer state.
-  void ensure_dense_state();
-
-  /// run() body for ExecutionMode::kDense and kPacked: every layer is
-  /// scattered and stepped every timestep, with IfPopulation::step_packed
-  /// writing spikes straight into 64-bit words.  The two modes differ
-  /// only in how a layer's input reaches the scatter: dense builds the
-  /// active-index list, packed decodes the words (no per-step AER list).
-  /// Bit-for-bit identical traces (tests/test_differential.cpp).
-  void run_stepped(std::span<const float> image, Rng& rng, SimResult& out);
-  /// run() body for ExecutionMode::kSparse (snn/sparse_engine.hpp).
-  void run_sparse(std::span<const float> image, Rng& rng, SimResult& out);
+  /// One timestep of layer l on the stepped branch; returns its spikes.
+  std::size_t step_stepped(std::size_t l,
+                           std::span<const std::uint32_t> active);
+  /// One timestep of layer l on the touched branch; returns its spikes.
+  std::size_t step_touched(std::size_t l,
+                           std::span<const std::uint32_t> active);
 
   const Network& net_;
   SimConfig config_;
@@ -128,25 +138,15 @@ class Simulator {
   /// Pre-built pool job reading pool_job_*; reusing one std::function
   /// keeps the pooled steady state allocation-free.
   std::function<void(std::size_t, std::size_t)> pool_fn_;
-  /// Packed twin of pool_fn_, scattering from pool_job_packed_ instead of
-  /// the index list.
-  std::function<void(std::size_t, std::size_t)> pool_packed_fn_;
   std::size_t pool_job_layer_ = 0;                 ///< layer being scattered
   std::span<const std::uint32_t> pool_job_active_; ///< its input events
-  const SpikeVector* pool_job_packed_ = nullptr;   ///< packed-mode input
   std::span<float> pool_job_current_;              ///< its output buffer
 
   // Per-presentation scratch, hoisted so the steady state is
   // allocation-free (buffers only ever grow).
-  std::vector<IfPopulation> pops_;                  ///< dense-path membranes
-  std::vector<std::vector<float>> currents_;        ///< per-layer drive
-  std::vector<SpikeVector> prev_holder_;            ///< per-layer spikes
-  std::vector<ScatterPlan> plans_;  ///< per-layer scatter tables (pool-shared)
-  std::vector<SpikeVector> input_spikes_;           ///< encoded input
-  std::vector<std::uint32_t> active_scratch_;       ///< event list per layer
-  std::unique_ptr<SparseEngine> sparse_;            ///< sparse-mode engine
-  std::vector<std::uint32_t> active_in_;            ///< sparse AER buffers
-  std::vector<std::uint32_t> active_out_;
+  std::vector<Layer> layers_;                  ///< one per network layer
+  std::vector<SpikeVector> input_spikes_;      ///< encoded input
+  std::vector<std::uint32_t> active_scratch_;  ///< event list per layer
 };
 
 /// Sets each layer's threshold to the (1 - target_activity) quantile of its

@@ -90,9 +90,9 @@ class SpikeVector {
   bool none_in_range(std::size_t begin, std::size_t end) const;
 
   /// Appends the index of every set bit to `out` in ascending order — the
-  /// AER-style active-event list consumed by the sparse execution engine
-  /// (snn/sparse_engine.hpp).  Zero words are skipped wholesale, so the
-  /// cost is O(words + spikes) rather than O(neurons).
+  /// AER-style active-event list the simulator scatters
+  /// (snn/simulator.hpp).  Zero words are skipped wholesale, so the cost
+  /// is O(words + spikes) rather than O(neurons).
   void append_active(std::vector<std::uint32_t>& out) const;
 
  private:

@@ -14,7 +14,7 @@
 //
 // The model is applied at program time (like CrossbarModel::program's
 // non-idealities): read noise is frozen per cell rather than redrawn
-// per read, so the dense/sparse/packed engines stay bit-for-bit
+// per read, so multi-trace and per-trace replays stay bit-for-bit
 // equivalent under faults (tests/test_differential.cpp).
 #pragma once
 

@@ -3,7 +3,7 @@
 //
 // The whole test binary's global operator new/delete (every form) are
 // replaced with counting forwarders to malloc/free; counting is enabled
-// only around the measured region.  The protocol per engine: run one
+// only around the measured region.  The protocol: run one
 // paper-scale CNN presentation to warm the simulator's scratch arenas,
 // then run a second identical presentation and require that it
 // allocated nothing.
@@ -125,12 +125,12 @@ class AllocationSteadyState : public ::testing::Test {
 
   /// Warm presentation, then a bit-identical second one with counting on.
   /// A non-null `pool` partitions every layer's scatter in two.
-  std::size_t second_presentation_allocations(snn::ExecutionMode mode,
+  std::size_t second_presentation_allocations(double rate,
                                               ThreadPool* pool = nullptr) {
     snn::SimConfig cfg;
     cfg.timesteps = 4;
+    cfg.encoder.max_rate = rate;
     cfg.record_trace = false;  // traces are a deliverable, not steady state
-    cfg.mode = mode;
     snn::Simulator sim(*net_, cfg);
     if (pool != nullptr) sim.set_pool(pool, 2, 0);
     snn::SimResult result;
@@ -144,23 +144,16 @@ class AllocationSteadyState : public ::testing::Test {
   std::vector<float> image_;
 };
 
-TEST_F(AllocationSteadyState, DenseSimulateSecondPresentationAllocatesNothing) {
-  EXPECT_EQ(second_presentation_allocations(snn::ExecutionMode::kDense), 0u);
-}
-
-TEST_F(AllocationSteadyState, SparseSimulateSecondPresentationAllocatesNothing) {
-  EXPECT_EQ(second_presentation_allocations(snn::ExecutionMode::kSparse), 0u);
-}
-
-TEST_F(AllocationSteadyState, PackedSimulateSecondPresentationAllocatesNothing) {
-  EXPECT_EQ(second_presentation_allocations(snn::ExecutionMode::kPacked), 0u);
+// Busy input (mostly stepped layers) and sparse input (mostly touched):
+// both branches of the engine reach an allocation-free steady state.
+TEST_F(AllocationSteadyState, SimulateSecondPresentationAllocatesNothing) {
+  for (const double rate : {1.0, 0.02})
+    EXPECT_EQ(second_presentation_allocations(rate), 0u) << "rate " << rate;
 }
 
 TEST_F(AllocationSteadyState,
        PooledDenseSimulateSecondPresentationAllocatesNothing) {
-  EXPECT_EQ(second_presentation_allocations(snn::ExecutionMode::kDense,
-                                            &ThreadPool::global()),
-            0u);
+  EXPECT_EQ(second_presentation_allocations(1.0, &ThreadPool::global()), 0u);
 }
 
 TEST_F(AllocationSteadyState, ExecutorReplaySecondRunAllocatesNothing) {
@@ -168,7 +161,6 @@ TEST_F(AllocationSteadyState, ExecutorReplaySecondRunAllocatesNothing) {
   // against a fixed mapping is counter arithmetic only.
   snn::SimConfig cfg;
   cfg.timesteps = 4;
-  cfg.mode = snn::ExecutionMode::kDense;
   snn::Simulator sim(*net_, cfg);
   Rng rng(43);
   const snn::SpikeTrace trace = sim.run(image_, rng).trace;

@@ -1,5 +1,6 @@
-// Differential fuzz sweep: every execution engine and replay path must
-// agree bit-for-bit on random legal workloads (api/differential.hpp,
+// Differential fuzz sweep: the simulator must agree bit-for-bit with the
+// naive reference, and multi-trace replay with the reduced per-trace
+// reports, on random legal workloads (api/differential.hpp,
 // docs/execution.md).
 //
 // Two layers of coverage:
@@ -15,6 +16,7 @@
 #include <gtest/gtest.h>
 
 #include "api/differential.hpp"
+#include "api/pipeline.hpp"
 #include "api/registry.hpp"
 #include "common/rng.hpp"
 #include "snn/fuzz.hpp"
@@ -76,9 +78,10 @@ TEST(Differential, RegressionCorpusAgrees) {
 }
 
 // Fault injection freezes its per-cell state at program time, so the
-// dense, sparse and packed replay paths must stay bit-for-bit identical
-// on faulted chips exactly as they are on pristine ones.  A smaller
-// sweep than the pristine one: every seed costs a compile per engine.
+// multi-trace replay and the reduced per-trace reports must stay
+// bit-for-bit identical on faulted chips exactly as they are on pristine
+// ones.  A smaller sweep than the pristine one: every seed costs a
+// compile.
 TEST(Differential, FaultedReplayEnginesAgree) {
   constexpr std::uint64_t kFaultSweep = 10;
   for (std::uint64_t seed = 0; seed < kFaultSweep; ++seed) {
@@ -90,7 +93,8 @@ TEST(Differential, FaultedReplayEnginesAgree) {
     cfg.record_trace = true;
     snn::Simulator sim(net, cfg);
     Rng rng(c.seed ^ 0xd1ffe8e47ull);
-    const std::vector<snn::SpikeTrace> traces = {sim.run(c.image, rng).trace};
+    const snn::SpikeTrace trace = sim.run(c.image, rng).trace;
+    const std::vector<snn::SpikeTrace> traces = {trace, trace};
 
     api::BackendOptions options;
     options.resparc.faults.enabled = true;
@@ -104,22 +108,18 @@ TEST(Differential, FaultedReplayEnginesAgree) {
     options.resparc.faults.failed_density = 1.0;
 
     const std::string base = "resparc-" + std::to_string(c.mca_size);
-    const auto dense = api::make_accelerator(base, options);
-    dense->load(c.topology);
-    const api::ExecutionReport ref = dense->execute(traces);
+    const auto accel = api::make_accelerator(base, options);
+    accel->load(c.topology);
+    const api::ExecutionReport ref = accel->execute(traces);
     ASSERT_TRUE(ref.faults.has_value()) << c.summary();
-    for (const char* suffix : {"+packed", "+sparse"}) {
-      const auto accel = api::make_accelerator(base + suffix, options);
-      accel->load(c.topology);
-      const api::ExecutionReport r = accel->execute(traces);
-      EXPECT_EQ(r.energy_pj, ref.energy_pj) << c.summary() << suffix;
-      EXPECT_EQ(r.latency_ns, ref.latency_ns) << c.summary() << suffix;
-      ASSERT_TRUE(r.faults.has_value()) << c.summary() << suffix;
-      EXPECT_EQ(r.faults->stuck_off_cells, ref.faults->stuck_off_cells)
-          << c.summary() << suffix;
-      EXPECT_EQ(r.faults->stuck_on_cells, ref.faults->stuck_on_cells)
-          << c.summary() << suffix;
-    }
+    const api::ExecutionReport r = api::Pipeline::execute(*accel, traces, 2);
+    EXPECT_EQ(r.energy_pj, ref.energy_pj) << c.summary();
+    EXPECT_EQ(r.latency_ns, ref.latency_ns) << c.summary();
+    ASSERT_TRUE(r.faults.has_value()) << c.summary();
+    EXPECT_EQ(r.faults->stuck_off_cells, ref.faults->stuck_off_cells)
+        << c.summary();
+    EXPECT_EQ(r.faults->stuck_on_cells, ref.faults->stuck_on_cells)
+        << c.summary();
   }
 }
 

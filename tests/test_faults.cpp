@@ -164,8 +164,7 @@ api::Workload golden_workload() {
 
 TEST(FaultFree, ReplayMatchesPreLayerGoldensBitForBit) {
   const api::Workload w = golden_workload();
-  for (const char* name :
-       {"resparc-64", "resparc-64+packed", "resparc-64/greedy-pack+sparse"}) {
+  for (const char* name : {"resparc-64", "resparc-64/greedy-pack"}) {
     const auto accel = api::make_accelerator(name);
     accel->load(w.topology());
     const api::ExecutionReport r = accel->execute(w.traces);
@@ -228,31 +227,28 @@ TEST(FaultInjection, PerturbNetworkIsDeterministicAndSeedSensitive) {
 }
 
 TEST(FaultInjection, EnginesAgreeOnFaultedReplays) {
-  // The frozen per-cell fault state must make the dense, batched-packed
-  // and sparse replay paths bit-for-bit identical under faults, exactly
-  // as they are without them (tests/test_differential.cpp).
+  // The frozen per-cell fault state must make multi-trace replay and the
+  // reduced per-trace reports (Pipeline::execute on two threads)
+  // bit-for-bit identical under faults, exactly as they are without them
+  // (tests/test_differential.cpp).
   const api::Workload w = golden_workload();
   api::BackendOptions options;
   options.resparc.faults = noisy_config();
 
-  const auto dense = api::make_accelerator("resparc-64", options);
-  dense->load(w.topology());
-  const api::ExecutionReport ref = dense->execute(w.traces);
+  const auto accel = api::make_accelerator("resparc-64", options);
+  accel->load(w.topology());
+  const api::ExecutionReport ref = accel->execute(w.traces);
   ASSERT_TRUE(ref.faults.has_value());
   EXPECT_EQ(ref.faults->chip_seed, 42u);
 
-  for (const char* name : {"resparc-64+packed", "resparc-64+sparse"}) {
-    const auto accel = api::make_accelerator(name, options);
-    accel->load(w.topology());
-    const api::ExecutionReport r = accel->execute(w.traces);
-    EXPECT_EQ(r.energy_pj, ref.energy_pj) << name;
-    EXPECT_EQ(r.latency_ns, ref.latency_ns) << name;
-    EXPECT_EQ(r.classifications, ref.classifications) << name;
-    ASSERT_TRUE(r.faults.has_value()) << name;
-    EXPECT_EQ(r.faults->stuck_off_cells, ref.faults->stuck_off_cells) << name;
-    EXPECT_EQ(r.faults->stuck_on_cells, ref.faults->stuck_on_cells) << name;
-    EXPECT_EQ(r.faults->failed_mpes, ref.faults->failed_mpes) << name;
-  }
+  const api::ExecutionReport r = api::Pipeline::execute(*accel, w.traces, 2);
+  EXPECT_EQ(r.energy_pj, ref.energy_pj);
+  EXPECT_EQ(r.latency_ns, ref.latency_ns);
+  EXPECT_EQ(r.classifications, ref.classifications);
+  ASSERT_TRUE(r.faults.has_value());
+  EXPECT_EQ(r.faults->stuck_off_cells, ref.faults->stuck_off_cells);
+  EXPECT_EQ(r.faults->stuck_on_cells, ref.faults->stuck_on_cells);
+  EXPECT_EQ(r.faults->failed_mpes, ref.faults->failed_mpes);
 }
 
 TEST(FaultInjection, StuckOnCellsRaiseReadEnergy) {

@@ -1,14 +1,12 @@
-// Property tests of the packed 64-bit spike datapath primitives
-// (docs/performance.md): the popcount/mask kernels against naive
-// references, and the packed crossbar read paths against their byte/
-// index twins.  Every comparison is exact — the packed datapath's
+// Property tests of the packed 64-bit spike read paths
+// (docs/performance.md): the packed crossbar and MCA reads against their
+// byte/offset twins.  Every comparison is exact — the packed datapath's
 // contract is bit-for-bit equality, not tolerance.
 #include <cstdint>
 #include <vector>
 
 #include <gtest/gtest.h>
 
-#include "common/kernels.hpp"
 #include "common/rng.hpp"
 #include "core/mca.hpp"
 #include "snn/trace.hpp"
@@ -17,184 +15,6 @@
 
 namespace resparc {
 namespace {
-
-// ------------------------------------------------------------ references --
-
-std::size_t naive_popcount(const std::vector<std::uint64_t>& a,
-                           std::size_t bits) {
-  std::size_t n = 0;
-  for (std::size_t i = 0; i < bits; ++i)
-    n += (a[i >> 6] >> (i & 63)) & 1u;
-  return n;
-}
-
-std::size_t naive_dot(const std::vector<std::uint64_t>& a,
-                      const std::vector<std::uint64_t>& b, std::size_t bits) {
-  std::size_t n = 0;
-  for (std::size_t i = 0; i < bits; ++i)
-    n += ((a[i >> 6] >> (i & 63)) & (b[i >> 6] >> (i & 63))) & 1u;
-  return n;
-}
-
-std::vector<std::uint64_t> random_words(Rng& rng, std::size_t words) {
-  std::vector<std::uint64_t> out(words);
-  for (auto& w : out) w = rng();
-  return out;
-}
-
-/// Ascending indices of set bits below `bits` (the AER list of a mask).
-std::vector<std::uint32_t> active_list(const std::vector<std::uint64_t>& mask,
-                                       std::size_t bits) {
-  std::vector<std::uint32_t> out;
-  for (std::size_t i = 0; i < bits; ++i)
-    if ((mask[i >> 6] >> (i & 63)) & 1u) out.push_back(static_cast<std::uint32_t>(i));
-  return out;
-}
-
-// The length sweep every kernel property runs over: zero, sub-word,
-// word-aligned, and straddling tails.
-const std::size_t kLengths[] = {0, 1, 5, 63, 64, 65, 127, 128, 200, 256, 1000};
-
-// --------------------------------------------------------- popcount_bits --
-
-TEST(PackedKernels, PopcountBitsMatchesNaive) {
-  Rng rng(11);
-  for (const std::size_t bits : kLengths) {
-    const std::size_t words = (bits + 63) / 64 + 1;  // +1: slack past the end
-    for (int trial = 0; trial < 8; ++trial) {
-      const auto a = random_words(rng, words);
-      EXPECT_EQ(kernels::popcount_bits(a.data(), bits),
-                naive_popcount(a, bits))
-          << "bits=" << bits;
-    }
-  }
-}
-
-TEST(PackedKernels, PopcountBitsAllZeroAllOnes) {
-  for (const std::size_t bits : kLengths) {
-    const std::size_t words = (bits + 63) / 64 + 1;
-    const std::vector<std::uint64_t> zero(words, 0);
-    const std::vector<std::uint64_t> ones(words, ~std::uint64_t{0});
-    EXPECT_EQ(kernels::popcount_bits(zero.data(), bits), 0u);
-    EXPECT_EQ(kernels::popcount_bits(ones.data(), bits), bits);
-  }
-}
-
-// Stale tail bits (at and above `bits`) must never leak into the count.
-TEST(PackedKernels, PopcountBitsIgnoresStaleTailBits) {
-  for (const std::size_t bits : {1u, 63u, 65u, 100u, 130u}) {
-    const std::size_t words = (bits + 63) / 64;
-    std::vector<std::uint64_t> a(words, 0);
-    // Plant ONLY stale bits: everything at or above `bits` set, rest clear.
-    for (std::size_t i = bits; i < words * 64; ++i)
-      a[i >> 6] |= std::uint64_t{1} << (i & 63);
-    EXPECT_EQ(kernels::popcount_bits(a.data(), bits), 0u) << "bits=" << bits;
-  }
-}
-
-// ---------------------------------------------------------- popcount_dot --
-
-TEST(PackedKernels, PopcountDotMatchesNaive) {
-  Rng rng(12);
-  for (const std::size_t bits : kLengths) {
-    const std::size_t words = (bits + 63) / 64 + 1;
-    for (int trial = 0; trial < 8; ++trial) {
-      const auto a = random_words(rng, words);
-      const auto b = random_words(rng, words);
-      EXPECT_EQ(kernels::popcount_dot(a.data(), b.data(), bits),
-                naive_dot(a, b, bits))
-          << "bits=" << bits;
-    }
-  }
-}
-
-TEST(PackedKernels, PopcountDotEdgeOperands) {
-  Rng rng(13);
-  for (const std::size_t bits : kLengths) {
-    const std::size_t words = (bits + 63) / 64 + 1;
-    const auto a = random_words(rng, words);
-    const std::vector<std::uint64_t> zero(words, 0);
-    const std::vector<std::uint64_t> ones(words, ~std::uint64_t{0});
-    // x . 0 = 0; x . 1 = popcount(x); commutative.
-    EXPECT_EQ(kernels::popcount_dot(a.data(), zero.data(), bits), 0u);
-    EXPECT_EQ(kernels::popcount_dot(a.data(), ones.data(), bits),
-              kernels::popcount_bits(a.data(), bits));
-    EXPECT_EQ(kernels::popcount_dot(a.data(), ones.data(), bits),
-              kernels::popcount_dot(ones.data(), a.data(), bits));
-  }
-}
-
-// -------------------------------------------------- masked_row_accumulate --
-
-TEST(PackedKernels, MaskedRowAccumulateMatchesIndexPathExactly) {
-  Rng rng(14);
-  for (const std::size_t rows : {1u, 63u, 64u, 65u, 130u, 300u}) {
-    const std::size_t stride = 24;
-    const std::size_t cols = 24;
-    std::vector<float> w(rows * stride);
-    for (auto& v : w) v = static_cast<float>(rng.uniform(-1.0, 1.0));
-    for (int trial = 0; trial < 4; ++trial) {
-      auto mask = random_words(rng, (rows + 63) / 64);
-      const auto rows_list = active_list(mask, rows);
-
-      std::vector<float> acc_packed(cols, 0.25f);
-      std::vector<float> acc_index(cols, 0.25f);
-      kernels::masked_row_accumulate(w.data(), stride, cols, mask.data(),
-                                     rows, acc_packed.data());
-      kernels::accumulate_rows(w.data(), stride, cols, rows_list,
-                               acc_index.data());
-      for (std::size_t c = 0; c < cols; ++c)
-        ASSERT_EQ(acc_packed[c], acc_index[c])  // bit-for-bit, not NEAR
-            << "rows=" << rows << " col=" << c;
-    }
-  }
-}
-
-// A column slice of a wider matrix (cols < stride) — the simulator's
-// within-trace partitioning shape.
-TEST(PackedKernels, MaskedRowAccumulateColumnSlice) {
-  Rng rng(15);
-  const std::size_t rows = 100, stride = 40, cols = 17;
-  std::vector<float> w(rows * stride);
-  for (auto& v : w) v = static_cast<float>(rng.uniform(-1.0, 1.0));
-  auto mask = random_words(rng, (rows + 63) / 64);
-  const auto rows_list = active_list(mask, rows);
-
-  std::vector<float> acc_packed(cols, 0.0f), acc_index(cols, 0.0f);
-  kernels::masked_row_accumulate(w.data(), stride, cols, mask.data(), rows,
-                                 acc_packed.data());
-  kernels::accumulate_rows(w.data(), stride, cols, rows_list,
-                           acc_index.data());
-  EXPECT_EQ(acc_packed, acc_index);
-}
-
-// Stale mask bits at and above `rows` must contribute nothing.
-TEST(PackedKernels, MaskedRowAccumulateIgnoresStaleTailBits) {
-  const std::size_t rows = 70, cols = 8;
-  std::vector<float> w(rows * cols, 1.0f);
-  std::vector<std::uint64_t> mask(2, 0);
-  mask[1] = ~std::uint64_t{0} << (rows - 64);  // only bits >= rows set
-  std::vector<float> acc(cols, 0.0f);
-  kernels::masked_row_accumulate(w.data(), cols, cols, mask.data(), rows,
-                                 acc.data());
-  for (float v : acc) EXPECT_EQ(v, 0.0f);
-}
-
-TEST(PackedKernels, MaskedRowAccumulateAllRows) {
-  Rng rng(16);
-  const std::size_t rows = 67, cols = 5;
-  std::vector<float> w(rows * cols);
-  for (auto& v : w) v = static_cast<float>(rng.uniform(-1.0, 1.0));
-  std::vector<std::uint64_t> mask(2, ~std::uint64_t{0});
-  std::vector<std::uint32_t> all(rows);
-  for (std::size_t r = 0; r < rows; ++r) all[r] = static_cast<std::uint32_t>(r);
-
-  std::vector<float> acc_packed(cols, 0.0f), acc_index(cols, 0.0f);
-  kernels::masked_row_accumulate(w.data(), cols, cols, mask.data(), rows,
-                                 acc_packed.data());
-  kernels::accumulate_rows(w.data(), cols, cols, all, acc_index.data());
-  EXPECT_EQ(acc_packed, acc_index);
-}
 
 // -------------------------------------------- CrossbarModel packed reads --
 

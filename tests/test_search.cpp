@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "api/backends.hpp"
+#include "api/pipeline.hpp"
 #include "api/registry.hpp"
 #include "common/rng.hpp"
 #include "compile/compiler.hpp"
@@ -176,8 +177,9 @@ TEST(SearchVerifier, MixedSizesInOneNeuroCellAreCaught) {
 
 // Differential sweep over random legal workloads: the searched
 // (potentially mixed-size) program must replay bit-for-bit identically
-// through the dense, sparse and packed engines — the same parity the
-// homogeneous fuzz layer enforces, now over heterogeneous chips.
+// as one multi-trace execute and as reduced per-trace reports — the same
+// parity the homogeneous fuzz layer enforces, now over heterogeneous
+// chips.
 TEST(SearchDifferential, MixedSizeProgramsReplayIdenticallyOnAllEngines) {
   constexpr std::uint64_t kSweep = 6;
   SearchOptions opt;
@@ -200,26 +202,23 @@ TEST(SearchDifferential, MixedSizeProgramsReplayIdenticallyOnAllEngines) {
     cfg.record_trace = true;
     snn::Simulator sim(net, cfg);
     Rng rng(c.seed ^ 0x5ea2c4f11ull);
-    const std::vector<snn::SpikeTrace> traces = {sim.run(c.image, rng).trace};
+    const snn::SpikeTrace trace = sim.run(c.image, rng).trace;
+    const std::vector<snn::SpikeTrace> traces = {trace, trace};
 
     const std::string base =
         "resparc-" + std::to_string(c.mca_size) + "/test-search-fuzz";
-    const auto dense = api::make_accelerator(base);
-    dense->load(c.topology);
-    const api::ExecutionReport ref = dense->execute(traces);
+    const auto accel = api::make_accelerator(base);
+    accel->load(c.topology);
+    const api::ExecutionReport ref = accel->execute(traces);
     for (const auto& lm :
-         dynamic_cast<const api::ResparcBackend&>(*dense).mapping().layers)
+         dynamic_cast<const api::ResparcBackend&>(*accel).mapping().layers)
       if (lm.mca_size != 0) {
         ++mixed_cases;
         break;
       }
-    for (const char* suffix : {"+sparse", "+packed"}) {
-      const auto accel = api::make_accelerator(base + suffix);
-      accel->load(c.topology);
-      const api::ExecutionReport r = accel->execute(traces);
-      EXPECT_EQ(r.energy_pj, ref.energy_pj) << c.summary() << suffix;
-      EXPECT_EQ(r.latency_ns, ref.latency_ns) << c.summary() << suffix;
-    }
+    const api::ExecutionReport r = api::Pipeline::execute(*accel, traces, 2);
+    EXPECT_EQ(r.energy_pj, ref.energy_pj) << c.summary();
+    EXPECT_EQ(r.latency_ns, ref.latency_ns) << c.summary();
   }
   // The sweep must actually exercise heterogeneous mixes somewhere, or
   // the parity claim above is vacuous for mixed-size chips.

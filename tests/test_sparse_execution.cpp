@@ -1,19 +1,23 @@
-// Tests of the sparse, spike-event-driven execution engine
-// (snn/sparse_engine.hpp, docs/execution.md):
-//   * dense-vs-sparse bit-for-bit parity across every bundled topology
-//     shape (MLP and CNN, with and without executor event_driven);
+// Tests of the simulator's event-driven execution (snn/simulator.hpp,
+// docs/execution.md):
+//   * engine-vs-reference bit-for-bit parity (api::reference_run) across
+//     the bundled topologies, the paper-scale shapes at busy and sparse
+//     input, leaky networks, and a busy -> silent -> busy presentation
+//     that switches branches with hot neurons carried over;
+//   * the per-timestep event stream reproducing the replay's counters;
 //   * ActivityTrace accumulation and round-trip serialization;
 //   * the all-zero-input regression: under the event-driven executor an
 //     empty trace must be (almost) free — every array skipped, nothing
 //     transferred, zero cycles;
-//   * the "+<mode>" registry suffix and its error handling.
+//   * registry keys with a "+<suffix>" being rejected.
 #include <gtest/gtest.h>
 
 #include <sstream>
 
-#include "api/backends.hpp"
+#include "api/differential.hpp"
 #include "api/pipeline.hpp"
 #include "api/registry.hpp"
+#include "core/resparc.hpp"
 #include "snn/activity.hpp"
 #include "snn/benchmarks.hpp"
 #include "snn/simulator.hpp"
@@ -21,7 +25,6 @@
 namespace resparc {
 namespace {
 
-using api::BackendOptions;
 using api::Pipeline;
 using api::PipelineOptions;
 using api::Workload;
@@ -40,19 +43,35 @@ void expect_traces_equal(const snn::SpikeTrace& a, const snn::SpikeTrace& b) {
   }
 }
 
+/// Runs `image` through the simulator and the naive reference on the same
+/// random stream, expects identical results, and returns the trace.
+snn::SpikeTrace expect_matches_reference(const snn::Network& net,
+                                         const snn::SimConfig& config,
+                                         std::span<const float> image,
+                                         std::uint64_t seed) {
+  Rng engine_rng(seed);
+  const snn::SimResult engine = snn::Simulator(net, config).run(image, engine_rng);
+  Rng reference_rng(seed);
+  const snn::SimResult reference =
+      api::reference_run(net, config, image, reference_rng);
+  expect_traces_equal(engine.trace, reference.trace);
+  EXPECT_EQ(engine.output_spike_counts, reference.output_spike_counts);
+  EXPECT_EQ(engine.total_spikes, reference.total_spikes);
+  EXPECT_EQ(engine.predicted_class, reference.predicted_class);
+  return engine.trace;
+}
+
 Workload run_workload(const snn::Topology& topology, snn::DatasetKind kind,
-                      snn::ExecutionMode mode, std::size_t images = 2,
-                      std::size_t timesteps = 8) {
+                      std::size_t images = 2, std::size_t timesteps = 8) {
   PipelineOptions opt;
   opt.images = images;
   opt.timesteps = timesteps;
   opt.seed = 11;
   opt.threads = 1;
-  opt.execution = mode;
   return Pipeline(opt).dataset(kind).topology(topology).run();
 }
 
-// ------------------------------------------------- dense/sparse parity ----
+// ------------------------------------------- engine/reference parity ----
 
 struct NamedTopology {
   const char* name;
@@ -68,61 +87,52 @@ void PrintTo(const NamedTopology& p, std::ostream* os) {
 
 class SparseParity : public ::testing::TestWithParam<NamedTopology> {};
 
+// Busy (rate 1.0) and sparse (rate 0.05) input on the calibrated network,
+// so both branches run on every layer kind that has them.
 TEST_P(SparseParity, TracesAreBitForBitIdentical) {
-  const snn::Topology& topo = GetParam().topology;
-  const Workload dense =
-      run_workload(topo, snn::DatasetKind::kMnistLike, snn::ExecutionMode::kDense);
-  const Workload sparse =
-      run_workload(topo, snn::DatasetKind::kMnistLike, snn::ExecutionMode::kSparse);
-
-  ASSERT_EQ(dense.traces.size(), sparse.traces.size());
-  for (std::size_t i = 0; i < dense.traces.size(); ++i)
-    expect_traces_equal(dense.traces[i], sparse.traces[i]);
-  EXPECT_EQ(dense.predicted, sparse.predicted);
-  EXPECT_DOUBLE_EQ(dense.accuracy, sparse.accuracy);
-  EXPECT_DOUBLE_EQ(dense.mean_activity, sparse.mean_activity);
+  const Workload w =
+      run_workload(GetParam().topology, snn::DatasetKind::kMnistLike);
+  for (const double rate : {1.0, 0.05}) {
+    snn::SimConfig cfg;
+    cfg.timesteps = 8;
+    cfg.encoder.max_rate = rate;
+    for (std::size_t i = 0; i < w.test.images.size(); ++i)
+      expect_matches_reference(w.network, cfg, w.test.images[i], 100 + i);
+  }
 }
 
+// The per-timestep event stream is an option of the replay, not a mode:
+// it leaves the report unchanged and its totals reproduce the counters.
 TEST_P(SparseParity, ExecutorReportsMatchInBothEventDrivenModes) {
   const snn::Topology& topo = GetParam().topology;
-  const Workload w =
-      run_workload(topo, snn::DatasetKind::kMnistLike, snn::ExecutionMode::kSparse);
+  const Workload w = run_workload(topo, snn::DatasetKind::kMnistLike);
 
   for (const bool event_driven : {true, false}) {
-    BackendOptions opt;
-    opt.resparc.event_driven = event_driven;
-    const auto dense = api::make_accelerator("resparc-64", opt);
-    const auto sparse = api::make_accelerator("resparc-64+sparse", opt);
-    dense->load(topo);
-    sparse->load(topo);
-    const api::ExecutionReport rd = dense->execute(w.traces);
-    const api::ExecutionReport rs = sparse->execute(w.traces);
+    core::ResparcConfig config = core::config_with_mca(64);
+    config.event_driven = event_driven;
+    core::ResparcChip chip(config);
+    chip.load(topo);
+    const core::RunReport plain = chip.execute(w.traces);
+    core::EventStream stream;
+    const core::RunReport streamed = chip.execute(w.traces, &stream);
 
-    // Sparse execution adds timestep resolution, never different totals.
-    EXPECT_DOUBLE_EQ(rd.energy_pj, rs.energy_pj) << "event_driven=" << event_driven;
-    EXPECT_DOUBLE_EQ(rd.latency_ns, rs.latency_ns);
-    ASSERT_TRUE(rd.resparc.has_value());
-    ASSERT_TRUE(rs.resparc.has_value());
-    EXPECT_EQ(rd.resparc->events.mca_activations,
-              rs.resparc->events.mca_activations);
-    EXPECT_EQ(rd.resparc->events.mca_skips, rs.resparc->events.mca_skips);
-    EXPECT_EQ(rd.resparc->events.bus_words, rs.resparc->events.bus_words);
-    EXPECT_EQ(rd.resparc->events.neuron_fires, rs.resparc->events.neuron_fires);
+    EXPECT_EQ(plain.energy.total_pj(), streamed.energy.total_pj())
+        << "event_driven=" << event_driven;
+    EXPECT_EQ(plain.perf.cycles_pipelined, streamed.perf.cycles_pipelined);
+    EXPECT_EQ(plain.events.mca_activations, streamed.events.mca_activations);
+    EXPECT_EQ(plain.events.mca_skips, streamed.events.mca_skips);
+    EXPECT_EQ(plain.events.bus_words, streamed.events.bus_words);
+    EXPECT_EQ(plain.events.neuron_fires, streamed.events.neuron_fires);
 
-    EXPECT_FALSE(rd.events.has_value());
-    ASSERT_TRUE(rs.events.has_value());
-
-    // The stream is the same record at timestep resolution: its totals
-    // must reproduce the aggregated counters exactly.
-    const core::StepEvents total = rs.events->total();
-    EXPECT_EQ(total.mca_reads, rs.resparc->events.mca_activations);
-    EXPECT_EQ(total.mca_skips, rs.resparc->events.mca_skips);
-    EXPECT_EQ(total.words_sent, rs.resparc->events.bus_words +
-                                    rs.resparc->events.switch_flits);
+    const core::StepEvents total = stream.total();
+    EXPECT_EQ(total.mca_reads, streamed.events.mca_activations);
+    EXPECT_EQ(total.mca_skips, streamed.events.mca_skips);
+    EXPECT_EQ(total.words_sent,
+              streamed.events.bus_words + streamed.events.switch_flits);
     std::size_t layer_fires = 0;
-    for (std::size_t s = 1; s < rs.events->stages(); ++s)
-      layer_fires += rs.events->stage_total(s).neuron_fires;
-    EXPECT_EQ(layer_fires, rs.resparc->events.neuron_fires);
+    for (std::size_t s = 1; s < stream.stages(); ++s)
+      layer_fires += stream.stage_total(s).neuron_fires;
+    EXPECT_EQ(layer_fires, streamed.events.neuron_fires);
   }
 }
 
@@ -135,46 +145,91 @@ INSTANTIATE_TEST_SUITE_P(
                       snn::small_cnn_topology(snn::DatasetKind::kMnistLike)}),
     [](const auto& info) { return std::string(info.param.name); });
 
-// Paper-scale shapes, one image each, so the parity claim covers the
-// exact benchmark topologies too (conv sliced + windowed + pool paths).
+// Paper-scale shapes at full input rate (mostly stepped) and at rate 0.02
+// (mostly touched), so the parity claim covers the exact benchmark
+// topologies too (conv sliced + windowed + pool paths).
 TEST(SparseParityPaperScale, MnistMlpAndCnn) {
   for (const snn::BenchmarkSpec& spec : {snn::mnist_mlp(), snn::mnist_cnn()}) {
-    const Workload dense = run_workload(spec.topology, spec.dataset,
-                                        snn::ExecutionMode::kDense, 1, 6);
-    const Workload sparse = run_workload(spec.topology, spec.dataset,
-                                         snn::ExecutionMode::kSparse, 1, 6);
-    ASSERT_EQ(dense.traces.size(), sparse.traces.size());
-    for (std::size_t i = 0; i < dense.traces.size(); ++i)
-      expect_traces_equal(dense.traces[i], sparse.traces[i]);
+    const Workload w = run_workload(spec.topology, spec.dataset, 1, 6);
+    for (const double rate : {1.0, 0.02}) {
+      snn::SimConfig cfg;
+      cfg.timesteps = 6;
+      cfg.encoder.max_rate = rate;
+      const snn::SpikeTrace trace =
+          expect_matches_reference(w.network, cfg, w.test.images[0], 5);
+      EXPECT_GT(trace.layer_spike_count(0), 0u) << spec.topology.name();
+    }
   }
 }
 
-// Leaky populations fall back to the dense neuron update inside the
-// sparse engine; the result must still be identical.
+// Leaky populations always take the stepped branch; the result must still
+// match the reference.
 TEST(SparseParity, LeakyNetworkFallsBackBitForBit) {
-  snn::Network net(snn::small_mlp_topology(snn::DatasetKind::kMnistLike));
+  snn::Network net(snn::small_cnn_topology(snn::DatasetKind::kMnistLike));
   Rng init(3);
   net.init_random(init, 1.0f);
   net.set_uniform_threshold(0.8);
   for (std::size_t l = 0; l < net.layer_count(); ++l)
     net.layer(l).neuron.leak_per_step = 0.01;
+  const Workload w = run_workload(net.topology(), snn::DatasetKind::kMnistLike);
 
-  PipelineOptions opt;
-  opt.images = 2;
-  opt.timesteps = 8;
-  opt.threads = 1;
-  Workload dense = Pipeline(opt)
-                       .dataset(snn::DatasetKind::kMnistLike)
-                       .network(net)
-                       .run();
-  opt.execution = snn::ExecutionMode::kSparse;
-  Workload sparse = Pipeline(opt)
-                        .dataset(snn::DatasetKind::kMnistLike)
-                        .network(net)
-                        .run();
-  ASSERT_EQ(dense.traces.size(), sparse.traces.size());
-  for (std::size_t i = 0; i < dense.traces.size(); ++i)
-    expect_traces_equal(dense.traces[i], sparse.traces[i]);
+  snn::SimConfig cfg;
+  cfg.timesteps = 8;
+  for (const double rate : {1.0, 0.05}) {
+    cfg.encoder.max_rate = rate;
+    for (std::size_t i = 0; i < w.test.images.size(); ++i)
+      expect_matches_reference(net, cfg, w.test.images[i], 7 + i);
+  }
+}
+
+// A subtractive-reset CNN whose input alternates busy and silent steps
+// (deterministic encoder at rate 1/3 on a white image: silent, busy,
+// silent, silent, busy, ...).  Busy steps cover the conv layer and take
+// the stepped branch, silent steps take the touched branch, and strong
+// positive weights leave membranes above threshold after each reset, so
+// the conv and pool layers keep firing on silent steps only through the
+// hot set rebuilt when the branch switches.
+TEST(SparseParity, BranchSwitchCarriesHotNeuronsBitForBit) {
+  const snn::Topology topo(
+      "switch-cnn", Shape3{1, 6, 6},
+      {snn::LayerSpec::conv(4, 3), snn::LayerSpec::avg_pool(2),
+       snn::LayerSpec::dense(10)});
+  snn::Network net(topo);
+  Rng init(19);
+  net.init_random(init, 1.0f);
+  for (float& v : net.layer(0).weights.flat())
+    v = 0.45f + 0.1f * static_cast<float>(init.uniform(0.0, 1.0));
+  net.layer(0).neuron.v_threshold = 1.0;
+  net.layer(1).neuron.v_threshold = 0.5;
+
+  snn::SimConfig cfg;
+  cfg.timesteps = 12;
+  cfg.encoder.poisson = false;
+  cfg.encoder.max_rate = 1.0 / 3.0;
+  const std::vector<float> image(topo.input_shape().size(), 1.0f);
+  const snn::SpikeTrace trace = expect_matches_reference(net, cfg, image, 1);
+
+  // The rule the simulator applies: every busy step of the conv layer is
+  // stepped, every silent one touched.
+  const snn::LayerInfo& conv = topo.layers()[0];
+  const double busy_cover = static_cast<double>(
+      topo.input_shape().size() * conv.spec.kernel * conv.spec.kernel *
+      conv.out_shape.c);
+  ASSERT_GE(busy_cover, snn::Simulator::kTouchedCrossover *
+                            static_cast<double>(conv.neurons));
+
+  std::string pattern;  // 'B' busy, 'S' silent input
+  std::size_t silent_fires = 0;
+  for (std::size_t t = 0; t < cfg.timesteps; ++t) {
+    const bool busy = !trace.layers[0][t].none();
+    if (busy) {
+      ASSERT_EQ(trace.layers[0][t].count(), topo.input_shape().size());
+    }
+    pattern += busy ? 'B' : 'S';
+    if (!busy && t > 0) silent_fires += trace.layers[1][t].count();
+  }
+  EXPECT_NE(pattern.find("BSSB"), std::string::npos) << pattern;
+  EXPECT_GT(silent_fires, 0u) << "no hot neuron fired on a silent step";
 }
 
 // ------------------------------------------------------- activity trace ----
@@ -182,7 +237,7 @@ TEST(SparseParity, LeakyNetworkFallsBackBitForBit) {
 TEST(ActivityTrace, AccumulatesAndMatchesMeanActivity) {
   const Workload w =
       run_workload(snn::small_mlp_topology(snn::DatasetKind::kMnistLike),
-                   snn::DatasetKind::kMnistLike, snn::ExecutionMode::kSparse, 3);
+                   snn::DatasetKind::kMnistLike, 3);
   ASSERT_EQ(w.activity.presentations, w.traces.size());
   ASSERT_EQ(w.activity.layer_count(), w.traces.front().layer_count());
   EXPECT_NEAR(w.activity.mean_activity(), w.mean_activity, 1e-12);
@@ -194,7 +249,7 @@ TEST(ActivityTrace, AccumulatesAndMatchesMeanActivity) {
 TEST(ActivityTrace, RoundTripsThroughSerialization) {
   const Workload w =
       run_workload(snn::small_cnn_topology(snn::DatasetKind::kMnistLike),
-                   snn::DatasetKind::kMnistLike, snn::ExecutionMode::kSparse, 2);
+                   snn::DatasetKind::kMnistLike, 2);
   std::stringstream ss;
   w.activity.save(ss);
   const snn::ActivityTrace loaded = snn::ActivityTrace::load(ss);
@@ -224,10 +279,10 @@ TEST(ActivityTrace, RejectsMalformedStreams) {
 TEST(ActivityTrace, RejectsMismatchedAccumulation) {
   const Workload mlp =
       run_workload(snn::small_mlp_topology(snn::DatasetKind::kMnistLike),
-                   snn::DatasetKind::kMnistLike, snn::ExecutionMode::kDense, 1);
+                   snn::DatasetKind::kMnistLike, 1);
   const Workload cnn =
       run_workload(snn::small_cnn_topology(snn::DatasetKind::kMnistLike),
-                   snn::DatasetKind::kMnistLike, snn::ExecutionMode::kDense, 1);
+                   snn::DatasetKind::kMnistLike, 1);
   snn::ActivityTrace acc = snn::ActivityTrace::from_trace(mlp.traces.front());
   EXPECT_THROW(acc.add(cnn.traces.front()), snn::ActivityError);
 }
@@ -249,11 +304,11 @@ TEST(ZeroInputRegression, EmptyTraceIsAlmostFree) {
   for (std::size_t l = 0; l < topo.layer_count(); ++l)
     empty.layers[l + 1].assign(T, snn::SpikeVector(topo.layers()[l].neurons));
 
-  const auto accel = api::make_accelerator("resparc-64+sparse");
-  accel->load(topo);
-  const api::ExecutionReport r = accel->execute(empty);
-  ASSERT_TRUE(r.resparc.has_value());
-  const core::EventCounts& ev = r.resparc->events;
+  core::ResparcChip chip(core::config_with_mca(64));
+  chip.load(topo);
+  core::EventStream stream;
+  const core::RunReport r = chip.execute({&empty, 1}, &stream);
+  const core::EventCounts& ev = r.events;
 
   EXPECT_EQ(ev.mca_activations, 0u);
   EXPECT_EQ(ev.bus_words, 0u);
@@ -266,77 +321,38 @@ TEST(ZeroInputRegression, EmptyTraceIsAlmostFree) {
   EXPECT_EQ(ev.buffer_bits, 0u);
 
   // Every array of every layer is skipped on every step.
-  const auto* backend = dynamic_cast<const api::ResparcBackend*>(accel.get());
-  ASSERT_NE(backend, nullptr);
-  EXPECT_EQ(ev.mca_skips, backend->mapping().total_mcas * T);
+  EXPECT_EQ(ev.mca_skips, chip.mapping().total_mcas * T);
 
   // No stage ever advances: zero cycles, zero latency, zero leakage
   // window — and the recorded event stream is idle in every cell.
-  EXPECT_DOUBLE_EQ(r.resparc->perf.cycles_pipelined, 0.0);
-  EXPECT_DOUBLE_EQ(r.latency_ns, 0.0);
-  EXPECT_DOUBLE_EQ(r.resparc->energy.crossbar_pj, 0.0);
-  EXPECT_DOUBLE_EQ(r.resparc->energy.neuron_pj, 0.0);
-  EXPECT_DOUBLE_EQ(r.resparc->energy.buffer_pj, 0.0);
-  EXPECT_DOUBLE_EQ(r.resparc->energy.comm_pj, 0.0);
-  EXPECT_DOUBLE_EQ(r.resparc->energy.leakage_pj, 0.0);
-  ASSERT_TRUE(r.events.has_value());
-  for (std::size_t t = 0; t < r.events->timesteps(); ++t)
-    for (std::size_t s = 0; s < r.events->stages(); ++s)
-      EXPECT_TRUE(r.events->at(t, s).idle()) << "t=" << t << " stage=" << s;
+  EXPECT_DOUBLE_EQ(r.perf.cycles_pipelined, 0.0);
+  EXPECT_DOUBLE_EQ(r.perf.latency_pipelined_ns(), 0.0);
+  EXPECT_DOUBLE_EQ(r.energy.crossbar_pj, 0.0);
+  EXPECT_DOUBLE_EQ(r.energy.neuron_pj, 0.0);
+  EXPECT_DOUBLE_EQ(r.energy.buffer_pj, 0.0);
+  EXPECT_DOUBLE_EQ(r.energy.comm_pj, 0.0);
+  EXPECT_DOUBLE_EQ(r.energy.leakage_pj, 0.0);
+  ASSERT_EQ(stream.timesteps(), T);
+  for (std::size_t t = 0; t < stream.timesteps(); ++t)
+    for (std::size_t s = 0; s < stream.stages(); ++s)
+      EXPECT_TRUE(stream.at(t, s).idle()) << "t=" << t << " stage=" << s;
 }
 
 // ------------------------------------------------------ registry suffix ----
 
-TEST(RegistryModes, SparseSuffixSelectsSparseExecution) {
-  const auto accel = api::make_accelerator("resparc-64+sparse");
-  const auto* backend = dynamic_cast<const api::ResparcBackend*>(accel.get());
-  ASSERT_NE(backend, nullptr);
-  EXPECT_EQ(backend->execution(), snn::ExecutionMode::kSparse);
-  EXPECT_EQ(accel->name(), "RESPARC-64+sparse");
-}
-
-TEST(RegistryModes, StrategyAndModeSuffixesCompose) {
-  const auto accel = api::make_accelerator("resparc-128/greedy-pack+sparse");
-  const auto* backend = dynamic_cast<const api::ResparcBackend*>(accel.get());
-  ASSERT_NE(backend, nullptr);
-  EXPECT_EQ(backend->execution(), snn::ExecutionMode::kSparse);
-  EXPECT_EQ(backend->strategy(), "greedy-pack");
-  EXPECT_EQ(backend->config().mca_size, 128u);
-  EXPECT_EQ(accel->name(), "RESPARC-128/greedy-pack+sparse");
-}
-
-TEST(RegistryModes, DenseSuffixIsTheDefaultMode) {
-  const auto accel = api::make_accelerator("resparc-64+dense");
-  const auto* backend = dynamic_cast<const api::ResparcBackend*>(accel.get());
-  ASSERT_NE(backend, nullptr);
-  EXPECT_EQ(backend->execution(), snn::ExecutionMode::kDense);
-  EXPECT_EQ(accel->name(), "RESPARC-64");
-}
-
-TEST(RegistryModes, OptionsSelectTheModeWithoutASuffix) {
-  BackendOptions opt;
-  opt.execution = snn::ExecutionMode::kSparse;
-  const auto accel = api::make_accelerator("resparc-64", opt);
-  const auto* backend = dynamic_cast<const api::ResparcBackend*>(accel.get());
-  ASSERT_NE(backend, nullptr);
-  EXPECT_EQ(backend->execution(), snn::ExecutionMode::kSparse);
-}
-
-TEST(RegistryModes, UnknownModeIsRejectedWithTheModeList) {
-  try {
-    api::make_accelerator("resparc-64+bogus");
-    FAIL() << "expected BackendError";
-  } catch (const api::BackendError& e) {
-    const std::string what = e.what();
-    EXPECT_NE(what.find("bogus"), std::string::npos);
-    EXPECT_NE(what.find("dense"), std::string::npos);
-    EXPECT_NE(what.find("sparse"), std::string::npos);
-  }
-  EXPECT_THROW(api::make_accelerator("resparc-64+"), api::BackendError);
-}
-
+// The registry has no "+<suffix>" syntax: such a key names no backend,
+// and the error names the key.
 TEST(RegistryModes, BackendsWithoutModeSupportRejectTheSuffix) {
-  EXPECT_THROW(api::make_accelerator("cmos+sparse"), api::BackendError);
+  for (const char* key : {"resparc-64+sparse", "resparc-64+packed", "cmos+sparse"}) {
+    try {
+      api::make_accelerator(key);
+      FAIL() << "expected BackendError for " << key;
+    } catch (const api::BackendError& e) {
+      EXPECT_NE(std::string(e.what()).find(key), std::string::npos) << e.what();
+    }
+  }
+  EXPECT_THROW(api::make_accelerator("resparc-64/greedy-pack+sparse"),
+               api::BackendError);
 }
 
 }  // namespace

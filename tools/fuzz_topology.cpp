@@ -1,8 +1,9 @@
 // fuzz_topology: bulk driver of the differential test layer.
 //
 // Expands a range of seeds into random legal workloads (snn/fuzz.hpp)
-// and, by default, pushes each through every execution engine and every
-// replay path, demanding bit-for-bit agreement (api/differential.hpp).
+// and, by default, pushes each through the simulator and its naive
+// reference and through both replay paths, demanding bit-for-bit
+// agreement (api/differential.hpp).
 // Used to hunt for divergences beyond what tests/test_differential.cpp
 // sweeps per ctest run, and to pick seeds for the regression corpus
 // (tests/data/corpus/): the printed one-line summaries show which
@@ -72,7 +73,7 @@ int main(int argc, char** argv) {
                 << c.summary() << ")\n";
   }
   if (!list_only)
-    std::cout << checked << " cases: dense == sparse == packed, "
-              << "sequential == batched replay\n";
+    std::cout << checked << " cases: engine == reference, "
+              << "execute == execute_each\n";
   return 0;
 }
