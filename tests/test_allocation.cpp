@@ -144,11 +144,22 @@ class AllocationSteadyState : public ::testing::Test {
   std::vector<float> image_;
 };
 
-// Busy input (mostly stepped layers) and sparse input (mostly touched):
-// both branches of the engine reach an allocation-free steady state.
-TEST_F(AllocationSteadyState, SimulateSecondPresentationAllocatesNothing) {
-  for (const double rate : {1.0, 0.02})
-    EXPECT_EQ(second_presentation_allocations(rate), 0u) << "rate " << rate;
+// Busy input: the engine takes the stepped branch on most layer steps.
+TEST_F(AllocationSteadyState, DenseSimulateSecondPresentationAllocatesNothing) {
+  EXPECT_EQ(second_presentation_allocations(1.0), 0u);
+}
+
+// Sparse input: most conv/pool steps take the touched branch.
+TEST_F(AllocationSteadyState, SparseSimulateSecondPresentationAllocatesNothing) {
+  EXPECT_EQ(second_presentation_allocations(0.02), 0u);
+}
+
+// A leak on every layer rules the touched branch out, so even sparse input
+// steps every layer through the packed IF producer (step_packed).
+TEST_F(AllocationSteadyState, PackedSimulateSecondPresentationAllocatesNothing) {
+  for (std::size_t l = 0; l < net_->layer_count(); ++l)
+    net_->layer(l).neuron.leak_per_step = 0.01;
+  EXPECT_EQ(second_presentation_allocations(0.02), 0u);
 }
 
 TEST_F(AllocationSteadyState,
