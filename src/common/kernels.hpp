@@ -16,12 +16,30 @@
 //     workspace (im2col) lives in a caller-owned Scratch arena.
 #pragma once
 
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <span>
 #include <vector>
 
 namespace resparc::kernels {
+
+/// Number of set bits in `x` — the one popcount of src/.  With the POPCNT
+/// instruction available (`__POPCNT__`, e.g. -march=native) this is
+/// std::popcount, one instruction.  The baseline x86-64 target has no
+/// POPCNT and compiles std::popcount to a call into libgcc
+/// (`__popcountdi2`), so there it is an inline SWAR bit count: a dozen
+/// ALU operations and one multiply, no call (docs/performance.md).
+inline unsigned popcount64(std::uint64_t x) {
+#if defined(__POPCNT__)
+  return static_cast<unsigned>(std::popcount(x));
+#else
+  x -= (x >> 1) & 0x5555555555555555ull;
+  x = (x & 0x3333333333333333ull) + ((x >> 2) & 0x3333333333333333ull);
+  x = (x + (x >> 4)) & 0x0f0f0f0f0f0f0f0full;
+  return static_cast<unsigned>((x * 0x0101010101010101ull) >> 56);
+#endif
+}
 
 /// acc[i] += row[i] for i in [0, n) — the spike-driven row accumulate.
 /// One active input row of a crossbar/weight matrix is added onto the

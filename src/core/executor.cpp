@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "common/error.hpp"
+#include "common/kernels.hpp"
 #include "core/fault_injection.hpp"
 #include "tech/sram.hpp"
 
@@ -20,6 +21,12 @@ std::size_t nonzero_words(const SpikeVector& v) {
   for (auto w : v.words())
     if (w) ++n;
   return n;
+}
+
+/// Total bits spanned by a slice (denominator of the active fraction).
+std::size_t slice_bits(const InputSlice& slice, const Shape3& in_shape) {
+  if (slice.kind == SliceKind::kContiguous) return slice.end - slice.begin;
+  return in_shape.c * (slice.y1 - slice.y0 + 1) * (slice.x1 - slice.x0 + 1);
 }
 
 }  // namespace
@@ -82,16 +89,44 @@ Executor::Executor(const snn::Topology& topology, const Mapping& mapping,
     fault_manifest_ = derive_manifest(mapping_);
   }
 
+  // Appends the bit run [begin, end) of a layer input to `plan` as
+  // (word, mask) entries; a run that starts in the word the group's
+  // previous entry covers merges into that entry (runs never overlap).
+  const auto append_run = [](std::vector<SliceWord>& plan,
+                             std::size_t group_begin, std::size_t begin,
+                             std::size_t end) {
+    for (std::size_t w = begin >> 6; begin < end; ++w) {
+      const std::size_t lo = begin - (w << 6);
+      const std::size_t hi = std::min<std::size_t>(end - (w << 6), 64);
+      std::uint64_t mask = ~std::uint64_t{0} << lo;
+      if (hi < 64) mask &= (std::uint64_t{1} << hi) - 1;
+      if (plan.size() > group_begin && plan.back().word == w)
+        plan.back().mask |= mask;
+      else
+        plan.push_back({mask, w});
+      begin = (w + 1) << 6;
+    }
+  };
+
   const tech::DigitalCosts& d = mapping_.config.technology.digital;
   group_consts_.resize(mapping.layers.size());
+  slice_words_.resize(mapping.layers.size());
   for (std::size_t l = 0; l < mapping.layers.size(); ++l) {
     const snn::LayerInfo& li = topology.layers()[l];
+    std::vector<SliceWord>& plan = slice_words_[l];
     // Heterogeneous chips (search strategies) size arrays per layer; all
     // pre-search mappings resolve to config.mca_size here.
     const std::size_t N = mapping.layer_mca_size(l);
     leak_columns_ += mapping.layers[l].mca_count * N;
     group_consts_[l].reserve(mapping.layers[l].groups.size());
     for (const McaGroup& g : mapping.layers[l].groups) {
+      // The plan indexes input words directly, so a slice reaching past
+      // the layer input would read past the spike vector.
+      if (!g.slice.within(li.in_shape))
+        throw ConfigError("executor: layer " + std::to_string(l) +
+                              " has a group input slice outside its input "
+                              "shape",
+                          "RV-TOPO-SLICE-BOUNDS");
       GroupConsts gc;
       gc.bits = static_cast<double>(slice_bits(g.slice, li.in_shape));
       gc.driven_scale = static_cast<double>(g.rows_used * g.mca_count);
@@ -103,29 +138,31 @@ Executor::Executor(const snn::Topology& topology, const Mapping& mapping,
                           d.column_interface_pj;
       gc.mca_size_d = static_cast<double>(N);
       gc.buffer_bits = g.mca_count * N;
+      gc.words_begin = plan.size();
+      if (g.slice.kind == SliceKind::kContiguous) {
+        append_run(plan, gc.words_begin, g.slice.begin, g.slice.end);
+      } else {
+        for (std::size_t c = 0; c < li.in_shape.c; ++c)
+          for (std::size_t y = g.slice.y0; y <= g.slice.y1; ++y) {
+            const std::size_t base = (c * li.in_shape.h + y) * li.in_shape.w;
+            append_run(plan, gc.words_begin, base + g.slice.x0,
+                       base + g.slice.x1 + 1);
+          }
+      }
+      gc.words_end = plan.size();
       group_consts_[l].push_back(gc);
     }
   }
 }
 
-std::size_t Executor::slice_bits(const InputSlice& slice,
-                                 const Shape3& in_shape) const {
-  if (slice.kind == SliceKind::kContiguous) return slice.end - slice.begin;
-  return in_shape.c * (slice.y1 - slice.y0 + 1) * (slice.x1 - slice.x0 + 1);
-}
-
-std::size_t Executor::active_in_slice(const InputSlice& slice,
-                                      const Shape3& in_shape,
-                                      const SpikeVector& spikes) const {
-  if (slice.kind == SliceKind::kContiguous)
-    return spikes.count_range(slice.begin, slice.end);
+std::size_t Executor::active_rows(std::size_t layer, std::size_t group,
+                                  const SpikeVector& spikes) const {
+  const GroupConsts& gc = group_consts_[layer][group];
+  const SliceWord* plan = slice_words_[layer].data();
+  const std::uint64_t* words = spikes.words().data();
   std::size_t active = 0;
-  for (std::size_t c = 0; c < in_shape.c; ++c) {
-    for (std::size_t y = slice.y0; y <= slice.y1; ++y) {
-      const std::size_t base = (c * in_shape.h + y) * in_shape.w;
-      active += spikes.count_range(base + slice.x0, base + slice.x1 + 1);
-    }
-  }
+  for (std::size_t i = gc.words_begin; i < gc.words_end; ++i)
+    active += kernels::popcount64(words[plan[i].word] & plan[i].mask);
   return active;
 }
 
@@ -205,7 +242,7 @@ void Executor::replay_step(const snn::SpikeTrace& trace, std::size_t step,
     for (std::size_t gi = 0; gi < lm.groups.size(); ++gi) {
       const McaGroup& g = lm.groups[gi];
       const GroupConsts& gc = consts[gi];
-      const std::size_t active = active_in_slice(g.slice, li.in_shape, in_vec);
+      const std::size_t active = active_rows(l, gi, in_vec);
       if (active == 0 && cfg.event_driven) {
         ev.mca_skips += g.mca_count;
         if (cell) cell->mca_skips += g.mca_count;
@@ -356,6 +393,17 @@ RunReport Executor::run(const snn::SpikeTrace& trace,
           "executor: trace does not match topology");
   const std::size_t T = trace.timesteps();
   require(T > 0, "executor: empty trace");
+  // The word-mask plan reads input words by index, so every layer input
+  // must be as wide as the topology says.
+  for (std::size_t l = 0; l < trace.layer_count(); ++l) {
+    require(trace.layers[l].size() == T,
+            "executor: trace layers differ in length");
+    if (l == topology_.layer_count()) break;
+    const std::size_t width = topology_.layers()[l].in_shape.size();
+    for (const SpikeVector& v : trace.layers[l])
+      require(v.size() == width,
+              "executor: trace layer width does not match the topology");
+  }
 
   const ReplayCosts costs = make_costs();
 

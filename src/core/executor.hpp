@@ -70,6 +70,12 @@ class Executor {
   /// The NoC timing fidelity replays run at.
   noc::Fidelity fidelity() const { return fidelity_; }
 
+  /// Spikes of `spikes` (layer `layer`'s input at one step) inside the
+  /// input slice of group `group`: the active-row count replay drives the
+  /// group with, read from the word-mask plan.
+  std::size_t active_rows(std::size_t layer, std::size_t group,
+                          const snn::SpikeVector& spikes) const;
+
  private:
   /// Technology cost constants hoisted out of the replay loops (defined in
   /// executor.cpp); built once per run() call.
@@ -87,11 +93,12 @@ class Executor {
   /// perf/leakage fields (the run() epilogue).
   void finish_replay(const ReplayCosts& costs, ReplayState& state) const;
 
-  /// Spikes inside an input slice, given the layer's input spike vector.
-  std::size_t active_in_slice(const InputSlice& slice, const Shape3& in_shape,
-                              const snn::SpikeVector& spikes) const;
-  /// Total bits spanned by a slice (denominator of the active fraction).
-  std::size_t slice_bits(const InputSlice& slice, const Shape3& in_shape) const;
+  /// One entry of the word-mask plan: the bits of a group's input slice
+  /// that fall in packed input word `word` are the set bits of `mask`.
+  struct SliceWord {
+    std::uint64_t mask = 0;
+    std::size_t word = 0;
+  };
 
   /// Per-group constants of the replay inner loop, precomputed at
   /// construction so replay_step performs no integer->double conversion or
@@ -99,7 +106,7 @@ class Executor {
   /// the loop used to recompute per step (same operands, same operations),
   /// so replay results are bit-for-bit unchanged.
   struct GroupConsts {
-    double bits = 0.0;          ///< slice_bits (fraction denominator)
+    double bits = 0.0;          ///< bits in the slice (fraction denominator)
     double driven_scale = 0.0;  ///< rows_used * mca_count
     double synapses = 0.0;      ///< crosspoints actually programmed
     double total_cells = 0.0;   ///< mca_count * N_l^2 (sneak term)
@@ -108,6 +115,10 @@ class Executor {
     /// per-layer size; Mapping::layer_mca_size).  Exact for any legal size.
     double mca_size_d = 0.0;
     std::size_t buffer_bits = 0;  ///< iBUFF bits fed per activation
+    /// The group's entries [words_begin, words_end) of its layer's
+    /// slice_words_ table.
+    std::size_t words_begin = 0;
+    std::size_t words_end = 0;
   };
 
   const snn::Topology& topology_;
@@ -115,6 +126,12 @@ class Executor {
   noc::RouteTable routes_;
   noc::Fidelity fidelity_ = noc::Fidelity::kAnalytic;
   std::vector<std::vector<GroupConsts>> group_consts_;  ///< [layer][group]
+  /// Word-mask plan, [layer][entry]: each group's input slice as
+  /// (word, mask) pairs, so a group's active count is a sum of
+  /// popcount(word & mask).  A contiguous slice is its covered words; a
+  /// window is its per-(channel, row) bit runs, with runs that fall in the
+  /// same word merged into one entry.  Built once at construction.
+  std::vector<std::vector<SliceWord>> slice_words_;
   /// Deployed column-periphery count, sum over layers of mca_count * N_l —
   /// the leakage denominator.  Equals total_mcas * mca_size when the chip
   /// is homogeneous.

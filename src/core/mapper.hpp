@@ -53,6 +53,14 @@ struct InputSlice {
   // kWindow (in the layer's input shape)
   std::size_t y0 = 0, y1 = 0;  ///< inclusive row range
   std::size_t x0 = 0, x1 = 0;  ///< inclusive col range
+
+  /// True when the slice selects only neurons of a layer input shaped
+  /// `in`: a contiguous range ends at or before in.size(), a window's last
+  /// row and column lie inside the h x w plane.
+  bool within(const Shape3& in) const {
+    if (kind == SliceKind::kContiguous) return end <= in.size();
+    return y1 < in.h && x1 < in.w;
+  }
 };
 
 /// A group of MCAs that share one input slice (identical row drive).

@@ -1,9 +1,9 @@
 #include "snn/neuron.hpp"
 
 #include <algorithm>
-#include <bit>
 
 #include "common/error.hpp"
+#include "common/kernels.hpp"
 
 namespace resparc::snn {
 
@@ -97,7 +97,7 @@ std::size_t IfPopulation::step_packed(std::span<const float> current,
     // pack_lanes reads whole groups of eight lanes.
     std::fill(lanes + chunk, lanes + 64, std::uint8_t{0});
     const std::uint64_t word = pack_lanes(lanes, chunk);
-    fired += static_cast<std::size_t>(std::popcount(word));
+    fired += kernels::popcount64(word);
     out.set_word(base >> 6, word);
   }
   return fired;

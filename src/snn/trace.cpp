@@ -2,6 +2,8 @@
 
 #include <bit>
 
+#include "common/kernels.hpp"
+
 namespace resparc::snn {
 
 SpikeVector SpikeVector::from_bytes(std::span<const std::uint8_t> bytes) {
@@ -13,7 +15,7 @@ SpikeVector SpikeVector::from_bytes(std::span<const std::uint8_t> bytes) {
 
 std::size_t SpikeVector::count() const {
   std::size_t n = 0;
-  for (auto w : words_) n += static_cast<std::size_t>(std::popcount(w));
+  for (auto w : words_) n += kernels::popcount64(w);
   return n;
 }
 
@@ -39,7 +41,7 @@ std::size_t SpikeVector::count_range(std::size_t begin, std::size_t end) const {
       const std::size_t top = end - (w << 6);  // bits used in the last word
       if (top < 64) word &= (std::uint64_t{1} << top) - 1;
     }
-    n += static_cast<std::size_t>(std::popcount(word));
+    n += kernels::popcount64(word);
   }
   return n;
 }

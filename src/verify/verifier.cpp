@@ -551,6 +551,15 @@ void topology_pass(const CompiledProgram& p, const VerifyOptions& options,
                        std::to_string(p.mapping.layers[l].synapses) +
                        " synapses, the topology has " +
                        std::to_string(topo.layers()[l].synapses));
+    // Replay counts a group's active rows from its slice's input words,
+    // so a slice must select neurons that exist.
+    const auto& groups = p.mapping.layers[l].groups;
+    for (std::size_t g = 0; g < groups.size(); ++g)
+      if (!groups[g].slice.within(topo.layers()[l].in_shape))
+        report.error("RV-TOPO-SLICE-BOUNDS", group_loc(l, g),
+                     "group input slice lies outside the layer's " +
+                         std::to_string(topo.layers()[l].in_shape.size()) +
+                         "-neuron input");
   }
 }
 

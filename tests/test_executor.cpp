@@ -129,6 +129,14 @@ TEST(Executor, RejectsMismatchedTrace) {
   bad.layers[0].emplace_back(64);
   bad.layers[1].emplace_back(64);
   EXPECT_THROW(ex.run(bad), ConfigError);
+  // Replay reads each layer input's words by index: a narrower layer
+  // vector, or a layer with fewer steps, must be refused, not read past.
+  snn::SpikeTrace narrow = fx.traces[0];
+  narrow.layers[1].back() = snn::SpikeVector(32);
+  EXPECT_THROW(ex.run(narrow), ConfigError);
+  snn::SpikeTrace ragged = fx.traces[0];
+  ragged.layers[2].pop_back();
+  EXPECT_THROW(ex.run(ragged), ConfigError);
 }
 
 TEST(Executor, EnergyBreakdownSumsToTotal) {

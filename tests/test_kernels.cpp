@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <cstring>
 #include <span>
@@ -34,6 +35,27 @@ std::vector<float> random_vec(std::size_t n, Rng& rng, double lo = -1.0,
   std::vector<float> v(n);
   for (auto& x : v) x = static_cast<float>(rng.uniform(lo, hi));
   return v;
+}
+
+TEST(Kernels, Popcount64MatchesStdPopcount) {
+  // Either branch of popcount64 (std::popcount under __POPCNT__, the SWAR
+  // count otherwise) must agree with std::popcount on every word.
+  std::vector<std::uint64_t> words = {0, ~std::uint64_t{0},
+                                      0x5555555555555555ull,
+                                      0xaaaaaaaaaaaaaaaaull,
+                                      0x3333333333333333ull,
+                                      0x0f0f0f0f0f0f0f0full,
+                                      0x00ff00ff00ff00ffull,
+                                      0x00000000ffffffffull};
+  for (unsigned b = 0; b < 64; ++b) {
+    words.push_back(std::uint64_t{1} << b);
+    words.push_back(~(std::uint64_t{1} << b));
+  }
+  Rng rng(15);
+  for (int i = 0; i < 10000; ++i) words.push_back(rng());
+  for (const std::uint64_t w : words)
+    ASSERT_EQ(kernels::popcount64(w), static_cast<unsigned>(std::popcount(w)))
+        << std::hex << w;
 }
 
 TEST(Kernels, RowAdd4MatchesSequentialRowAddsBitForBit) {

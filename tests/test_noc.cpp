@@ -576,6 +576,54 @@ TEST(NocExecutor, RejectsRouteTableOfWrongSize) {
       ConfigError);
 }
 
+// --------------------------------------------------- word-mask slice plan --
+
+// The Executor counts a group's active rows from its (word, mask) plan; the
+// count must equal the per-row count_range walk on every group of every
+// layer, for every shipped mapping shape: contiguous MLP slices, same- and
+// valid-padding conv windows, pool windows, at any input density.
+TEST(NocExecutor, PlanCountsMatchPerRowSliceCounts) {
+  const snn::BenchmarkSpec specs[] = {snn::mnist_cnn(), snn::svhn_cnn(),
+                                      snn::mnist_mlp()};
+  bool odd_width = false;
+  bool window_crosses_word = false;
+  Rng rng(15);
+  for (const snn::BenchmarkSpec& spec : specs) {
+    const Topology& topo = spec.topology;
+    for (const char* strategy : {"paper", "greedy-pack", "anneal"}) {
+      const compile::CompiledProgram p =
+          compile::Compiler(core::default_config()).compile(topo, strategy);
+      const core::Executor ex(topo, p.mapping);
+      for (std::size_t l = 0; l < topo.layer_count(); ++l) {
+        const Shape3 in = topo.layers()[l].in_shape;
+        odd_width = odd_width || in.size() % 64 != 0;
+        const auto& groups = p.mapping.layers[l].groups;
+        for (const core::McaGroup& g : groups)
+          if (g.slice.kind == core::SliceKind::kWindow)
+            for (std::size_t c = 0; c < in.c; ++c)
+              for (std::size_t y = g.slice.y0; y <= g.slice.y1; ++y) {
+                const std::size_t base = (c * in.h + y) * in.w;
+                window_crosses_word =
+                    window_crosses_word ||
+                    (base + g.slice.x0) / 64 != (base + g.slice.x1) / 64;
+              }
+        for (const double density : {0.0, 0.02, 0.5, 1.0}) {
+          snn::SpikeVector spikes(in.size());
+          for (std::size_t i = 0; i < in.size(); ++i)
+            if (rng.uniform() < density) spikes.set(i);
+          for (std::size_t gi = 0; gi < groups.size(); ++gi)
+            ASSERT_EQ(ex.active_rows(l, gi, spikes),
+                      ref_active_in_slice(groups[gi].slice, in, spikes))
+                << topo.name() << "/" << strategy << " layer " << l
+                << " group " << gi << " density " << density;
+        }
+      }
+    }
+  }
+  EXPECT_TRUE(odd_width);
+  EXPECT_TRUE(window_crosses_word);
+}
+
 TEST(NocApi, BackendSurfacesFidelityAndLatencyBreakdown) {
   Fixture fx(512, 256);
   api::BackendOptions options;

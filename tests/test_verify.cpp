@@ -12,6 +12,7 @@
 #include "common/error.hpp"
 #include "compile/compiler.hpp"
 #include "compile/program.hpp"
+#include "core/executor.hpp"
 #include "snn/benchmarks.hpp"
 #include "verify/verifier.hpp"
 
@@ -214,6 +215,53 @@ TEST(VerifyTamper, InconsistentTotalsAreAConsistencyFinding) {
   const VerifyReport report = verify_program(program);
   EXPECT_FALSE(report.ok());
   EXPECT_TRUE(report.has("RV-CONS-TOTALS")) << report.to_string();
+}
+
+// An out-of-range input slice must be rejected by the topology pass and by
+// the Executor constructor, with the same code: replay indexes the slice's
+// input words directly.
+void expect_slice_rejected(const CompiledProgram& program,
+                           const snn::Topology& topology) {
+  VerifyOptions options;
+  options.topology = &topology;
+  const VerifyReport report = verify_program(program, options);
+  EXPECT_TRUE(report.has("RV-TOPO-SLICE-BOUNDS")) << report.to_string();
+  try {
+    const core::Executor executor(topology, program.mapping);
+    FAIL() << "the Executor must reject an out-of-range slice";
+  } catch (const ConfigError& e) {
+    EXPECT_EQ(e.code(), "RV-TOPO-SLICE-BOUNDS");
+  }
+}
+
+TEST(VerifyTamper, ContiguousSlicePastTheInputIsRejected) {
+  const snn::Topology topology = snn::mnist_mlp().topology;
+  CompiledProgram program = base_program();
+  auto& slice = program.mapping.layers[0].groups.back().slice;
+  ASSERT_EQ(slice.kind, core::SliceKind::kContiguous);
+  ASSERT_EQ(slice.end, topology.layers()[0].in_shape.size());
+  slice.end += 1;
+  expect_slice_rejected(program, topology);
+}
+
+TEST(VerifyTamper, WindowSlicePastTheInputIsRejected) {
+  const snn::Topology topology = snn::mnist_cnn().topology;
+  const CompiledProgram clean =
+      Compiler(core::default_config()).compile(topology, "paper");
+  const Shape3 in = topology.layers()[0].in_shape;
+  ASSERT_EQ(clean.mapping.layers[0].groups[0].slice.kind,
+            core::SliceKind::kWindow);
+  {
+    // A column past the row end would count bits of the next row.
+    CompiledProgram program = clean;
+    program.mapping.layers[0].groups[0].slice.x1 = in.w;
+    expect_slice_rejected(program, topology);
+  }
+  {
+    CompiledProgram program = clean;
+    program.mapping.layers[0].groups[0].slice.y1 = in.h;
+    expect_slice_rejected(program, topology);
+  }
 }
 
 // ------------------------------------------------------------- report API --
