@@ -395,15 +395,12 @@ RunReport Executor::run(const snn::SpikeTrace& trace,
   require(T > 0, "executor: empty trace");
   // The word-mask plan reads input words by index, so every layer input
   // must be as wide as the topology says.
-  for (std::size_t l = 0; l < trace.layer_count(); ++l) {
-    require(trace.layers[l].size() == T,
-            "executor: trace layers differ in length");
-    if (l == topology_.layer_count()) break;
-    const std::size_t width = topology_.layers()[l].in_shape.size();
+  for (const auto& steps : trace.layers)
+    require(steps.size() == T, "executor: trace layers differ in length");
+  for (std::size_t l = 0; l < topology_.layer_count(); ++l)
     for (const SpikeVector& v : trace.layers[l])
-      require(v.size() == width,
+      require(v.size() == topology_.layers()[l].in_shape.size(),
               "executor: trace layer width does not match the topology");
-  }
 
   const ReplayCosts costs = make_costs();
 
