@@ -1,6 +1,7 @@
 // Micro-benchmarks of the shared kernel layer (common/kernels.hpp):
 // naive scalar reference loops vs the blocked/vectorizable kernels, on
-// paper-scale shapes.  Tracked in the bench trajectory
+// paper-scale shapes, plus the simulator's IF update (step_packed) vs the
+// scalar per-neuron rule.  Tracked in the bench trajectory
 // (bench/trajectory/micro_kernels.json, docs/performance.md): each row
 // reports the naive and kernel wall time and their ratio, so kernel
 // regressions are visible across PRs and in CI.
@@ -22,6 +23,8 @@
 #include "common/kernels.hpp"
 #include "common/matrix.hpp"
 #include "common/rng.hpp"
+#include "snn/neuron.hpp"
+#include "snn/trace.hpp"
 
 namespace {
 
@@ -199,6 +202,48 @@ Row bench_row_accumulate(std::size_t reps) {
   return row;
 }
 
+Row bench_if_step_packed(std::size_t reps) {
+  // The MNIST-CNN first conv layer's IF population (52ch 28x28 = 40,768
+  // neurons) stepped with a drive that fires a fraction of it each step.
+  const std::size_t n = 40768, steps = 32;
+  Rng rng(stream_seed(bench::bench_seed(), 3));
+  std::vector<float> current(n);
+  for (auto& v : current) v = static_cast<float>(rng.uniform(-0.2, 0.6));
+  const snn::IfParams params;  // subtractive reset, no leak
+  const float vth = static_cast<float>(params.v_threshold);
+  const float vreset = static_cast<float>(params.v_reset);
+  std::vector<float> membrane(n, 0.0f);
+  snn::IfPopulation pop(n, params);
+  snn::SpikeVector spikes(n);
+
+  Row row;
+  row.kernel = "if_step_packed";
+  row.items = n * steps;
+  // Naive: the scalar byte rule, then one SpikeVector::set per spike.
+  row.naive_ms = min_ms(reps, [&] {
+    for (std::size_t t = 0; t < steps; ++t) {
+      spikes.reset(n);
+      for (std::size_t i = 0; i < n; ++i) {
+        float v = membrane[i] + current[i];
+        std::uint8_t fire = 0;
+        if (v >= vth) {
+          fire = 1;
+          v -= vth;
+          if (v < vreset) v = vreset;
+        }
+        membrane[i] = v;
+        if (fire) spikes.set(i);
+      }
+    }
+    g_sink_f = membrane[0] + static_cast<float>(spikes.words()[0]);
+  });
+  row.kernel_ms = min_ms(reps, [&] {
+    for (std::size_t t = 0; t < steps; ++t) pop.step_packed(current, spikes);
+    g_sink_f = pop.membrane(0) + static_cast<float>(spikes.words()[0]);
+  });
+  return row;
+}
+
 }  // namespace
 
 int main() {
@@ -212,6 +257,7 @@ int main() {
   rows.push_back(bench_conv_forward(reps));
   rows.push_back(bench_matvec(reps));
   rows.push_back(bench_row_accumulate(reps));
+  rows.push_back(bench_if_step_packed(reps));
 
   for (const Row& r : rows)
     std::printf("%-16s %12zu items | naive %9.4f ms | kernel %9.4f ms | "

@@ -3,23 +3,34 @@
 #include <algorithm>
 #include <cstring>
 
+// Function multi-versioning for the dispatched kernels (kernels.hpp,
+// docs/performance.md).  On x86-64 ELF targets each carries an x86-64-v3
+// clone next to the baseline one plus a resolver the loader runs once;
+// a baseline that already has AVX2 (RESPARC_NATIVE_ARCH on a recent
+// host) keeps its single body, which is at least as wide.
+#if defined(__x86_64__) && defined(__ELF__) && !defined(__AVX2__) && \
+    defined(__has_attribute)
+#if __has_attribute(target_clones)
+#define RESPARC_KERNEL_CLONES \
+  __attribute__((target_clones("arch=x86-64-v3", "default")))
+#endif
+#endif
+#ifndef RESPARC_KERNEL_CLONES
+#define RESPARC_KERNEL_CLONES
+#endif
+
 namespace resparc::kernels {
 
+RESPARC_KERNEL_CLONES
 void accumulate_rows(const float* w, std::size_t stride, std::size_t cols,
                      std::span<const std::uint32_t> rows, float* acc) {
-  std::size_t i = 0;
-  // Fused groups of four: per output element the adds still happen in
-  // ascending row order (see row_add4), so any grouping is bit-for-bit
-  // identical to the plain per-row loop — the fusion is free to change
-  // with no numeric effect.
-  for (; i + 4 <= rows.size(); i += 4) {
-    row_add4(acc, w + static_cast<std::size_t>(rows[i]) * stride,
-             w + static_cast<std::size_t>(rows[i + 1]) * stride,
-             w + static_cast<std::size_t>(rows[i + 2]) * stride,
-             w + static_cast<std::size_t>(rows[i + 3]) * stride, cols);
-  }
-  for (; i < rows.size(); ++i)
-    row_add(acc, w + static_cast<std::size_t>(rows[i]) * stride, cols);
+  accumulate_rows_body(w, stride, cols, rows, acc);
+}
+
+RESPARC_KERNEL_CLONES
+std::size_t if_step_words(const IfRule& r, float* m, const float* cur,
+                          std::uint64_t* words, std::size_t n) {
+  return if_step_words_body(r, m, cur, words, n);
 }
 
 void matvec_in_major(const float* w, std::size_t rows, std::size_t cols,

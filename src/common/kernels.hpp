@@ -16,6 +16,8 @@
 //     workspace (im2col) lives in a caller-owned Scratch arena.
 #pragma once
 
+#include <algorithm>
+#include <array>
 #include <bit>
 #include <cstddef>
 #include <cstdint>
@@ -89,6 +91,36 @@ inline void scaled_row_add(double* __restrict acc, double v,
   for (std::size_t i = 0; i < n; ++i) acc[i] += v * row[i];
 }
 
+/// The body of accumulate_rows.  Inline so that the runtime-dispatched
+/// entry compiles it once per vector width (see below) and a test can
+/// compile it at the baseline ISA to compare the two bit for bit.
+[[gnu::always_inline]] inline void accumulate_rows_body(
+    const float* __restrict w, std::size_t stride, std::size_t cols,
+    std::span<const std::uint32_t> rows, float* __restrict acc) {
+  std::size_t i = 0;
+  // Fused groups of four: per output element the adds still happen in
+  // ascending row order (see row_add4), so any grouping is bit-for-bit
+  // identical to the plain per-row loop — the fusion is free to change
+  // with no numeric effect.
+  for (; i + 4 <= rows.size(); i += 4) {
+    row_add4(acc, w + static_cast<std::size_t>(rows[i]) * stride,
+             w + static_cast<std::size_t>(rows[i + 1]) * stride,
+             w + static_cast<std::size_t>(rows[i + 2]) * stride,
+             w + static_cast<std::size_t>(rows[i + 3]) * stride, cols);
+  }
+  for (; i < rows.size(); ++i)
+    row_add(acc, w + static_cast<std::size_t>(rows[i]) * stride, cols);
+}
+
+// ------------------------------------------------ dispatched kernels --
+// accumulate_rows and if_step_words are the simulator's two per-step hot
+// passes.  On x86-64 they are compiled twice from the one inline body —
+// for x86-64-v3 (AVX2) and for the build's baseline — and the loader
+// binds the widest clone the CPU supports (GCC/Clang target_clones,
+// kernels.cpp).  Both clones give the same bits: the bodies fix the
+// per-element order of every addition and contain no multiply-add, so
+// vector width cannot change a result (docs/performance.md).
+
 /// Adds weight rows `rows` of the input-major matrix starting at `w`
 /// (row r begins at w + r*stride) onto `acc[0, cols)`: acc[c] += sum
 /// over rows of w[r][c], accumulated in the given row order (groups of
@@ -100,6 +132,112 @@ inline void scaled_row_add(double* __restrict acc, double v,
 /// touched output pixel with that pixel's weight-row list.
 void accumulate_rows(const float* w, std::size_t stride, std::size_t cols,
                      std::span<const std::uint32_t> rows, float* acc);
+
+/// The constants of one integrate-and-fire population, narrowed to float
+/// once per call (snn::IfParams holds them in double).
+struct IfRule {
+  float v_threshold = 1.0f;
+  float v_reset = 0.0f;
+  float leak = 0.0f;  ///< subtracted every step when > 0
+  bool subtractive_reset = true;
+};
+
+/// The IF rule for one neuron: integrate, optional leak, threshold,
+/// reset.  Updates membrane `m` and returns whether the neuron fired.
+/// The regime is a template parameter, so a loop over it has no branch
+/// and vectorises.  It is exactly the scalar rule
+///
+///   v = m + c;  if (leak) v = v > leak ? v - leak : 0;
+///   if (v >= vth) { fire; v = subtractive ? max(v - vth, vreset) : vreset; }
+///
+/// with std::max(a, b) = (a < b ? b : a), the "if (v < vreset) v =
+/// vreset" floor.  The leak is written max(0, v - leak): with gradual
+/// underflow v - leak > 0 exactly when v > leak (NaN and +-inf included),
+/// so the two agree bit for bit, and unlike the compare-and-select form
+/// GCC keeps it branch-free.
+template <bool Leak, bool Subtractive>
+[[gnu::always_inline]] inline bool if_fire(float& m, float cur, float vth,
+                                           float vreset, float leak) {
+  float v = m + cur;
+  if constexpr (Leak) v = std::max(0.0f, v - leak);
+  const bool f = v >= vth;
+  const float reset = Subtractive ? std::max(v - vth, vreset) : vreset;
+  m = f ? reset : v;
+  return f;
+}
+
+/// kLaneBit[j] = 1 << j.  ANDed with a lane's all-ones/all-zeros compare
+/// mask and OR-reduced, it builds a spike word from compare masks at any
+/// vector width (a per-lane shift `f << j` needs AVX2's variable shifts).
+inline constexpr auto kLaneBit = [] {
+  std::array<std::uint32_t, 32> bits{};
+  for (unsigned j = 0; j < 32; ++j) bits[j] = 1u << j;
+  return bits;
+}();
+
+/// Runs if_fire over 32 neurons and returns their spikes as one mask
+/// (neuron j -> bit j).  Fixed width, so the loop fully vectorises.
+template <bool Leak, bool Subtractive>
+[[gnu::always_inline]] inline std::uint32_t if_fire32(
+    float* __restrict m, const float* __restrict cur, float vth,
+    float vreset, float leak) {
+  std::uint32_t bits = 0;
+  for (std::size_t j = 0; j < 32; ++j)
+    bits |= kLaneBit[j] & (0u - std::uint32_t{if_fire<Leak, Subtractive>(
+                                   m[j], cur[j], vth, vreset, leak)});
+  return bits;
+}
+
+template <bool Leak, bool Subtractive>
+[[gnu::always_inline]] inline std::size_t if_step_words_regime(
+    const IfRule& r, float* __restrict m, const float* __restrict cur,
+    std::uint64_t* __restrict words, std::size_t n) {
+  const float vth = r.v_threshold, vreset = r.v_reset, leak = r.leak;
+  std::size_t fired = 0;
+  std::size_t base = 0;
+  for (; base + 64 <= n; base += 64) {
+    const std::uint64_t word =
+        if_fire32<Leak, Subtractive>(m + base, cur + base, vth, vreset,
+                                     leak) |
+        std::uint64_t{if_fire32<Leak, Subtractive>(
+            m + base + 32, cur + base + 32, vth, vreset, leak)}
+            << 32;
+    words[base >> 6] = word;
+    fired += popcount64(word);
+  }
+  if (base < n) {  // tail word: bits at and above n stay zero
+    std::uint64_t word = 0;
+    for (std::size_t j = 0; base + j < n; ++j)
+      word |= std::uint64_t{if_fire<Leak, Subtractive>(
+                  m[base + j], cur[base + j], vth, vreset, leak)}
+              << j;
+    words[base >> 6] = word;
+    fired += popcount64(word);
+  }
+  return fired;
+}
+
+/// The body of if_step_words: picks the leak/reset regime once, then
+/// runs it over all n neurons.
+[[gnu::always_inline]] inline std::size_t if_step_words_body(
+    const IfRule& r, float* __restrict m, const float* __restrict cur,
+    std::uint64_t* __restrict words, std::size_t n) {
+  if (r.leak > 0.0f)
+    return r.subtractive_reset
+               ? if_step_words_regime<true, true>(r, m, cur, words, n)
+               : if_step_words_regime<true, false>(r, m, cur, words, n);
+  return r.subtractive_reset
+             ? if_step_words_regime<false, true>(r, m, cur, words, n)
+             : if_step_words_regime<false, false>(r, m, cur, words, n);
+}
+
+/// Steps n IF neurons — membranes `m`, input currents `cur` — and writes
+/// their spikes as ceil(n/64) packed words (neuron i -> bit i%64 of word
+/// i/64; the tail word's bits at and above n are zero).  Every word is
+/// built from the compare masks of 64 neurons and stored once.  Returns
+/// the number of neurons that fired.
+std::size_t if_step_words(const IfRule& r, float* m, const float* cur,
+                          std::uint64_t* words, std::size_t n);
 
 /// out[c] = sum_r x[r] * w[r*cols + c] — input-major matvec (the layer
 /// forward convention, paper Fig. 2).  Zero-fills `out`, skips zero

@@ -62,10 +62,9 @@ void Mpe::send_currents() { ++counters_.ccu_out; }
 snn::SpikeVector Mpe::fire() {
   require(population_ != nullptr, "fire() on a helper mPE");
   const std::size_t n = population_->size();
-  std::vector<std::uint8_t> bytes(n, 0);
-  population_->step(std::span<const float>(accumulator_.data(), n), bytes);
-  snn::SpikeVector spikes = snn::SpikeVector::from_bytes(bytes);
-  const std::size_t fires = spikes.count();
+  snn::SpikeVector spikes(n);
+  const std::size_t fires = population_->step_packed(
+      std::span<const float>(accumulator_.data(), n), spikes);
   counters_.neuron_fires += fires;
   counters_.obuff_bits += spikes.word_count() * 64;
   return spikes;

@@ -32,7 +32,6 @@ FuzzCase make_fuzz_case(std::uint64_t seed) {
   // all-dense tail (matching how real stacks and the mapper expect it).
   std::size_t cur_h = h;
   std::size_t cur_w = w;
-  std::size_t cur_c = c;
   const std::size_t spatial = static_cast<std::size_t>(rng.range(0, 2));
   for (std::size_t i = 0; i < spatial; ++i) {
     const std::vector<std::size_t> pools = pool_choices(cur_h, cur_w);
@@ -53,7 +52,6 @@ FuzzCase make_fuzz_case(std::uint64_t seed) {
         cur_h = cur_h - k + 1;
         cur_w = cur_w - k + 1;
       }
-      cur_c = oc;
     }
     if (cur_h < 2 || cur_w < 2) break;
   }

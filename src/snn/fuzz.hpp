@@ -30,11 +30,11 @@ struct FuzzCase {
   std::size_t timesteps = 6;     ///< presentation length
   std::size_t mca_size = 64;     ///< crossbar size of the replayed chip
   EncoderConfig encoder{};       ///< input encoding (max_rate = sparsity)
-  std::vector<double> thresholds;  ///< per-layer v_threshold
+  std::vector<double> thresholds{};  ///< per-layer v_threshold
   double leak = 0.0;             ///< leak_per_step of non-pool layers
   bool subtractive = true;       ///< reset style of every layer
   float init_scale = 1.0f;       ///< weight init scale
-  std::vector<float> image;      ///< one input presentation, values in [0,1]
+  std::vector<float> image{};    ///< one input presentation, values in [0,1]
 
   /// One-line feature description ("seed=12 28x1x6x6 conv3+pool2+dense
   /// leak mca=128 T=7"), used by tools/fuzz_topology and the corpus notes.

@@ -39,10 +39,11 @@ class IfPopulation {
   std::size_t step(std::span<const float> current,
                    std::span<std::uint8_t> spikes_out);
 
-  /// Packed variant of step(): the same update loop, run 64 neurons at a
-  /// time into a lane mask that is packed into one word and stored with
-  /// SpikeVector::set_word — the producer side of the packed datapath
-  /// (docs/performance.md).  `out` must be sized to the population;
+  /// Packed variant of step(): the same rule, run by
+  /// kernels::if_step_words, which builds each 64-neuron spike word
+  /// straight from the compare masks and stores it once — the producer
+  /// side of the packed datapath (docs/performance.md).  `out` must be
+  /// sized to the population;
   /// every word is fully overwritten, so no stale bit survives from a
   /// previous step.  Returns the number of neurons that fired.
   /// Bit-for-bit the same spikes and membranes as step()

@@ -47,6 +47,11 @@ class SpikeVector {
   /// Raw packed words (the trailing word's unused bits are zero).
   std::span<const std::uint64_t> words() const { return words_; }
 
+  /// Writable packed words, for a producer that overwrites every word in
+  /// one pass (IfPopulation::step_packed via kernels::if_step_words).
+  /// The producer must leave bits at and above size() zero.
+  std::span<std::uint64_t> words_for_overwrite() { return words_; }
+
   /// Overwrites packed word `w` (bits [w*64, w*64+64) of the vector) in
   /// one store — the word-granular producer of the packed datapath
   /// (docs/performance.md).  Bits at and above size() are masked off

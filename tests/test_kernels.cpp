@@ -11,6 +11,7 @@
 #include <bit>
 #include <cstdint>
 #include <cstring>
+#include <limits>
 #include <span>
 #include <string>
 #include <vector>
@@ -112,6 +113,102 @@ TEST(Kernels, AccumulateRowsColumnSliceMatchesFullRun) {
   kernels::accumulate_rows(w.flat().data() + cut, cols, cols - cut, rows,
                            sliced.data() + cut);
   EXPECT_EQ(full, sliced);
+}
+
+/// Bitwise equality: unlike operator==, tells +0.0f from -0.0f, so an
+/// output the scatter must leave untouched cannot pass as a written zero.
+bool same_bits(std::span<const float> a, std::span<const float> b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
+}
+
+// The dispatched kernels run the widest clone this CPU supports (on an
+// AVX2 host the x86-64-v3 one); the inline bodies below are compiled at
+// this translation unit's baseline ISA — the code of the default clone.
+// The two must agree bit for bit, so results never depend on the host.
+TEST(Kernels, DispatchedAccumulateRowsMatchesBaselineBody) {
+  const float inf = std::numeric_limits<float>::infinity();
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  Rng rng(16);
+  // 52 and 64 are the MNIST-CNN conv gather widths; 37 leaves a tail at
+  // every vector width.  A stride wider than cols reads a column slice.
+  for (const std::size_t cols : {52u, 64u, 37u}) {
+    for (const std::size_t stride : {cols, cols + 11}) {
+      for (const std::size_t count : {0u, 1u, 3u, 4u, 7u, 9u, 25u}) {
+        Matrix w(40, stride);
+        for (float& v : w.flat()) v = static_cast<float>(rng.normal(0.0, 1.0));
+        w.flat()[3] = nan;
+        w.flat()[stride + 5] = inf;
+        w.flat()[2 * stride + 5] = -inf;
+        std::vector<std::uint32_t> rows;
+        for (std::size_t i = 0; i < count; ++i)
+          rows.push_back(static_cast<std::uint32_t>(rng.below(40)));
+        auto dispatched = random_vec(cols, rng);
+        auto baseline = dispatched;
+        kernels::accumulate_rows(w.flat().data(), stride, cols, rows,
+                                 dispatched.data());
+        kernels::accumulate_rows_body(w.flat().data(), stride, cols, rows,
+                                      baseline.data());
+        EXPECT_TRUE(same_bits(dispatched, baseline))
+            << "cols=" << cols << " stride=" << stride << " count=" << count;
+      }
+    }
+  }
+}
+
+TEST(Kernels, DispatchedIfStepWordsMatchesBaselineBody) {
+  // Every leak/reset regime; n = 1 (tail only), 64 (one full word), 130
+  // (two words plus a 2-bit tail).  v_reset > 0 makes subtractive resets
+  // undershoot onto the floor; NaN and +-inf drive fixed neurons.
+  const float inf = std::numeric_limits<float>::infinity();
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  Rng rng(17);
+  for (const float leak : {0.0f, 0.15f}) {
+    for (const bool subtractive : {true, false}) {
+      const kernels::IfRule rule{.v_threshold = 0.8f,
+                                 .v_reset = 0.25f,
+                                 .leak = leak,
+                                 .subtractive_reset = subtractive};
+      for (const std::size_t n : {1u, 64u, 130u}) {
+        const std::size_t nwords = (n + 63) / 64;
+        std::vector<float> m_dispatched(n, 0.0f), m_baseline(n, 0.0f);
+        // Stale bits: every word must be overwritten.
+        std::vector<std::uint64_t> w_dispatched(nwords, ~std::uint64_t{0});
+        std::vector<std::uint64_t> w_baseline(nwords, ~std::uint64_t{0});
+        for (int t = 0; t < 12; ++t) {
+          std::vector<float> current(n);
+          for (float& c : current) c = static_cast<float>(rng.uniform(-0.4, 1.2));
+          current[0] = t % 4 == 1 ? nan : current[0];
+          if (n > 66) {
+            current[3] = nan;
+            current[64] = inf;
+            current[65] = -inf;
+            current[66] = t % 3 == 0 ? inf : -inf;  // inf - inf = NaN
+          }
+          current[n - 1] = t % 2 == 0 ? inf : 0.3f;
+          const std::string label =
+              std::string(leak > 0 ? "leak" : "no-leak") +
+              (subtractive ? "/subtractive" : "/hard") +
+              " n=" + std::to_string(n) + " t=" + std::to_string(t);
+          const std::size_t fired = kernels::if_step_words(
+              rule, m_dispatched.data(), current.data(), w_dispatched.data(), n);
+          EXPECT_EQ(fired, kernels::if_step_words_body(
+                               rule, m_baseline.data(), current.data(),
+                               w_baseline.data(), n))
+              << label;
+          EXPECT_EQ(w_dispatched, w_baseline) << label;
+          EXPECT_TRUE(same_bits(m_dispatched, m_baseline)) << label;
+          std::size_t ones = 0;
+          for (const std::uint64_t w : w_dispatched)
+            ones += static_cast<std::size_t>(std::popcount(w));
+          EXPECT_EQ(ones, fired) << label;
+          if (n % 64 != 0) {
+            EXPECT_EQ(w_dispatched.back() >> (n % 64), 0u) << label;
+          }
+        }
+      }
+    }
+  }
 }
 
 TEST(Kernels, MatvecInMajorMatchesNaiveBitForBit) {
@@ -268,13 +365,6 @@ TEST(Kernels, ScatterAccumulatePartitionInvariant) {
 }
 
 constexpr float kZero = 0.0f;
-
-/// Bitwise equality: unlike operator==, tells +0.0f from -0.0f, so an
-/// output the scatter must leave untouched cannot pass as a written zero.
-bool same_bits(std::span<const float> a, std::span<const float> b) {
-  return a.size() == b.size() &&
-         std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
-}
 
 /// Input spikes with per-neuron probability `density` (0 = all silent).
 snn::SpikeVector random_spikes(std::size_t n, double density, Rng& rng) {
