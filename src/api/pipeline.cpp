@@ -172,21 +172,13 @@ Workload Pipeline::run() {
 
     // Presentations fan out over the persistent pool with one REUSED
     // simulator per worker (a reused simulator is bit-for-bit a fresh
-    // one, so results stay thread-count invariant).  When a single
-    // presentation dominates latency (n == 1, the paper-scale CNN case)
-    // the requested parallelism goes INSIDE the trace instead: the
-    // simulator partitions each big layer's scatter over the pool.
+    // one, so results stay thread-count invariant).
     ThreadPool& pool = ThreadPool::global();
     const std::size_t requested = resolve_threads(options_.threads, n);
     std::vector<std::unique_ptr<snn::Simulator>> sims(pool.width());
     const auto present = [&](std::size_t i, std::size_t worker) {
       auto& sim = sims[worker];
-      if (!sim) {
-        sim = std::make_unique<snn::Simulator>(net_ref, cfg);
-        if (n == 1 && options_.threads != 1)
-          sim->set_pool(&pool, resolve_threads(options_.threads,
-                                               pool.width()));
-      }
+      if (!sim) sim = std::make_unique<snn::Simulator>(net_ref, cfg);
       Rng rng(presentation_seed(options_.seed, i));
       snn::SimResult r = sim->run(test.images[i], rng);
       traces[i] = std::move(r.trace);

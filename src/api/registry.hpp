@@ -14,7 +14,7 @@
 //
 // Any RESPARC key accepts a "/<strategy>" suffix selecting the mapping
 // strategy the compile layer uses (compile/strategy.hpp: "paper",
-// "greedy-pack", "balanced", "auto", plus anything added through
+// "greedy-pack", "anneal", "beam", "auto", plus anything added through
 // compile::register_strategy); BackendOptions::strategy is the same
 // choice made programmatically.
 //
@@ -50,7 +50,8 @@ struct BackendOptions {
   core::ResparcConfig resparc = core::default_config();  ///< RESPARC slice
   cmos::FalconConfig cmos{};                             ///< CMOS slice
   /// Mapping strategy for crossbar backends ("paper", "greedy-pack",
-  /// "balanced", "auto", ...).  A `"/<strategy>"` key suffix overrides this.
+  /// "anneal", "beam", "auto", ...).  A `"/<strategy>"` key suffix
+  /// overrides this.
   /// Backends without a compile step (the CMOS baseline) ignore it.
   std::string strategy = "paper";
   /// Ml-NoC timing fidelity for the RESPARC fabric (docs/noc.md):

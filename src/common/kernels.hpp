@@ -10,8 +10,8 @@
 //   * a FIXED accumulation order: for every output element the floating-
 //     point additions happen in one documented order that does not depend
 //     on blocking, thread count, or call site.  Results are bit-for-bit
-//     deterministic and thread-invariant, which is what keeps every
-//     partitioning of the simulator's scatter bit-identical;
+//     deterministic and thread-invariant, which is what keeps the
+//     simulator's two scatter branches bit-identical;
 //   * no hidden allocation: kernels write into caller-provided buffers;
 //     workspace (im2col) lives in a caller-owned Scratch arena.
 #pragma once
@@ -126,7 +126,7 @@ inline void scaled_row_add(double* __restrict acc, double v,
 /// over rows of w[r][c], accumulated in the given row order (groups of
 /// four fused via row_add4 — bit-for-bit identical to one row_add per
 /// row).  `cols <= stride` lets a caller accumulate a column slice of a
-/// wider matrix (the simulator's within-trace partitioning).  This is
+/// wider matrix (the conv gather's output-channel blocks).  This is
 /// the simulator's dense-layer scatter, fed the active-bit list of a
 /// SpikeVector; the conv gather (snn/scatter.cpp) calls it once per
 /// touched output pixel with that pixel's weight-row list.

@@ -179,8 +179,7 @@ void ThreadPool::run_indexed(
   const std::size_t wake = std::min(im.worker_cap, workers_.size());
   lock.unlock();
   // Wake only as many workers as the job can use — a small capped job on
-  // a wide pool must not stampede every parked thread (the within-trace
-  // path publishes one job per layer per timestep).
+  // a wide pool must not stampede every parked thread.
   for (std::size_t t = 0; t < wake; ++t) im.cv_work.notify_one();
 
   t_inside_pool_job = true;

@@ -2,8 +2,8 @@
 //
 // Workers are spawned once and parked on a condition variable between
 // jobs, so a steady state of many small batches (api::Pipeline's per-
-// presentation fan-out, the simulator's within-trace partitioning) costs
-// no thread spawn/join per call.  Work items are claimed in contiguous
+// presentation fan-out, the mapping search's neighbourhood scoring)
+// costs no thread spawn/join per call.  Work items are claimed in contiguous
 // chunks from a shared atomic cursor, so the assignment of indices to
 // workers is nondeterministic — callers that need deterministic results
 // must make each item independent (own RNG, own output slot) and reduce
@@ -67,8 +67,8 @@ class ThreadPool {
                    const std::function<void(std::size_t, std::size_t)>& fn);
 
   /// The process-wide pool (one worker per hardware thread), spawned on
-  /// first use.  api::Pipeline and the simulator's within-trace
-  /// partitioning run all their batched work on this instance.
+  /// first use.  api::Pipeline runs all its batched work on this
+  /// instance.
   static ThreadPool& global();
 
  private:

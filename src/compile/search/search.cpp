@@ -166,8 +166,9 @@ class Decoder {
   /// Sequential placement with two NeuroCell rules: a size change bumps
   /// to a fresh cell (an mPE's peripheral pitch fits one array size —
   /// the verifier's RV-CAP-NC-MIXED-SIZE invariant), and an align-bit
-  /// layer that would straddle a cell but fits inside one also bumps
-  /// (the "balanced" placement rule, now a per-layer search move).
+  /// layer that would straddle a cell but fits inside one also bumps, so
+  /// its boundary traffic stays on the switch fabric instead of the
+  /// serial global bus.
   void place_genome(Mapping& m, const Genome& g) const {
     const std::size_t per_nc = config_.mpes_per_neurocell();
     std::size_t next_mpe = 0;

@@ -52,35 +52,6 @@ void place_packed(Mapping& m, const ResparcConfig& cfg) {
   m.utilization = static_cast<double>(synapses) / static_cast<double>(cells);
 }
 
-/// NeuroCell-aligned placement: a layer that would straddle a NeuroCell
-/// boundary but fits in a whole NeuroCell is pushed to the next boundary.
-/// Consecutive small layers then share one NeuroCell, and their boundary
-/// traffic stays on the switch fabric instead of the serial global bus.
-void place_aligned(Mapping& m, const ResparcConfig& cfg) {
-  const std::size_t per_nc = cfg.mpes_per_neurocell();
-  std::size_t next_mpe = 0;
-  std::size_t synapses = 0;
-  std::size_t cells = 0;
-  m.total_mcas = 0;
-  for (LayerMapping& lm : m.layers) {
-    // lm.mpe_count keeps the tiled (fresh-mPE) value; only the start moves.
-    const std::size_t nc_end = (next_mpe / per_nc + 1) * per_nc;
-    if (next_mpe + lm.mpe_count > nc_end && lm.mpe_count <= per_nc)
-      next_mpe = nc_end;  // align: whole layer inside one fresh NeuroCell
-    lm.first_mpe = next_mpe;
-    next_mpe += lm.mpe_count;
-    lm.first_nc = lm.first_mpe / per_nc;
-    lm.last_nc = (lm.first_mpe + lm.mpe_count - 1) / per_nc;
-    m.total_mcas += lm.mca_count;
-    synapses += lm.synapses;
-    const std::size_t n = lm.mca_size != 0 ? lm.mca_size : cfg.mca_size;
-    cells += lm.mca_count * n * n;
-  }
-  m.total_mpes = next_mpe;
-  m.total_neurocells = ceil_div(next_mpe, per_nc);
-  m.utilization = static_cast<double>(synapses) / static_cast<double>(cells);
-}
-
 }  // namespace
 
 // ------------------------------------------------------------- greedy tile --
@@ -174,22 +145,6 @@ class GreedyPackStrategy final : public MappingStrategy {
   }
 };
 
-/// Paper tiling with NeuroCell-aligned placement: trades a few idle mPE
-/// slots for fewer layer boundaries on the serial global bus.
-class BalancedStrategy final : public MappingStrategy {
- public:
-  std::string name() const override { return "balanced"; }
-
-  LayerMapping tile(const LayerInfo& li, std::size_t layer_index,
-                    const ResparcConfig& cfg) const override {
-    return core::tile_layer_paper(li, layer_index, cfg);
-  }
-
-  void place(Mapping& m, const ResparcConfig& cfg) const override {
-    place_aligned(m, cfg);
-  }
-};
-
 // ---------------------------------------------------------------- registry --
 
 NamedRegistry<StrategyFactory>& registry() {
@@ -199,8 +154,6 @@ NamedRegistry<StrategyFactory>& registry() {
     instance.set("paper", [] { return std::make_unique<PaperStrategy>(); });
     instance.set("greedy-pack",
                  [] { return std::make_unique<GreedyPackStrategy>(); });
-    instance.set("balanced",
-                 [] { return std::make_unique<BalancedStrategy>(); });
     // The optimizing strategies (src/compile/search): annealing / beam
     // search over tile policy, placement and per-layer MCA size.
     instance.set("anneal", [] { return search::make_anneal_strategy(); });

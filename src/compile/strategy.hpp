@@ -13,11 +13,10 @@
 //                  of the config flag, pool windows packed across
 //                  row/channel boundaries, MCAs packed into mPEs ignoring
 //                  layer-order boundaries
-//   "balanced"     paper tiling, but placement aligns layers to NeuroCell
-//                  boundaries so consecutive layers share a NeuroCell when
-//                  they fit — minimising inter-NeuroCell bus crossings
 //   "anneal"       simulated annealing over per-layer tile policy, MCA size
-//                  (heterogeneous mixes) and NeuroCell alignment, scored by
+//                  (heterogeneous mixes) and NeuroCell alignment (a layer
+//                  that would straddle a NeuroCell moves to a fresh one,
+//                  keeping its boundary traffic off the serial bus), scored by
 //                  a pluggable CostOracle (src/compile/search, docs/compile.md)
 //   "beam"         deterministic beam search over the same move space
 #pragma once

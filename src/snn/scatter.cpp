@@ -9,37 +9,19 @@ namespace resparc::snn {
 
 namespace {
 
-/// Even [begin, end) split of `n` elements for partition `part`/`parts`.
-struct Slice {
-  std::size_t begin;
-  std::size_t end;
-};
-
-Slice slice_of(std::size_t n, std::size_t part, std::size_t parts) {
-  const std::size_t base = n / parts;
-  const std::size_t extra = n % parts;
-  const std::size_t begin = part * base + std::min(part, extra);
-  return {begin, begin + base + (part < extra ? 1 : 0)};
-}
-
 /// The current one input spike adds to its avg-pool output.
 float pool_share(const LayerInfo& li) {
   const std::size_t p = li.spec.pool;
   return 1.0f / static_cast<float>(p * p);
 }
 
-/// Each event touches exactly one output, read from the plan's table;
-/// partition = output-index slice, membership-checked per event.
+/// Each event touches exactly one output, read from the plan's table.
 void scatter_pool(const ScatterPlan& plan,
                   std::span<const std::uint32_t> in_active,
-                  std::span<float> current, std::size_t part,
-                  std::size_t parts) {
+                  std::span<float> current) {
   const float share = pool_share(plan.layer());
-  const auto [b, e] = slice_of(plan.layer().out_shape.size(), part, parts);
-  for (const std::uint32_t idx : in_active) {
-    const std::size_t at = plan.pool_target(idx);
-    if (at >= b && at < e) current[at] += share;
-  }
+  for (const std::uint32_t idx : in_active)
+    current[plan.pool_target(idx)] += share;
 }
 
 }  // namespace
@@ -96,29 +78,24 @@ ScatterPlan::ScatterPlan(const LayerInfo& li) : li_(li) {
 }
 
 /// Output-stationary form of the convolution: every event appends its
-/// weight row c*k*k + tap to the list of each in-slice output pixel it
-/// feeds (ascending events, so each list is in ascending (c, ky, kx)
-/// order); then each touched pixel sums its list across all output
-/// channels with accumulate_rows into a stack accumulator that starts at
-/// +0.0f, and stores it into the CHW `current`.  Partition = output-pixel
-/// slice, so concurrent partitions write disjoint lists of one arena.
+/// weight row c*k*k + tap to the list of each output pixel it feeds
+/// (ascending events, so each list is in ascending (c, ky, kx) order);
+/// then each touched pixel sums its list across all output channels with
+/// accumulate_rows into a stack accumulator that starts at +0.0f, and
+/// stores it into the CHW `current`.
 void gather_conv(ScatterPlan& plan, const Matrix& w,
                  std::span<const std::uint32_t> in_active,
-                 std::span<float> current, std::size_t part,
-                 std::size_t parts) {
+                 std::span<float> current) {
   const Shape3 in = plan.li_.in_shape;
   const Shape3 out = plan.li_.out_shape;
   const std::size_t plane = out.h * out.w;
   const std::size_t cap = plan.li_.fan_in;
-  const auto [p0, p1] = slice_of(plane, part, parts);
-  if (p1 == p0) return;
   std::uint32_t* const rows = plan.rows_.data();
   std::uint32_t* const counts = plan.counts_.data();
 
   ChannelCursor cursor(in.h * in.w);
   for (const std::uint32_t idx : in_active) {
     plan.for_each_tap(idx, cursor, [&](std::size_t row, std::size_t pixel) {
-      if (pixel < p0 || pixel >= p1) return;
       assert(counts[pixel] < cap);  // a repeated event would overflow
       rows[pixel * cap + counts[pixel]++] = static_cast<std::uint32_t>(row);
     });
@@ -128,7 +105,7 @@ void gather_conv(ScatterPlan& plan, const Matrix& w,
   // the whole list in order, so the blocking has no numeric effect.
   constexpr std::size_t kBlock = 128;
   float acc[kBlock] = {};
-  for (std::size_t pixel = p0; pixel < p1; ++pixel) {
+  for (std::size_t pixel = 0; pixel < plane; ++pixel) {
     const std::size_t n = counts[pixel];
     if (n == 0) continue;
     counts[pixel] = 0;
@@ -145,22 +122,17 @@ void gather_conv(ScatterPlan& plan, const Matrix& w,
 
 void scatter_accumulate(ScatterPlan& plan, const Matrix& w,
                         std::span<const std::uint32_t> in_active,
-                        std::span<float> current, std::size_t part,
-                        std::size_t parts) {
+                        std::span<float> current) {
   switch (plan.layer().spec.kind) {
-    case LayerKind::kDense: {
-      // Partition = column slice; every event drives every column, so the
-      // slice just narrows the accumulate width.
-      const auto [c0, c1] = slice_of(w.cols(), part, parts);
-      kernels::accumulate_rows(w.flat().data() + c0, w.cols(), c1 - c0,
-                               in_active, current.data() + c0);
+    case LayerKind::kDense:
+      kernels::accumulate_rows(w.flat().data(), w.cols(), w.cols(), in_active,
+                               current.data());
       break;
-    }
     case LayerKind::kConv:
-      gather_conv(plan, w, in_active, current, part, parts);
+      gather_conv(plan, w, in_active, current);
       break;
     case LayerKind::kAvgPool:
-      scatter_pool(plan, in_active, current, part, parts);
+      scatter_pool(plan, in_active, current);
       break;
   }
 }

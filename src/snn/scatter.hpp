@@ -13,13 +13,6 @@
 // weight row) is read from a per-layer ScatterPlan that the engine builds
 // once, so the per-event work is table loads and adds — no divisions, no
 // border tests.
-//
-// The `part/parts` pair partitions the OUTPUT space (dense columns, conv
-// output pixels, pool output indices) so the simulator can spread one
-// big layer across pool workers: each output element is written by
-// exactly one partition and sees its additions in the exact order the
-// unpartitioned call would use, so results are partition-count
-// invariant.
 #pragma once
 
 #include <cassert>
@@ -102,8 +95,7 @@ class ScatterPlan {
 
  private:
   friend void gather_conv(ScatterPlan&, const Matrix&,
-                          std::span<const std::uint32_t>, std::span<float>,
-                          std::size_t, std::size_t);
+                          std::span<const std::uint32_t>, std::span<float>);
 
   LayerInfo li_;
   std::vector<std::uint32_t> pool_target_;  ///< avg-pool: in idx -> out idx
@@ -118,23 +110,18 @@ class ScatterPlan {
 
 /// Scatters the fan-out of `in_active` (strictly ascending input indices,
 /// as append_active() emits them) of the layer `plan` was built for, with
-/// weight matrix `w` (empty for pool layers), into `current`, writing
-/// only the outputs owned by partition `part` of `parts`.
+/// weight matrix `w` (empty for pool layers), into `current`.
 ///
-/// Precondition: every output of the partition is +0.0f.  Dense and pool
-/// layers add onto it.  Conv layers gather: each event appends its weight
-/// row to the list of every output pixel it feeds, then each touched
-/// pixel sums its list into a small accumulator with
-/// kernels::accumulate_rows and writes it into `current` (CHW); untouched
-/// outputs are not written.  A conv partition is an output-pixel slice
-/// (all channels of those pixels).  Either way each output gets its
-/// additions in ascending input-index order starting from +0.0f.  The
-/// partitions of one call may run concurrently on one plan: each writes
-/// only its own pixels' lists.
+/// Precondition: every output is +0.0f.  Dense and pool layers add onto
+/// it.  Conv layers gather: each event appends its weight row to the list
+/// of every output pixel it feeds, then each touched pixel sums its list
+/// into a small accumulator with kernels::accumulate_rows and writes it
+/// into `current` (CHW); untouched outputs are not written.  Either way
+/// each output gets its additions in ascending input-index order starting
+/// from +0.0f.
 void scatter_accumulate(ScatterPlan& plan, const Matrix& w,
                         std::span<const std::uint32_t> in_active,
-                        std::span<float> current, std::size_t part = 0,
-                        std::size_t parts = 1);
+                        std::span<float> current);
 
 /// Touched form of scatter_accumulate for conv and avg-pool layers:
 /// adds the fan-out of `in_active` straight into `current` (which must be

@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "common/error.hpp"
-#include "common/thread_pool.hpp"
 #include "snn/scatter.hpp"
 
 namespace resparc::snn {
@@ -15,7 +14,7 @@ struct Simulator::Layer {
   IfPopulation pop;
   std::vector<float> current;  ///< +0.0f everywhere between steps
   SpikeVector out;             ///< spikes of the latest step
-  ScatterPlan plan;            ///< scatter tables (pool-shared)
+  ScatterPlan plan;            ///< scatter tables
   /// Most outputs one input event can write: k*k*out_c for conv, 1 for
   /// avg-pool.
   std::size_t fan_out = 0;
@@ -61,40 +60,9 @@ struct Simulator::Layer {
 Simulator::Simulator(const Network& net, SimConfig config)
     : net_(net), config_(config), encoder_(config.encoder) {
   require(config_.timesteps > 0, "simulator needs timesteps > 0");
-  // One reusable pool job: run_indexed takes it by const reference, so
-  // the pooled steady state allocates nothing per call.
-  pool_fn_ = [this](std::size_t part, std::size_t /*worker*/) {
-    scatter_accumulate(layers_[pool_job_layer_].plan,
-                       net_.layer(pool_job_layer_).weights, pool_job_active_,
-                       pool_job_current_, part, pool_parts_);
-  };
 }
 
 Simulator::~Simulator() = default;
-
-void Simulator::set_pool(ThreadPool* pool, std::size_t parts,
-                         std::size_t min_outputs) {
-  pool_ = pool;
-  pool_parts_ = pool == nullptr ? 1
-               : parts == 0    ? pool->width()
-                               : std::min(parts, pool->width());
-  pool_min_outputs_ = min_outputs;
-}
-
-void Simulator::accumulate_active(std::size_t l,
-                                  std::span<const std::uint32_t> active,
-                                  std::span<float> current) {
-  const LayerInfo& li = net_.topology().layers()[l];
-  if (pool_ != nullptr && pool_parts_ > 1 && li.neurons >= pool_min_outputs_ &&
-      !active.empty()) {
-    pool_job_layer_ = l;
-    pool_job_active_ = active;
-    pool_job_current_ = current;
-    pool_->run_indexed(pool_parts_, pool_parts_, pool_fn_);
-    return;
-  }
-  scatter_accumulate(layers_[l].plan, net_.layer(l).weights, active, current);
-}
 
 void Simulator::ensure_layers() {
   const Topology& topo = net_.topology();
@@ -173,7 +141,7 @@ void Simulator::run(std::span<const float> image, Rng& rng, SimResult& out) {
 std::size_t Simulator::step_stepped(std::size_t l,
                                     std::span<const std::uint32_t> active) {
   Layer& layer = layers_[l];
-  accumulate_active(l, active, layer.current);
+  scatter_accumulate(layer.plan, net_.layer(l).weights, active, layer.current);
   const std::size_t fired = layer.pop.step_packed(layer.current, layer.out);
   std::fill(layer.current.begin(), layer.current.end(), 0.0f);
   layer.lists_valid = false;

@@ -31,7 +31,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <span>
 #include <string>
 #include <vector>
@@ -83,18 +82,12 @@ class Simulator {
   /// performs zero heap allocations (tests/test_allocation.cpp).
   void run(std::span<const float> image, Rng& rng, SimResult& out);
 
-  /// Enables within-trace parallelism: layers with at least
-  /// `min_outputs` neurons spread their stepped-branch event scatter
-  /// over `parts` output partitions on `pool` (0 = pool width).  Results
-  /// are bit-for-bit identical with any pool/parts value — each output
-  /// element is written by exactly one partition in the serial order
-  /// (docs/performance.md).  Pass nullptr to disable (the default).
-  void set_pool(ThreadPool* pool, std::size_t parts = 0,
-                std::size_t min_outputs = kMinPooledOutputs);
-
-  /// Default set_pool() layer-size gate: paper-scale CNN feature maps
-  /// qualify, MLP layers (where one presentation is already cheap) don't.
-  static constexpr std::size_t kMinPooledOutputs = 8192;
+  /// Kept for source compatibility; does nothing.  One presentation
+  /// always runs on the calling thread: partitioning a layer's scatter
+  /// over a pool was slower than one thread at every measured size
+  /// (docs/performance.md).  Parallelism comes from running
+  /// presentations concurrently, one Simulator per worker.
+  void set_pool(ThreadPool* /*pool*/, std::size_t /*parts*/ = 0) {}
 
   /// Branch crossover: a conv/pool step takes the touched branch while
   /// events x fan-out (the most outputs the step can write) stays below
@@ -112,11 +105,6 @@ class Simulator {
   /// Per-layer engine state (defined in simulator.cpp).
   struct Layer;
 
-  /// Scatters the active list of layer l's input into `current` —
-  /// partitioned over the pool when enabled, serial otherwise.
-  void accumulate_active(std::size_t l, std::span<const std::uint32_t> active,
-                         std::span<float> current);
-
   /// Builds (first run) or clears (reuse) the per-layer state.
   void ensure_layers();
 
@@ -130,17 +118,6 @@ class Simulator {
   const Network& net_;
   SimConfig config_;
   RateEncoder encoder_;
-
-  // Within-trace parallelism (set_pool).
-  ThreadPool* pool_ = nullptr;
-  std::size_t pool_parts_ = 1;
-  std::size_t pool_min_outputs_ = kMinPooledOutputs;
-  /// Pre-built pool job reading pool_job_*; reusing one std::function
-  /// keeps the pooled steady state allocation-free.
-  std::function<void(std::size_t, std::size_t)> pool_fn_;
-  std::size_t pool_job_layer_ = 0;                 ///< layer being scattered
-  std::span<const std::uint32_t> pool_job_active_; ///< its input events
-  std::span<float> pool_job_current_;              ///< its output buffer
 
   // Per-presentation scratch, hoisted so the steady state is
   // allocation-free (buffers only ever grow).

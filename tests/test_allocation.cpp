@@ -15,7 +15,6 @@
 #include <new>
 #include <vector>
 
-#include "common/thread_pool.hpp"
 #include "core/executor.hpp"
 #include "core/mapper.hpp"
 #include "snn/benchmarks.hpp"
@@ -124,15 +123,12 @@ class AllocationSteadyState : public ::testing::Test {
   }
 
   /// Warm presentation, then a bit-identical second one with counting on.
-  /// A non-null `pool` partitions every layer's scatter in two.
-  std::size_t second_presentation_allocations(double rate,
-                                              ThreadPool* pool = nullptr) {
+  std::size_t second_presentation_allocations(double rate) {
     snn::SimConfig cfg;
     cfg.timesteps = 4;
     cfg.encoder.max_rate = rate;
     cfg.record_trace = false;  // traces are a deliverable, not steady state
     snn::Simulator sim(*net_, cfg);
-    if (pool != nullptr) sim.set_pool(pool, 2, 0);
     snn::SimResult result;
     Rng warm_rng(42);
     sim.run(image_, warm_rng, result);
@@ -160,11 +156,6 @@ TEST_F(AllocationSteadyState, PackedSimulateSecondPresentationAllocatesNothing) 
   for (std::size_t l = 0; l < net_->layer_count(); ++l)
     net_->layer(l).neuron.leak_per_step = 0.01;
   EXPECT_EQ(second_presentation_allocations(0.02), 0u);
-}
-
-TEST_F(AllocationSteadyState,
-       PooledDenseSimulateSecondPresentationAllocatesNothing) {
-  EXPECT_EQ(second_presentation_allocations(1.0, &ThreadPool::global()), 0u);
 }
 
 TEST_F(AllocationSteadyState, ExecutorReplaySecondRunAllocatesNothing) {

@@ -75,7 +75,6 @@ TEST(Registry, UnknownNameThrowsListingAlternatives) {
     EXPECT_NE(what.find("strategies"), std::string::npos);
     EXPECT_NE(what.find("paper"), std::string::npos);
     EXPECT_NE(what.find("greedy-pack"), std::string::npos);
-    EXPECT_NE(what.find("balanced"), std::string::npos);
     EXPECT_NE(what.find("anneal"), std::string::npos);
     EXPECT_NE(what.find("beam"), std::string::npos);
   }
@@ -90,7 +89,6 @@ TEST(Registry, UnknownStrategySuffixThrowsListingStrategies) {
     EXPECT_NE(what.find("no-such-strategy"), std::string::npos);
     EXPECT_NE(what.find("paper"), std::string::npos);
     EXPECT_NE(what.find("greedy-pack"), std::string::npos);
-    EXPECT_NE(what.find("balanced"), std::string::npos);
     EXPECT_NE(what.find("anneal"), std::string::npos);
     EXPECT_NE(what.find("beam"), std::string::npos);
   }

@@ -62,7 +62,7 @@ void expect_mappings_equal(const Mapping& a, const Mapping& b) {
 TEST(StrategyRegistry, BuiltinsAreRegistered) {
   const auto names = registered_strategies();
   for (const char* expected :
-       {"paper", "greedy-pack", "balanced", "anneal", "beam"})
+       {"paper", "greedy-pack", "anneal", "beam"})
     EXPECT_NE(std::find(names.begin(), names.end(), expected), names.end())
         << expected;
   EXPECT_TRUE(strategy_exists("paper"));
@@ -188,34 +188,6 @@ TEST(GreedyPack, PacksMcasAcrossLayerBoundaries) {
   EXPECT_EQ(greedy.mapping.total_mpes, 1u);
 }
 
-TEST(Balanced, NeverMoreBusBoundariesThanPaper) {
-  for (const auto& spec : snn::paper_benchmarks()) {
-    for (const std::size_t mca : {32u, 64u, 128u}) {
-      const Compiler compiler(core::config_with_mca(mca));
-      const CompiledProgram paper = compiler.compile(spec.topology, "paper");
-      const CompiledProgram balanced =
-          compiler.compile(spec.topology, "balanced");
-      EXPECT_LE(balanced.cost.bus_boundaries, paper.cost.bus_boundaries)
-          << spec.topology.name() << " N=" << mca;
-    }
-  }
-}
-
-TEST(Balanced, AlignsStraddlingLayerToAFreshNeurocell) {
-  // 192-wide dense layers are 9 MCAs = 3 mPEs each: the sixth layer would
-  // straddle mPE 15/16 (the NeuroCell edge); balanced pushes it to
-  // NeuroCell 1 so the following boundary stays on the switch fabric.
-  std::vector<LayerSpec> layers(7, LayerSpec::dense(192));
-  Topology t("straddle", Shape3{1, 1, 192}, layers);
-  const core::ResparcConfig cfg = core::config_with_mca(64);
-  const Compiler compiler(cfg);
-  const CompiledProgram paper = compiler.compile(t, "paper");
-  const CompiledProgram balanced = compiler.compile(t, "balanced");
-  EXPECT_LT(balanced.cost.bus_boundaries, paper.cost.bus_boundaries);
-  for (const auto& lm : balanced.mapping.layers)
-    EXPECT_EQ(lm.first_nc, lm.last_nc) << "layer " << lm.layer;
-}
-
 // --------------------------------------------------------------- cost model --
 
 TEST(CostModel, ScoresTrackMcaSizeTradeoffOnCnn) {
@@ -252,7 +224,8 @@ TEST(CompilerAuto, PicksTheBestScoringStrategy) {
 TEST(ProgramSerialization, RoundTripsThroughAStream) {
   const auto spec = snn::mnist_cnn();
   const core::ResparcConfig cfg = core::config_with_mca(64);
-  const CompiledProgram p = Compiler(cfg).compile(spec.topology, "greedy-pack");
+  const CompiledProgram p =
+      Compiler(cfg).compile(spec.topology, "greedy-pack");
 
   std::stringstream ss;
   p.save(ss);
@@ -275,13 +248,14 @@ TEST(ProgramSerialization, RoundTripsThroughAStream) {
 TEST(ProgramSerialization, RoundTripsThroughAFile) {
   const auto spec = snn::mnist_mlp();
   const core::ResparcConfig cfg = core::default_config();
-  const CompiledProgram p = Compiler(cfg).compile(spec.topology, "balanced");
+  const CompiledProgram p =
+      Compiler(cfg).compile(spec.topology, "greedy-pack");
 
   const std::string path = ::testing::TempDir() + "/mnist_mlp.rcp";
   ASSERT_TRUE(p.save_file(path));
   const CompiledProgram q = CompiledProgram::load_file(path, cfg);
   expect_mappings_equal(q.mapping, p.mapping);
-  EXPECT_EQ(q.strategy, "balanced");
+  EXPECT_EQ(q.strategy, "greedy-pack");
 }
 
 TEST(ProgramSerialization, RejectsConfigFingerprintMismatch) {
@@ -413,9 +387,9 @@ TEST_F(CompiledWorkload, StrategySuffixSelectsTheStrategy) {
   EXPECT_EQ(backend->program().strategy, "greedy-pack");
 
   api::BackendOptions options;
-  options.strategy = "balanced";
+  options.strategy = "beam";
   const auto via_options = api::make_accelerator("resparc", options);
-  EXPECT_EQ(via_options->name(), "RESPARC-64/balanced");
+  EXPECT_EQ(via_options->name(), "RESPARC-64/beam");
 }
 
 TEST_F(CompiledWorkload, LoadProgramUpdatesStrategyAndName) {

@@ -336,34 +336,6 @@ TEST(Kernels, Im2colZeroFillsOutOfImageTaps) {
   EXPECT_EQ(col[0 * 4 + 3], 1.0f);
 }
 
-TEST(Kernels, ScatterAccumulatePartitionInvariant) {
-  // Every layer kind, odd sizes: the partitioned scatter must reassemble
-  // the serial result bit-for-bit for any partition count.
-  const Topology topo("scatter", Shape3{3, 8, 8},
-                      {LayerSpec::conv(5, 3, true), LayerSpec::avg_pool(2),
-                       LayerSpec::dense(23)});
-  snn::Network net(topo);
-  Rng rng(7);
-  net.init_random(rng, 1.0f);
-
-  for (std::size_t l = 0; l < topo.layer_count(); ++l) {
-    const auto& li = topo.layers()[l];
-    std::vector<std::uint32_t> active;
-    for (std::size_t i = 0; i < li.in_shape.size(); i += 3)
-      active.push_back(static_cast<std::uint32_t>(i));
-    snn::ScatterPlan plan(li);
-    std::vector<float> serial(li.neurons, 0.0f);
-    snn::scatter_accumulate(plan, net.layer(l).weights, active, serial);
-    for (const std::size_t parts : {2u, 3u, 7u}) {
-      std::vector<float> split(li.neurons, 0.0f);
-      for (std::size_t p = 0; p < parts; ++p)
-        snn::scatter_accumulate(plan, net.layer(l).weights, active, split, p,
-                                parts);
-      EXPECT_EQ(serial, split) << "layer " << l << " parts " << parts;
-    }
-  }
-}
-
 constexpr float kZero = 0.0f;
 
 /// Input spikes with per-neuron probability `density` (0 = all silent).
@@ -374,21 +346,18 @@ snn::SpikeVector random_spikes(std::size_t n, double density, Rng& rng) {
   return in;
 }
 
-/// Runs scatter_accumulate over every partition count, and the touched
-/// form once, on one plan and compares each result bitwise with `want`.
-/// The touched list must name each written output exactly once.
+/// Runs scatter_accumulate and its touched form on one plan and compares
+/// each result bitwise with `want`.  The touched list must name each
+/// written output exactly once.
 void expect_scatter_matches(snn::ScatterPlan& plan, const Matrix& w,
                             const snn::SpikeVector& in,
                             const std::vector<float>& want,
                             const std::string& label) {
   std::vector<std::uint32_t> active;
   in.append_active(active);
-  for (const std::size_t parts : {1u, 2u, 3u, 7u}) {
-    std::vector<float> by_index(plan.layer().neurons, 0.0f);
-    for (std::size_t p = 0; p < parts; ++p)
-      snn::scatter_accumulate(plan, w, active, by_index, p, parts);
-    EXPECT_TRUE(same_bits(want, by_index)) << label << " parts " << parts;
-  }
+  std::vector<float> by_index(plan.layer().neurons, 0.0f);
+  snn::scatter_accumulate(plan, w, active, by_index);
+  EXPECT_TRUE(same_bits(want, by_index)) << label;
   std::vector<float> by_touch(plan.layer().neurons, 0.0f);
   std::vector<std::uint32_t> stamp(plan.layer().neurons, 0);
   std::vector<std::uint32_t> touched;

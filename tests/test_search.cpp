@@ -1,8 +1,9 @@
 // Contract tests of the search-based mapping strategies
 // (src/compile/search, docs/compile.md): thread-count determinism of the
-// searched programs, the heterogeneous-MCA verifier invariants the
-// search relies on (exact RV-* codes), bit-for-bit engine parity on
-// mixed-size chips, and the SearchOptions sanitisation/env seams.
+// searched programs, NeuroCell-aligned placement, the heterogeneous-MCA
+// verifier invariants the search relies on (exact RV-* codes),
+// bit-for-bit engine parity on mixed-size chips, and the SearchOptions
+// sanitisation/env seams.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -129,6 +130,33 @@ TEST(SearchHeterogeneous, MixedSizeProgramRoundTripsThroughTheBlob) {
               program.mapping.layers[l].mca_size) << "layer " << l;
     EXPECT_EQ(reparsed.mapping.layer_mca_size(l),
               program.mapping.layer_mca_size(l)) << "layer " << l;
+  }
+}
+
+// -------------------------------------------------------- NeuroCell align --
+
+// 192-wide dense layers are 9 MCAs = 3 mPEs each at MCA-64, so the paper
+// placement lets the sixth layer straddle mPE 15/16 (the NeuroCell edge).
+// The align gene moves such a layer to a fresh NeuroCell; both searches
+// must use it to place every layer inside one cell with fewer boundaries
+// on the serial bus than the paper mapper.
+TEST(SearchPlacement, AlignGeneKeepsEveryLayerInsideOneNeurocell) {
+  const std::vector<snn::LayerSpec> layers(7, snn::LayerSpec::dense(192));
+  const snn::Topology topology("straddle", Shape3{1, 1, 192}, layers);
+  const Compiler compiler(core::config_with_mca(64));
+  compile::register_strategy("test-anneal-align", [] {
+    return compile::search::make_anneal_strategy(SearchOptions{});
+  });
+  compile::register_strategy("test-beam-align", [] {
+    return compile::search::make_beam_strategy(SearchOptions{});
+  });
+  const CompiledProgram paper = compiler.compile(topology, "paper");
+  for (const char* name : {"test-anneal-align", "test-beam-align"}) {
+    const CompiledProgram searched = compiler.compile(topology, name);
+    EXPECT_LT(searched.cost.bus_boundaries, paper.cost.bus_boundaries)
+        << name;
+    for (const auto& lm : searched.mapping.layers)
+      EXPECT_EQ(lm.first_nc, lm.last_nc) << name << " layer " << lm.layer;
   }
 }
 

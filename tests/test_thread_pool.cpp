@@ -18,8 +18,6 @@
 #include "api/pipeline.hpp"
 #include "common/thread_pool.hpp"
 #include "snn/benchmarks.hpp"
-#include "snn/network.hpp"
-#include "snn/simulator.hpp"
 
 namespace resparc {
 namespace {
@@ -115,47 +113,9 @@ TEST(ThreadPool, ParallelForMatchesSerialAndRethrows) {
                std::runtime_error);
 }
 
-TEST(ThreadPool, WithinTracePartitioningIsBitForBit) {
-  // A simulator spreading its per-layer scatter over pool partitions must
-  // produce the exact trace of the serial run (the partitioned scatter is
-  // element-order preserving; docs/performance.md).
-  const snn::Topology topo =
-      snn::small_cnn_topology(snn::DatasetKind::kMnistLike);
-  snn::Network net(topo);
-  Rng wrng(31);
-  net.init_random(wrng, 1.0f);
-  net.set_uniform_threshold(1.2);
-  std::vector<float> img(topo.input_shape().size());
-  for (auto& p : img) p = static_cast<float>(wrng.uniform(0.0, 1.0));
-
-  snn::SimConfig cfg;
-  cfg.timesteps = 5;
-  snn::Simulator serial(net, cfg);
-  Rng r1(32);
-  const snn::SimResult want = serial.run(img, r1);
-
-  ThreadPool pool(4);
-  snn::Simulator pooled(net, cfg);
-  pooled.set_pool(&pool, 0, /*min_outputs=*/1);  // partition every layer
-  Rng r2(32);
-  const snn::SimResult got = pooled.run(img, r2);
-
-  EXPECT_EQ(got.output_spike_counts, want.output_spike_counts);
-  EXPECT_EQ(got.total_spikes, want.total_spikes);
-  ASSERT_EQ(got.trace.layers.size(), want.trace.layers.size());
-  for (std::size_t l = 0; l < want.trace.layers.size(); ++l) {
-    for (std::size_t t = 0; t < want.trace.layers[l].size(); ++t) {
-      const auto a = got.trace.layers[l][t].words();
-      const auto b = want.trace.layers[l][t].words();
-      ASSERT_TRUE(std::equal(a.begin(), a.end(), b.begin(), b.end()))
-          << "layer " << l << " step " << t;
-    }
-  }
-}
-
 TEST(ThreadPool, PipelineSinglePresentationUsesPoolDeterministically) {
-  // n == 1 routes the requested parallelism inside the trace; the
-  // workload must equal the threads=1 run bit-for-bit.
+  // A single presentation with threads = 4 must equal the threads = 1
+  // run bit-for-bit: one presentation always runs on one thread.
   api::PipelineOptions opt;
   opt.images = 1;
   opt.timesteps = 6;

@@ -7,16 +7,18 @@ bench/trajectory/README.md:
     {
       "bench": "<name>",            # bench identifier
       "schema_version": 1,
-      "commit": "<sha or unknown>", # RESPARC_GIT_COMMIT at generation time
+      "commit": "<sha>",            # RESPARC_GIT_COMMIT at generation time
       "config": { ... },            # knobs the run was generated with
       "metrics": { "results": [ {row}, ... ] }
     }
 
-The validator checks the envelope, the per-bench required row fields, and
-(for bench_sparse_execution) the semantic acceptance properties: the
-simulator's throughput rising with input sparsity (with slack for timing
-jitter) and at least a 2x speedup over the rate-1.0 row somewhere in the
->= 90%-sparsity regime.
+The validator checks the envelope (a snapshot whose commit is "unknown"
+cannot be tied to the code that produced it and is rejected), the
+per-bench required row fields, and each bench's semantic acceptance
+properties, e.g. for bench_sparse_execution the simulator's throughput
+rising with input sparsity (with slack for timing jitter) and at least a
+2x speedup over the rate-1.0 row somewhere in the >= 90%-sparsity
+regime.
 
 Usage: validate_trajectory.py FILE [FILE...]
 Exits non-zero listing every violation.
@@ -107,6 +109,10 @@ def validate_envelope(doc, path, errors):
         return None
     if not doc["commit"]:
         fail(errors, path, "empty commit field")
+    elif doc["commit"] == "unknown":
+        fail(errors, path,
+             "commit is 'unknown': regenerate with RESPARC_GIT_COMMIT set "
+             "or from a configured git checkout")
     results = doc["metrics"].get("results")
     if not isinstance(results, list) or not results:
         fail(errors, path, "metrics.results must be a non-empty list")
@@ -224,6 +230,38 @@ def validate_serving_semantics(results, path, errors):
              f"multi-tenant aggregate {best:.1f} req/s below "
              f"{SERVING_MIN_SCALING}x the single-tenant baseline "
              f"({baseline[0]['throughput_rps']:.1f} req/s)")
+
+
+def validate_mapping_ablation_semantics(results, path, errors):
+    """The strategy-set acceptance property (docs/compile.md): in every
+    (benchmark, MCA) cell the better of the two searches ('anneal',
+    'beam') spends no more energy per classification than either one-shot
+    mapper ('paper', 'greedy-pack').  Energy is a deterministic replay
+    output, so no slack is needed."""
+    needed = ("benchmark", "mca", "strategy", "energy_uj")
+    rows = [r for r in results
+            if isinstance(r, dict) and all(k in r for k in needed)]
+    if len(rows) != len(results):
+        fail(errors, path, "ablation rows need benchmark, mca, strategy "
+                           "and energy_uj")
+        return
+    cells = {}
+    for row in rows:
+        key = (row["benchmark"], row["mca"])
+        cells.setdefault(key, {})[row["strategy"]] = row["energy_uj"]
+    for (benchmark, mca), energy in sorted(cells.items()):
+        label = f"{benchmark} MCA-{mca}"
+        missing = [s for s in ("paper", "greedy-pack", "anneal", "beam")
+                   if s not in energy]
+        if missing:
+            fail(errors, path, f"{label}: no row for {', '.join(missing)}")
+            continue
+        searched = min(energy["anneal"], energy["beam"])
+        for one_shot in ("paper", "greedy-pack"):
+            if searched > energy[one_shot]:
+                fail(errors, path,
+                     f"{label}: best search energy {searched} uJ above "
+                     f"{one_shot} ({energy[one_shot]} uJ)")
 
 
 def validate_micro_kernel_semantics(results, path, errors):
@@ -353,6 +391,8 @@ def validate_file(path, errors):
         validate_pipeline_semantics(results, path, errors)
     if doc["bench"] == "micro_kernels":
         validate_micro_kernel_semantics(results, path, errors)
+    if doc["bench"] == "ablation_mapping_strategy":
+        validate_mapping_ablation_semantics(results, path, errors)
     if doc["bench"] == "bench_noc_contention":
         validate_noc_contention_semantics(results, path, errors)
     if doc["bench"] == "bench_serving":
