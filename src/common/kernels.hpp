@@ -136,10 +136,10 @@ void accumulate_rows(const float* w, std::size_t stride, std::size_t cols,
 /// The constants of one integrate-and-fire population, narrowed to float
 /// once per call (snn::IfParams holds them in double).
 struct IfRule {
-  float v_threshold = 1.0f;
-  float v_reset = 0.0f;
+  float v_threshold = 1.0f;  ///< fires when the membrane reaches this
+  float v_reset = 0.0f;      ///< hard-reset value; floor of a subtractive one
   float leak = 0.0f;  ///< subtracted every step when > 0
-  bool subtractive_reset = true;
+  bool subtractive_reset = true;  ///< fire subtracts v_threshold (else reset)
 };
 
 /// The IF rule for one neuron: integrate, optional leak, threshold,
@@ -188,6 +188,9 @@ template <bool Leak, bool Subtractive>
   return bits;
 }
 
+/// if_step_words for one fixed leak/reset regime: full 64-neuron words
+/// from two if_fire32 masks, then a scalar tail word.  Returns the
+/// number of neurons that fired.
 template <bool Leak, bool Subtractive>
 [[gnu::always_inline]] inline std::size_t if_step_words_regime(
     const IfRule& r, float* __restrict m, const float* __restrict cur,

@@ -14,22 +14,6 @@ using core::LayerMapping;
 using core::Mapping;
 using core::McaGroup;
 
-namespace {
-
-std::size_t word_count(std::size_t bits) { return (bits + 63) / 64; }
-
-/// Expected number of non-zero 64-bit words of a spike vector whose bits
-/// are independently set with probability `activity` — what the zero-check
-/// logic forwards in event-driven mode.
-double expected_sent_words(std::size_t words, double activity,
-                           bool event_driven) {
-  if (!event_driven) return static_cast<double>(words);
-  const double p_zero_word = std::pow(1.0 - activity, 64.0);
-  return static_cast<double>(words) * (1.0 - p_zero_word);
-}
-
-}  // namespace
-
 CostEstimate estimate_cost(const snn::Topology& topology,
                            const core::Mapping& mapping,
                            double activity) {

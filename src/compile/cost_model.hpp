@@ -10,12 +10,29 @@
 // not a substitute for trace-driven execution.
 #pragma once
 
+#include <cmath>
+#include <cstddef>
+
 #include "compile/program.hpp"
 #include "core/mapper.hpp"
 #include "noc/route.hpp"
 #include "snn/topology.hpp"
 
 namespace resparc::compile {
+
+/// 64-bit words needed to carry `bits` spikes.
+inline std::size_t word_count(std::size_t bits) { return (bits + 63) / 64; }
+
+/// Expected number of non-zero 64-bit words of a spike vector whose bits
+/// are independently set with probability `activity` — what the zero-check
+/// logic forwards in event-driven mode (every word otherwise).  Shared by
+/// estimate_cost and search::AnalyticOracle.
+inline double expected_sent_words(std::size_t words, double activity,
+                                  bool event_driven) {
+  if (!event_driven) return static_cast<double>(words);
+  const double p_zero_word = std::pow(1.0 - activity, 64.0);
+  return static_cast<double>(words) * (1.0 - p_zero_word);
+}
 
 /// Estimates per-timestep energy and pipelined cycles of `mapping` at a
 /// uniform spike `activity` (fraction of neurons spiking each step),

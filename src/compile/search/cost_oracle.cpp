@@ -5,6 +5,7 @@
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
+#include "compile/cost_model.hpp"
 #include "core/executor.hpp"
 #include "noc/fabric.hpp"
 
@@ -13,22 +14,6 @@ namespace resparc::compile::search {
 using core::LayerMapping;
 using core::Mapping;
 using core::McaGroup;
-
-namespace {
-
-std::size_t word_count(std::size_t bits) { return (bits + 63) / 64; }
-
-/// Expected non-zero 64-bit words of an independent-Bernoulli spike vector
-/// (what the zero-check logic forwards in event-driven mode); same closed
-/// form as the cost model's.
-double expected_sent_words(std::size_t words, double activity,
-                           bool event_driven) {
-  if (!event_driven) return static_cast<double>(words);
-  const double p_zero_word = std::pow(1.0 - activity, 64.0);
-  return static_cast<double>(words) * (1.0 - p_zero_word);
-}
-
-}  // namespace
 
 // ------------------------------------------------------------ AnalyticOracle
 

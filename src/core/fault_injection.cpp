@@ -76,8 +76,8 @@ void perturb_network(snn::Network& network, const Mapping& mapping) {
             const std::size_t cell = (r % n) * n + (c % n);
             float v = w(r, c);
             if (steps > 0) {
-              // Quantise the magnitude to the configured level count,
-              // mirroring Mca::program's device discretisation.
+              // Quantise the magnitude to the configured level count
+              // (the device discretisation of snn::quantize_network).
               const float m = std::clamp(std::abs(v) / scale, 0.0f, 1.0f);
               v = std::copysign(
                   std::round(m * static_cast<float>(steps)) /

@@ -64,19 +64,6 @@ class SpikeVector {
     words_[w] = bits;
   }
 
-  /// 64-bit window starting at bit `begin`: bit j of the result is bit
-  /// `begin + j` of the vector; bits past size() read as zero.  The
-  /// unaligned word extraction the packed MCA read path uses (crossbar
-  /// slices start at arbitrary input offsets).
-  std::uint64_t window(std::size_t begin) const {
-    const std::size_t w = begin >> 6;
-    if (w >= words_.size()) return 0;
-    const std::size_t s = begin & 63;
-    std::uint64_t out = words_[w] >> s;
-    if (s != 0 && w + 1 < words_.size()) out |= words_[w + 1] << (64 - s);
-    return out;
-  }
-
   /// Number of set bits.
   std::size_t count() const;
 

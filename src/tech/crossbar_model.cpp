@@ -1,6 +1,5 @@
 #include "tech/crossbar_model.hpp"
 
-#include <bit>
 #include <cmath>
 #include <cstdint>
 
@@ -69,32 +68,6 @@ void CrossbarModel::read_currents(std::span<const std::uint8_t> spikes,
     for (auto& i : currents_out) i *= atten;
 }
 
-void CrossbarModel::read_currents(std::span<const std::uint64_t> spike_words,
-                                  std::span<double> currents_out) const {
-  if (spike_words.size() < (rows_ + 63) / 64 || currents_out.size() != cols_)
-    throw ShapeError("CrossbarModel::read_currents: span size mismatch");
-  for (auto& i : currents_out) i = 0.0;
-  const double v = device_.params().read_voltage_v;
-  // Same ascending row order as the byte overload — identical float
-  // accumulation sequence; the tail word is masked so bits past rows()
-  // never select a row.
-  for (std::size_t base = 0; base < rows_; base += 64) {
-    std::uint64_t word = spike_words[base >> 6];
-    const std::size_t chunk = rows_ - base;
-    if (chunk < 64) word &= (std::uint64_t{1} << chunk) - 1;
-    while (word) {
-      const std::size_t r =
-          base + static_cast<std::size_t>(std::countr_zero(word));
-      word &= word - 1;
-      kernels::scaled_row_add(currents_out.data(), v, g_.data() + r * cols_,
-                              cols_);
-    }
-  }
-  const double atten = worst_case_ir_attenuation();
-  if (atten < 1.0)
-    for (auto& i : currents_out) i *= atten;
-}
-
 double CrossbarModel::read_energy_pj(std::span<const std::uint8_t> spikes) const {
   if (spikes.size() != rows_)
     throw ShapeError("CrossbarModel::read_energy_pj: span size mismatch");
@@ -127,12 +100,6 @@ double CrossbarModel::conductance_at(std::size_t r, std::size_t c) const {
   if (r >= rows_ || c >= cols_)
     throw ShapeError("CrossbarModel::conductance_at out of range");
   return g_[r * cols_ + c];
-}
-
-void CrossbarModel::set_conductance(std::size_t r, std::size_t c, double g) {
-  if (r >= rows_ || c >= cols_)
-    throw ShapeError("CrossbarModel::set_conductance out of range");
-  g_[r * cols_ + c] = g;
 }
 
 }  // namespace resparc::tech

@@ -55,14 +55,6 @@ class CrossbarModel {
   void read_currents(std::span<const std::uint8_t> spikes,
                      std::span<double> currents_out) const;
 
-  /// Packed-word overload: `spike_words` holds the row spikes bit-packed
-  /// little-endian (bit r%64 of word r/64 = row r, the SpikeVector layout);
-  /// bits at or beyond rows() are ignored.  Active rows decode in ascending
-  /// order, so the result is bit-for-bit what the byte overload computes
-  /// (tests/test_packed_kernels.cpp).
-  void read_currents(std::span<const std::uint64_t> spike_words,
-                     std::span<double> currents_out) const;
-
   /// Energy (pJ) of one read with the given spike pattern: active rows
   /// dissipate V^2 G t in every device on the row; unselected rows leak the
   /// configured sneak fraction.
@@ -80,11 +72,6 @@ class CrossbarModel {
 
   /// Programmed conductance of one device (siemens).
   double conductance_at(std::size_t r, std::size_t c) const;
-
-  /// Overwrites the programmed conductance of one device (siemens);
-  /// the mutation hook tech::FaultModel::perturb pins stuck cells and
-  /// applies variation through after program().
-  void set_conductance(std::size_t r, std::size_t c, double g);
 
  private:
   std::size_t rows_;

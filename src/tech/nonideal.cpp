@@ -5,7 +5,6 @@
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
-#include "tech/crossbar_model.hpp"
 
 namespace resparc::tech {
 namespace {
@@ -100,36 +99,6 @@ double FaultModel::energy_scale(std::size_t mca_id, double stuck_on_ratio,
     }
   }
   return faults.cells.empty() ? 1.0 : sum / static_cast<double>(faults.cells.size());
-}
-
-void FaultModel::perturb(CrossbarModel& crossbar, std::size_t mca_id) const {
-  require(crossbar.rows() <= mca_size_ && crossbar.cols() <= mca_size_,
-          "FaultModel::perturb: crossbar exceeds mca_size");
-  const McaFaults faults = sample(mca_id);
-  const Memristor& device = crossbar.device();
-  const double g_min = device.g_min();
-  const double g_max = device.g_max();
-  const double span = g_max - g_min;
-  const int steps = config_.weight_bits > 0 ? (1 << config_.weight_bits) - 1 : 0;
-  for (std::size_t r = 0; r < crossbar.rows(); ++r) {
-    for (std::size_t c = 0; c < crossbar.cols(); ++c) {
-      const std::size_t cell = r * mca_size_ + c;
-      double g = crossbar.conductance_at(r, c);
-      if (steps > 0) {
-        // Re-quantise to the configured (coarser) level count.
-        const double m = std::clamp((g - g_min) / span, 0.0, 1.0);
-        g = g_min + std::round(m * steps) / steps * span;
-      }
-      switch (faults.cells[cell]) {
-        case CellFault::kStuckOff: g = g_min; break;
-        case CellFault::kStuckOn: g = g_max; break;
-        case CellFault::kNone:
-          g = std::clamp(g * faults.gain[cell], g_min, g_max);
-          break;
-      }
-      crossbar.set_conductance(r, c, g);
-    }
-  }
 }
 
 std::size_t ChipHealthMap::failed_count() const {

@@ -24,8 +24,6 @@
 
 namespace resparc::tech {
 
-class CrossbarModel;
-
 /// Per-chip fault-injection knobs (all off by default).  Lives on
 /// core::ResparcConfig as `faults`; when `enabled` is false the whole
 /// layer is inert and the configuration fingerprint, compiled programs
@@ -115,13 +113,6 @@ class FaultModel {
   /// device), stuck-off cells `stuck_off_ratio` (= G_min/G_mean).
   double energy_scale(std::size_t mca_id, double stuck_on_ratio,
                       double stuck_off_ratio) const;
-
-  /// Applies the slot's faults to a programmed electrical crossbar:
-  /// optional re-quantisation to `weight_bits` levels, then stuck cells
-  /// pinned to G_min/G_max and healthy cells scaled by their gain
-  /// (clamped to the device range).  The crossbar must fit in
-  /// mca_size x mca_size.
-  void perturb(CrossbarModel& crossbar, std::size_t mca_id) const;
 
  private:
   McaFaults sample_impl(std::size_t mca_id, bool materialize) const;

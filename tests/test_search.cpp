@@ -2,11 +2,13 @@
 // (src/compile/search, docs/compile.md): thread-count determinism of the
 // searched programs, NeuroCell-aligned placement, the heterogeneous-MCA
 // verifier invariants the search relies on (exact RV-* codes),
-// bit-for-bit engine parity on mixed-size chips, and the SearchOptions
+// bit-for-bit engine parity on mixed-size chips, the analytic oracle's
+// agreement with compile::estimate_cost, and the SearchOptions
 // sanitisation/env seams.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdlib>
 #include <sstream>
 #include <string>
@@ -17,7 +19,9 @@
 #include "api/registry.hpp"
 #include "common/rng.hpp"
 #include "compile/compiler.hpp"
+#include "compile/cost_model.hpp"
 #include "compile/program.hpp"
+#include "compile/search/cost_oracle.hpp"
 #include "compile/search/search.hpp"
 #include "compile/strategy.hpp"
 #include "core/config.hpp"
@@ -251,6 +255,37 @@ TEST(SearchDifferential, MixedSizeProgramsReplayIdenticallyOnAllEngines) {
   // The sweep must actually exercise heterogeneous mixes somewhere, or
   // the parity claim above is vacuous for mixed-size chips.
   EXPECT_GE(mixed_cases, 1u);
+}
+
+// -------------------------------------------------------- analytic oracle --
+
+// AnalyticOracle restates estimate_cost term by term, regrouped per layer
+// so it can memoise the placement-independent part.  The regrouping only
+// reorders float additions, so the two scores agree to rounding on every
+// paper benchmark, array size, one-shot strategy and activity.
+TEST(SearchOracle, AnalyticScoreMatchesEstimateCost) {
+  for (const snn::BenchmarkSpec& spec : snn::paper_benchmarks()) {
+    for (const std::size_t mca : {32u, 64u, 128u}) {
+      const Compiler compiler(core::config_with_mca(mca));
+      for (const char* strategy : {"paper", "greedy-pack"}) {
+        const CompiledProgram program =
+            compiler.compile(spec.topology, strategy);
+        for (const double activity : {0.02, 0.1, 0.5}) {
+          const double expected =
+              compile::estimate_cost(spec.topology, program.mapping,
+                                     program.routes, activity)
+                  .score();
+          const double actual =
+              compile::search::AnalyticOracle(spec.topology,
+                                              program.mapping.config, activity)
+                  .score(program.mapping, program.routes, {});
+          EXPECT_LE(std::abs(actual - expected), 1e-12 * std::abs(expected))
+              << spec.topology.name() << " mca=" << mca << " " << strategy
+              << " activity=" << activity;
+        }
+      }
+    }
+  }
 }
 
 // ------------------------------------------------------------- options --

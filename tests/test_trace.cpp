@@ -123,22 +123,6 @@ TEST(SpikeVector, SetWordMasksTailBits) {
   EXPECT_EQ(full.count(), 64u);
 }
 
-TEST(SpikeVector, WindowMatchesBitScan) {
-  SpikeVector v(150);
-  for (std::size_t i = 0; i < 150; i += 7) v.set(i);
-  for (std::size_t begin : {0u, 1u, 63u, 64u, 65u, 100u, 140u, 149u}) {
-    const std::uint64_t w = v.window(begin);
-    for (std::size_t j = 0; j < 64; ++j) {
-      const std::size_t i = begin + j;
-      const bool expected = i < v.size() && v.get(i);
-      EXPECT_EQ((w >> j) & 1u, expected ? 1u : 0u)
-          << "begin=" << begin << " j=" << j;
-    }
-  }
-  // Past the end: all zero.
-  EXPECT_EQ(v.window(192), 0u);
-}
-
 TEST(SpikeTrace, ActivityAndCounts) {
   SpikeTrace trace;
   trace.layers.resize(2);
