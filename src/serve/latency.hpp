@@ -82,7 +82,7 @@ class LatencyRecorder {
  public:
   /// The tracked stages, in report order.
   enum class Stage : std::size_t {
-    kQueue = 0,   ///< submit -> batch dispatch (admission + window wait)
+    kQueue = 0,   ///< submit -> dispatch (admission + wait for a free replica)
     kBatch,       ///< wall time of the request's whole batch execution
     kCompute,     ///< accelerator model "compute" bucket
     kTransport,   ///< accelerator model "transport" bucket

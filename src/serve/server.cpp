@@ -180,11 +180,8 @@ void Server::dispatcher_loop(std::size_t id) {
   for (;;) {
     if (stop_ && pending_ == 0) return;
 
-    const auto now = Clock::now();
     TenantState* pick = nullptr;
     TenantState* doomed = nullptr;
-    bool window_pending = false;
-    auto earliest = Clock::time_point::max();
     const std::size_t n = tenant_order_.size();
     for (std::size_t k = 0; k < n && pick == nullptr; ++k) {
       TenantState* t = tenant_order_[(rr + k) % n];
@@ -196,17 +193,8 @@ void Server::dispatcher_loop(std::size_t id) {
         break;
       }
       if (t->free_replicas.empty()) continue;
-      const bool ready =
-          stop_ || draining_ > 0 || t->queue.size() >= config_.batch_max ||
-          now - t->queue.front().submitted >= config_.batch_window;
-      if (ready) {
-        pick = t;
-        rr = (rr + k + 1) % n;
-      } else {
-        window_pending = true;
-        earliest = std::min(earliest,
-                            t->queue.front().submitted + config_.batch_window);
-      }
+      pick = t;
+      rr = (rr + k + 1) % n;
     }
 
     if (doomed != nullptr) {
@@ -225,14 +213,12 @@ void Server::dispatcher_loop(std::size_t id) {
     }
 
     if (pick == nullptr) {
-      if (window_pending)
-        cv_.wait_until(lock.native(), earliest);
-      else
-        cv_.wait(lock.native());
+      cv_.wait(lock.native());
       continue;
     }
 
-    // Form the batch and check out a replica.
+    // Work-conserving: take whatever backlog is queued, up to batch_max,
+    // and check out a replica.
     const std::size_t take = std::min(config_.batch_max, pick->queue.size());
     std::vector<Pending> batch;
     batch.reserve(take);
@@ -419,10 +405,7 @@ void Server::execute_batch(TenantState& tenant, std::size_t replica,
 
 void Server::drain() {
   MutexLock lock(mutex_);
-  ++draining_;
-  cv_.notify_all();  // bypass the batch window for partial batches
   while (pending_ != 0 || inflight_ != 0) cv_.wait(lock.native());
-  --draining_;
 }
 
 void Server::shutdown() {

@@ -13,11 +13,11 @@
 // The moving parts:
 //  * Admission: per-tenant bounded FIFO queues; a full queue rejects the
 //    submit with RS-QUEUE-FULL instead of blocking the producer.
-//  * Batch formation: a request is dispatched when its tenant has
-//    batch_max requests queued OR the oldest one has waited batch_window
-//    (time/size-windowed batching).  Requests execute per-trace, so how
-//    a batch was cut can never change any result — only amortised
-//    scheduling cost (test-enforced batch-window invariance).
+//  * Batch formation: work-conserving.  A dispatcher that finds a tenant
+//    with queued requests and a free replica takes up to batch_max of
+//    them at once, so batches form only from backlog, while every
+//    replica of the tenant is busy.  Requests execute per-trace, so how
+//    a batch was cut can never change any result (test-enforced).
 //  * Replicas: each tenant owns `replicas` loaded accelerator instances;
 //    RESPARC tenants compile once through the shared ProgramCache and
 //    load the same program into every replica.
@@ -72,9 +72,6 @@ struct ServerConfig {
   std::size_t queue_capacity = 64;
   /// Maximum requests per formed batch.
   std::size_t batch_max = 8;
-  /// Maximum time the oldest queued request waits before its batch is
-  /// dispatched anyway (0 = dispatch immediately).
-  std::chrono::microseconds batch_window{200};
   /// ThreadPool workers per batch execution (1 = execute inline on the
   /// dispatcher; >1 fans the batch over the global pool, the small-burst
   /// pattern tests/test_thread_pool.cpp stresses).
@@ -143,8 +140,7 @@ class Server {
   std::future<Response> submit(SessionId session, Request request);
 
   /// Blocks until every admitted request has been executed and
-  /// published (forces out partial batches without waiting for their
-  /// window to expire).
+  /// published.
   void drain();
 
   /// Rejects new work (RS-SHUTDOWN), drains the queues and stops the
@@ -218,7 +214,6 @@ class Server {
   mutable Mutex mutex_;
   std::condition_variable cv_;  ///< dispatchers + drain() park here
   bool stop_ RESPARC_GUARDED_BY(mutex_) = false;
-  std::size_t draining_ RESPARC_GUARDED_BY(mutex_) = 0;
   std::size_t pending_ RESPARC_GUARDED_BY(mutex_) = 0;   ///< queued requests
   std::size_t inflight_ RESPARC_GUARDED_BY(mutex_) = 0;  ///< batches executing
   ServerStats stats_ RESPARC_GUARDED_BY(mutex_);

@@ -1,8 +1,9 @@
 // The multi-tenant serving subsystem (src/serve, docs/serving.md): RS-*
 // error codes asserted by Error::code(), warm/corrupt program-cache
 // behaviour with its hit counters, per-session ordered delivery, batch-
-// window invariance of per-request results, cross-session determinism
-// under co-tenant load, and the latency recorder's HDR quantiles.
+// formation invariance of per-request results, tenants that cannot stall
+// each other, cross-session determinism under co-tenant load, and the
+// latency recorder's HDR quantiles.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -10,7 +11,9 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <future>
+#include <memory>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -90,6 +93,47 @@ std::string code_of(Fn&& fn) {
   return "";
 }
 
+/// Parks the dispatcher that publishes a session's first response.
+/// on_response callbacks run on the publishing dispatcher before the
+/// promise is set, so a callback that blocks holds that dispatcher and
+/// its replica until release(): later work queues behind it with no
+/// timing assumption.  Destroying the gate releases it, so a failed
+/// assertion cannot hang the server's shutdown.
+class FirstResponseGate {
+ public:
+  FirstResponseGate() = default;
+  FirstResponseGate(const FirstResponseGate&) = delete;
+  FirstResponseGate& operator=(const FirstResponseGate&) = delete;
+  ~FirstResponseGate() { release(); }
+
+  /// The callback to install as SessionOptions::on_response.
+  std::function<void(const Response&)> callback() const {
+    return [state = state_](const Response&) {
+      if (state->first.exchange(false)) {
+        state->entered.set_value();
+        state->released.wait();
+      }
+    };
+  }
+  /// Blocks until a dispatcher is parked on the first response.
+  void wait_entered() { entered_.wait(); }
+  /// Lets the parked dispatcher go (idempotent).
+  void release() {
+    if (!state_->release_called.exchange(true)) state_->release.set_value();
+  }
+
+ private:
+  struct State {
+    std::atomic<bool> first{true};
+    std::atomic<bool> release_called{false};
+    std::promise<void> entered;
+    std::promise<void> release;
+    std::shared_future<void> released = release.get_future().share();
+  };
+  std::shared_ptr<State> state_ = std::make_shared<State>();
+  std::future<void> entered_ = state_->entered.get_future();
+};
+
 /// A per-test scratch directory under the gtest temp root.
 std::string scratch_dir(const std::string& name) {
   const std::string dir = ::testing::TempDir() + "resparc_serve_" + name;
@@ -128,27 +172,28 @@ TEST_F(ServeTest, ErrorCodesAreStable) {
 }
 
 TEST_F(ServeTest, FullQueueRejectsWithCode) {
-  // A huge batch_max + window means nothing dispatches until shutdown,
-  // so the queue deterministically fills.
-  Server server({.replicas = 1,
-                 .dispatchers = 1,
-                 .queue_capacity = 3,
-                 .batch_max = 100,
-                 .batch_window = std::chrono::microseconds(10'000'000)});
+  // The only dispatcher parks on request 0's response, so the next
+  // three requests deterministically fill the queue.
+  Server server({.replicas = 1, .dispatchers = 1, .queue_capacity = 3});
   server.add_tenant("t", trace_tenant());
-  const SessionId s = server.open_session("t");
+  FirstResponseGate gate;
+  const SessionId s =
+      server.open_session("t", {.on_response = gate.callback()});
 
   std::vector<std::future<Response>> futures;
-  for (int i = 0; i < 3; ++i)
+  futures.push_back(server.submit(s, {.trace = trace(0)}));
+  gate.wait_entered();
+  for (int i = 1; i <= 3; ++i)
     futures.push_back(server.submit(s, {.trace = trace(i)}));
-  EXPECT_EQ(code_of([&] { server.submit(s, {.trace = trace(3)}); }),
+  EXPECT_EQ(code_of([&] { server.submit(s, {.trace = trace(4)}); }),
             kErrQueueFull);
   EXPECT_EQ(server.stats().rejected, 1u);
 
   // Shutdown still executes the admitted requests before stopping.
+  gate.release();
   server.shutdown();
   for (auto& f : futures) EXPECT_NO_THROW(f.get());
-  EXPECT_EQ(server.stats().completed, 3u);
+  EXPECT_EQ(server.stats().completed, 4u);
 }
 
 // --------------------------------------------------------- program cache --
@@ -271,10 +316,7 @@ TEST_F(ServeTest, ServerRestartUsesWarmCache) {
 // ------------------------------------------------------- ordered delivery --
 
 TEST_F(ServeTest, ResponsesDeliverInPerSessionSubmitOrder) {
-  Server server({.replicas = 2,
-                 .dispatchers = 4,
-                 .batch_max = 3,
-                 .batch_window = std::chrono::microseconds(100)});
+  Server server({.replicas = 2, .dispatchers = 4, .batch_max = 3});
   server.add_tenant("t", trace_tenant());
 
   std::mutex order_mutex;
@@ -296,7 +338,7 @@ TEST_F(ServeTest, ResponsesDeliverInPerSessionSubmitOrder) {
     const Response r = futures[i].get();
     EXPECT_EQ(r.sequence, i);
     EXPECT_GT(r.report.energy_pj, 0.0);
-    EXPECT_GE(r.total_ns, r.queue_ns);
+    EXPECT_EQ(r.queue_ns + r.batch_ns, r.total_ns);
   }
   std::lock_guard<std::mutex> lock(order_mutex);
   ASSERT_EQ(delivered.size(), kRequests);
@@ -309,37 +351,61 @@ TEST_F(ServeTest, ResponsesDeliverInPerSessionSubmitOrder) {
   EXPECT_EQ(server.latency().count(), kRequests);
 }
 
-TEST_F(ServeTest, BatchWindowCannotChangeResults) {
+TEST_F(ServeTest, BatchFormationCannotChangeResults) {
   // The same traces through maximally different batching regimes must
   // produce bit-identical per-request reports (requests execute
-  // per-trace, so batch formation only amortises scheduling).
+  // per-trace, so batch formation only amortises scheduling).  Requests
+  // 1..11 queue behind the parked request 0, so the batched run forms
+  // backlog batches of batch_max.
   constexpr std::size_t kRequests = 12;
-  auto run = [&](std::size_t batch_max, std::chrono::microseconds window) {
-    Server server({.replicas = 1,
-                   .dispatchers = 2,
-                   .batch_max = batch_max,
-                   .batch_window = window});
+  auto run = [&](std::size_t batch_max) {
+    Server server({.replicas = 1, .dispatchers = 2, .batch_max = batch_max});
     server.add_tenant("t", trace_tenant());
-    const SessionId s = server.open_session("t");
+    FirstResponseGate gate;
+    const SessionId s =
+        server.open_session("t", {.on_response = gate.callback()});
     std::vector<std::future<Response>> futures;
-    for (std::size_t i = 0; i < kRequests; ++i)
+    futures.push_back(server.submit(s, {.trace = trace(0)}));
+    gate.wait_entered();
+    for (std::size_t i = 1; i < kRequests; ++i)
       futures.push_back(server.submit(s, {.trace = trace(i)}));
+    gate.release();
     std::vector<Response> responses;
     for (auto& f : futures) responses.push_back(f.get());
     return responses;
   };
 
-  const auto singles = run(1, std::chrono::microseconds(0));
-  const auto batched = run(8, std::chrono::microseconds(2000));
+  const auto singles = run(1);
+  const auto batched = run(8);
   ASSERT_EQ(singles.size(), batched.size());
-  bool saw_real_batch = false;
   for (std::size_t i = 0; i < singles.size(); ++i) {
     EXPECT_EQ(singles[i].report.energy_pj, batched[i].report.energy_pj) << i;
     EXPECT_EQ(singles[i].report.latency_ns, batched[i].report.latency_ns) << i;
     EXPECT_EQ(singles[i].batch_size, 1u);
-    saw_real_batch = saw_real_batch || batched[i].batch_size > 1;
   }
-  EXPECT_TRUE(saw_real_batch) << "the batched run never formed a real batch";
+  EXPECT_EQ(batched[1].batch_size, 8u);
+}
+
+TEST_F(ServeTest, ParkedTenantDoesNotStallAnother) {
+  // Tenant "a"'s only replica and one dispatcher are parked on its first
+  // response; tenant "b" must still be served by the other dispatcher.
+  Server server({.replicas = 1, .dispatchers = 2});
+  server.add_tenant("a", trace_tenant());
+  server.add_tenant("b", trace_tenant());
+  FirstResponseGate gate;
+  const SessionId a =
+      server.open_session("a", {.on_response = gate.callback()});
+  const SessionId b = server.open_session("b");
+
+  std::future<Response> parked = server.submit(a, {.trace = trace(0)});
+  gate.wait_entered();
+  std::future<Response> other = server.submit(b, {.trace = trace(1)});
+  ASSERT_EQ(other.wait_for(std::chrono::seconds(30)),
+            std::future_status::ready);
+  EXPECT_NO_THROW(other.get());
+
+  gate.release();
+  EXPECT_NO_THROW(parked.get());
 }
 
 // ---------------------------------------------------------- determinism --

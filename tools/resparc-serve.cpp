@@ -42,7 +42,6 @@ int usage(const char* argv0) {
       << "  --requests N      requests per tenant            (default 64)\n"
       << "  --replicas N      loaded replicas per tenant     (default 1)\n"
       << "  --batch-max N     max requests per batch         (default 8)\n"
-      << "  --window-us N     batch window in microseconds   (default 100)\n"
       << "  --images N        distinct traces in the workload(default 8)\n"
       << "  --timesteps N     presentation length            (default 16)\n"
       << "  --seed N          server master seed             (default 7)\n"
@@ -65,7 +64,6 @@ struct Options {
   std::size_t requests = 64;
   std::size_t replicas = 1;
   std::size_t batch_max = 8;
-  std::size_t window_us = 100;
   std::size_t images = 8;
   std::size_t timesteps = 16;
   std::uint64_t seed = 7;
@@ -102,8 +100,6 @@ int main(int argc, char** argv) {
       if (!next(opts.replicas)) return usage(argv[0]);
     } else if (arg == "--batch-max") {
       if (!next(opts.batch_max)) return usage(argv[0]);
-    } else if (arg == "--window-us") {
-      if (!next(opts.window_us)) return usage(argv[0]);
     } else if (arg == "--images") {
       if (!next(opts.images)) return usage(argv[0]);
     } else if (arg == "--timesteps") {
@@ -135,7 +131,6 @@ int main(int argc, char** argv) {
     config.replicas = opts.replicas;
     config.dispatchers = std::max<std::size_t>(opts.tenants, 2);
     config.batch_max = opts.batch_max;
-    config.batch_window = std::chrono::microseconds(opts.window_us);
     config.seed = opts.seed;
     config.cache.directory = opts.cache_dir;
     serve::Server server(config);
