@@ -14,8 +14,9 @@
 //     FIFOs; the searched placements must stall strictly less.
 //
 // The search budget honours RESPARC_SEARCH_BUDGET (annealing rounds /
-// beam depth), which CI pins so the bench job stays bounded; results are
-// deterministic in RESPARC_BENCH_SEED for any thread count.
+// beam depth); CI runs the default so the fresh JSON is comparable with
+// the committed snapshot.  Results are deterministic in
+// RESPARC_BENCH_SEED for any thread count.
 #include <iostream>
 #include <sstream>
 #include <string>

@@ -13,8 +13,10 @@
 #include "common/math.hpp"
 #include "common/rng.hpp"
 #include "common/thread_pool.hpp"
-#include "compile/search/cost_oracle.hpp"
+#include "compile/cost_model.hpp"
+#include "core/executor.hpp"
 #include "core/mapper.hpp"
+#include "noc/fabric.hpp"
 #include "noc/route.hpp"
 
 namespace resparc::compile::search {
@@ -58,25 +60,29 @@ struct Gene {
 /// One candidate mapping: a gene per layer.
 using Genome = std::vector<Gene>;
 
-/// A decoded candidate: the full mapping plus the per-layer memoisation
-/// keys the analytic oracle caches tile terms under.
+/// A decoded candidate: the full mapping plus each layer's
+/// placement-independent analytic terms (compile::layer_cost).
 struct Decoded {
   Mapping mapping;
-  std::vector<std::uint64_t> keys;
+  std::vector<LayerCost> costs;
 };
 
 // ----------------------------------------------------------------- decoder --
 
-/// Genome -> Mapping.  Tiling is memoised per (layer, size, policy) —
-/// a pure function, so concurrent decodes under the cache mutex stay
-/// deterministic — and placement enforces the NeuroCell single-size rule
-/// (RV-CAP-NC-MIXED-SIZE) by bumping to a fresh cell whenever the
-/// resolved array size changes mid-cell.
+/// Genome -> Mapping.  Tiling and its layer_cost are memoised per (layer,
+/// size, policy) — pure functions, so concurrent decodes under the cache
+/// mutex stay deterministic, a placement-only move re-costs no layer and
+/// a one-layer retile re-costs one — and placement enforces the NeuroCell
+/// single-size rule (RV-CAP-NC-MIXED-SIZE) by bumping to a fresh cell
+/// whenever the resolved array size changes mid-cell.
 class Decoder {
  public:
   Decoder(const snn::Topology& topology, const ResparcConfig& config,
-          std::vector<std::size_t> sizes)
-      : topology_(topology), config_(config), sizes_(std::move(sizes)) {}
+          std::vector<std::size_t> sizes, double activity)
+      : topology_(topology),
+        config_(config),
+        sizes_(std::move(sizes)),
+        activity_(activity) {}
 
   const std::vector<std::size_t>& sizes() const { return sizes_; }
 
@@ -120,13 +126,12 @@ class Decoder {
             "search: genome does not match topology");
     Decoded d;
     d.mapping.config = config_;
-    d.keys.reserve(g.size());
+    d.costs.reserve(g.size());
     for (std::size_t l = 0; l < g.size(); ++l) {
       const std::size_t size = sizes_[g[l].size_index];
-      const std::uint8_t policy = normalize_policy(l, size, g[l].policy);
-      const std::uint64_t key = layer_key(l, size, policy);
-      d.keys.push_back(key);
-      d.mapping.layers.push_back(tile_layer(l, size, policy, key));
+      Tile tile = tile_layer(l, size, normalize_policy(l, size, g[l].policy));
+      d.mapping.layers.push_back(std::move(tile.mapping));
+      d.costs.push_back(tile.cost);
     }
     place_genome(d.mapping, g);
     return d;
@@ -141,8 +146,14 @@ class Decoder {
            (static_cast<std::uint64_t>(size) << 4) | policy;
   }
 
-  LayerMapping tile_layer(std::size_t l, std::size_t size,
-                          std::uint8_t policy, std::uint64_t key) const {
+  /// A tiled layer with its analytic terms (the tile cache payload).
+  struct Tile {
+    LayerMapping mapping;
+    LayerCost cost;
+  };
+
+  Tile tile_layer(std::size_t l, std::size_t size, std::uint8_t policy) const {
+    const std::uint64_t key = layer_key(l, size, policy);
     {
       std::lock_guard<std::mutex> lock(mutex_);
       auto it = tile_cache_.find(key);
@@ -158,9 +169,10 @@ class Decoder {
     // 0 means "inherit the chip default": the homogeneous gene stays
     // byte-compatible with pre-search program blobs.
     lm.mca_size = size == config_.mca_size ? 0 : size;
+    Tile tile{lm, layer_cost(li, lm, size, config_, activity_)};
     std::lock_guard<std::mutex> lock(mutex_);
-    tile_cache_.emplace(key, lm);
-    return lm;
+    tile_cache_.emplace(key, tile);
+    return tile;
   }
 
   /// Sequential placement with two NeuroCell rules: a size change bumps
@@ -203,53 +215,94 @@ class Decoder {
   const snn::Topology& topology_;
   const ResparcConfig& config_;
   std::vector<std::size_t> sizes_;
+  double activity_;
   mutable std::mutex mutex_;
-  mutable std::unordered_map<std::uint64_t, LayerMapping> tile_cache_;
+  mutable std::unordered_map<std::uint64_t, Tile> tile_cache_;
 };
 
 // ----------------------------------------------------------------- context --
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
-/// Shared state of one search run: the decoder and both oracles over one
-/// (topology, config) pair.
+/// Synthetic calibration trace: `steps` timesteps of independent
+/// Bernoulli(`activity`) spikes per neuron on every layer boundary of
+/// `topology`.  Streams derive from stream_seed(seed, layer * steps + t),
+/// so the trace is identical for any thread count and any candidate —
+/// every promotion replays exactly the same spikes.
+snn::SpikeTrace make_calibration_trace(const snn::Topology& topology,
+                                       std::size_t steps, double activity,
+                                       std::uint64_t seed) {
+  snn::SpikeTrace trace;
+  trace.layers.resize(topology.layer_count() + 1);
+  for (std::size_t l = 0; l <= topology.layer_count(); ++l) {
+    const std::size_t neurons =
+        l == 0 ? topology.input_neurons() : topology.layers()[l - 1].neurons;
+    trace.layers[l].reserve(steps);
+    for (std::size_t t = 0; t < steps; ++t) {
+      Rng r(stream_seed(seed, l * steps + t));
+      snn::SpikeVector v(neurons);
+      for (std::size_t i = 0; i < neurons; ++i)
+        if (r.bernoulli(activity)) v.set(i);
+      trace.layers[l].push_back(std::move(v));
+    }
+  }
+  return trace;
+}
+
+/// Shared state of one search run over one (topology, config) pair: the
+/// decoder and the calibration trace.  Both scores are energy x
+/// critical-path cycles, matching CostEstimate::score() (lower is better,
+/// infinite when the genome cannot be decoded into a legal mapping — the
+/// search simply routes around it).
 class SearchContext {
  public:
   SearchContext(const snn::Topology& topology, const ResparcConfig& config,
                 const SearchOptions& opt)
-      : decoder_(topology, config, opt.sizes),
-        analytic_(topology, config, opt.activity),
+      : topology_(topology),
+        decoder_(topology, config, opt.sizes, opt.activity),
+        activity_(opt.activity),
         trace_(make_calibration_trace(topology, opt.calibration_steps,
                                       opt.activity,
-                                      stream_seed(opt.seed, 1))),
-        replay_(topology, trace_) {}
+                                      stream_seed(opt.seed, 1))) {}
 
   const Decoder& decoder() const { return decoder_; }
 
-  /// Fast exploration score; infinite when the genome cannot be decoded
-  /// into a legal mapping (the search simply routes around it).
+  /// Fast exploration score: compile::estimate_cost over the decoder's
+  /// memoised layer costs.  Microseconds per candidate.
   double analytic_score(const Genome& g) const {
-    return score_with(analytic_, g);
+    return scored(g, [&](const Decoded& d, const noc::RouteTable& routes) {
+      return estimate_cost(topology_, d.mapping, routes, activity_, d.costs)
+          .score();
+    });
   }
 
-  /// Event-driven promotion score over the calibration trace.
-  double replay_score(const Genome& g) const { return score_with(replay_, g); }
+  /// Promotion score: the event-fidelity core::Executor over the
+  /// calibration trace, so FIFO congestion stalls — the analytic model's
+  /// blind spot — enter the score.  Milliseconds per candidate.
+  double replay_score(const Genome& g) const {
+    return scored(g, [&](const Decoded& d, const noc::RouteTable& routes) {
+      const core::Executor exec(topology_, d.mapping, routes,
+                                noc::Fidelity::kEvent);
+      const core::RunReport r = exec.run(trace_);
+      return r.energy.total_pj() * std::max(1.0, r.perf.cycles_pipelined);
+    });
+  }
 
  private:
-  double score_with(const CostOracle& oracle, const Genome& g) const {
+  template <typename Score>
+  double scored(const Genome& g, Score score) const {
     try {
       const Decoded d = decoder_.decode(g);
-      const noc::RouteTable routes = noc::compute_routes(d.mapping);
-      return oracle.score(d.mapping, routes, d.keys);
+      return score(d, noc::compute_routes(d.mapping));
     } catch (const std::exception&) {
       return kInf;
     }
   }
 
+  const snn::Topology& topology_;
   Decoder decoder_;
-  AnalyticOracle analytic_;
+  double activity_;
   snn::SpikeTrace trace_;
-  ReplayOracle replay_;
 };
 
 /// A scored genome.
@@ -295,7 +348,7 @@ void update_elites(std::vector<Candidate>& elites, const Candidate& c,
 
 /// Appends `c` to the promotion pool unless its genome is already there.
 /// Unlike update_elites this never evicts: baseline genomes must survive
-/// promotion even when the analytic oracle ranks them last.
+/// promotion even when the analytic score ranks them last.
 void add_to_pool(std::vector<Candidate>& pool, const Candidate& c) {
   for (const Candidate& e : pool)
     if (e.genome == c.genome) return;
@@ -303,7 +356,7 @@ void add_to_pool(std::vector<Candidate>& pool, const Candidate& c) {
 }
 
 /// Replay-promotes the elite set: re-scores every candidate under the
-/// event-driven oracle in parallel, then picks the argmin sequentially
+/// replay score in parallel, then picks the argmin sequentially
 /// (lowest index wins ties).  Falls back to `fallback` when every replay
 /// fails, so the search always returns a decodable genome.
 Genome promote(const SearchContext& ctx, const std::vector<Candidate>& elites,
@@ -348,9 +401,9 @@ std::vector<Genome> neighbours(const Decoder& dec, const Genome& g) {
 }
 
 /// Replay-scored coordinate descent around `g`: each round scores the
-/// full single-gene neighbourhood under the event-driven oracle and moves
+/// full single-gene neighbourhood under the replay score and moves
 /// to the best strict improvement (lowest index wins ties), stopping
-/// early at a local optimum.  The analytic oracle explores whole families
+/// early at a local optimum.  The analytic score explores whole families
 /// fast, but it is congestion-blind — two mappings a few percent apart
 /// analytically can differ 3x in measured stall cycles.  Replay ranks
 /// those faithfully, so polishing the promoted winner under it makes the
@@ -461,7 +514,7 @@ Genome run_anneal(const SearchContext& ctx, const SearchOptions& opt,
   }
   update_elites(elites, state, opt.elites);
   // Promotion pool = elites plus the one-shot baselines: the replay
-  // oracle judges them all on the same calibration trace, so the search
+  // score judges them all on the same calibration trace, so the search
   // can only return something it measures as no worse than paper or
   // greedy-pack — a safety net against analytic-model blind spots.
   std::vector<Candidate> pool = elites;

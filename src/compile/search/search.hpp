@@ -6,9 +6,10 @@
 // policy, alignment bit) — decoded into a full core::Mapping by retiling
 // each layer at its gene's size and placing layers sequentially with the
 // NeuroCell-boundary rules the verifier enforces (a NeuroCell never holds
-// two array sizes).  Candidates are explored under the fast analytic
-// oracle and promoted/accepted under the event-driven replay oracle
-// (cost_oracle.hpp), so the winner is good where it counts: measured
+// two array sizes).  Candidates are explored under the analytic cost model
+// (compile::estimate_cost over layer costs memoised per tiling) and
+// promoted/accepted by an event-fidelity core::Executor replay of a short
+// calibration trace, so the winner is good where it counts: measured
 // stall cycles, not just modelled averages.
 //
 // Determinism contract: every random draw comes from SplitMix64-derived
@@ -48,14 +49,14 @@ struct SearchOptions {
   /// The one-shot baselines (paper + greedy-pack genomes) always join the
   /// promotion set, so the winner never replay-ranks below them.
   std::size_t elites = 6;
-  /// Timesteps of the synthetic calibration trace the replay oracle runs.
+  /// Timesteps of the synthetic calibration trace the replay score runs.
   std::size_t calibration_steps = 8;
   /// Replay-polish rounds: after promotion, coordinate descent over the
-  /// winner's single-gene neighbourhood scored by the event-driven oracle
-  /// (0 disables).  The analytic oracle is congestion-blind; this pass
+  /// winner's single-gene neighbourhood under the replay score
+  /// (0 disables).  The analytic score is congestion-blind; this pass
   /// makes the final mapping a local optimum of the measured score.
   std::size_t polish = 3;
-  /// Assumed spike activity for the analytic oracle + calibration trace.
+  /// Assumed spike activity for the analytic score + calibration trace.
   double activity = 0.10;
   /// Initial Metropolis temperature, as a fraction of the current score.
   double t0 = 0.08;
@@ -67,13 +68,13 @@ struct SearchOptions {
   std::size_t threads = 0;
 
   /// Defaults overridden from the environment: RESPARC_SEARCH_BUDGET caps
-  /// `rounds` (CI pins it for bounded bench jobs), RESPARC_BENCH_SEED
+  /// `rounds` (for budget-bounded bench runs), RESPARC_BENCH_SEED
   /// replaces `seed` (the bench seeding convention, bench/bench_util.hpp).
   static SearchOptions from_env();
 };
 
 /// Simulated-annealing strategy ("anneal"): Metropolis over single-gene
-/// mutations, analytic-oracle scored, replay-promoted elites.
+/// mutations, analytic-scored, replay-promoted elites.
 std::unique_ptr<MappingStrategy> make_anneal_strategy();
 /// Annealing strategy with explicit knobs (register under a custom name
 /// via compile::register_strategy for budget-controlled searches).

@@ -17,7 +17,8 @@
 //                  (heterogeneous mixes) and NeuroCell alignment (a layer
 //                  that would straddle a NeuroCell moves to a fresh one,
 //                  keeping its boundary traffic off the serial bus), scored by
-//                  a pluggable CostOracle (src/compile/search, docs/compile.md)
+//                  the analytic cost model and promoted by event-fidelity
+//                  replay (src/compile/search, docs/compile.md)
 //   "beam"         deterministic beam search over the same move space
 #pragma once
 

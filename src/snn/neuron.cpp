@@ -91,8 +91,4 @@ void IfPopulation::retain_hot(std::vector<std::uint32_t>& indices) const {
   std::erase_if(indices, [&](std::uint32_t i) { return !(membrane_[i] >= vth); });
 }
 
-void IfPopulation::reset() {
-  membrane_.assign(membrane_.size(), static_cast<float>(params_.v_reset));
-}
-
 }  // namespace resparc::snn

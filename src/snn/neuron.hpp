@@ -70,9 +70,6 @@ class IfPopulation {
   /// reported (a neuron that did not fire ends the step below threshold).
   void retain_hot(std::vector<std::uint32_t>& indices) const;
 
-  /// Resets all membranes to v_reset (between input presentations).
-  void reset();
-
   /// Zeroes all membranes — the state a freshly constructed population
   /// starts from.  Reusing a population across presentations with
   /// clear() is bit-for-bit identical to constructing a new one (the

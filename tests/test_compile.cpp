@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <vector>
 
 #include "api/backends.hpp"
 #include "api/pipeline.hpp"
@@ -207,6 +208,46 @@ TEST(CostModel, RejectsBadActivity) {
   const Mapping m = core::map_network(spec.topology, cfg);
   EXPECT_THROW(estimate_cost(spec.topology, m, 0.0), ConfigError);
   EXPECT_THROW(estimate_cost(spec.topology, m, 1.5), ConfigError);
+}
+
+// The search passes each layer's layer_cost back into estimate_cost from
+// its tile cache; the supplied terms must give exactly the totals of a
+// fresh costing, on every paper benchmark, array size and activity, with
+// anneal bringing mixed-size layers.  A span of the wrong length is an
+// error, not a silent fresh costing.
+TEST(CostModel, SuppliedLayerCostsMatchFreshOnesBitForBit) {
+  for (const snn::BenchmarkSpec& spec : snn::paper_benchmarks()) {
+    const std::vector<snn::LayerInfo>& layers = spec.topology.layers();
+    for (const std::size_t mca : {32u, 64u, 128u}) {
+      const Compiler compiler(core::config_with_mca(mca));
+      for (const char* strategy : {"paper", "greedy-pack", "anneal"}) {
+        const CompiledProgram program =
+            compiler.compile(spec.topology, strategy);
+        const Mapping& m = program.mapping;
+        for (const double activity : {0.02, 0.1, 0.5}) {
+          std::vector<LayerCost> costs;
+          for (std::size_t l = 0; l < layers.size(); ++l)
+            costs.push_back(layer_cost(layers[l], m.layers[l],
+                                       m.layer_mca_size(l), m.config,
+                                       activity));
+          const CostEstimate fresh =
+              estimate_cost(spec.topology, m, program.routes, activity);
+          const CostEstimate supplied = estimate_cost(
+              spec.topology, m, program.routes, activity, costs);
+          EXPECT_EQ(supplied.energy_pj_per_step, fresh.energy_pj_per_step)
+              << spec.topology.name() << " mca=" << mca << " " << strategy
+              << " activity=" << activity;
+          EXPECT_EQ(supplied.cycles_per_step, fresh.cycles_per_step)
+              << spec.topology.name() << " mca=" << mca << " " << strategy
+              << " activity=" << activity;
+          costs.pop_back();
+          EXPECT_THROW(estimate_cost(spec.topology, m, program.routes,
+                                     activity, costs),
+                       ConfigError);
+        }
+      }
+    }
+  }
 }
 
 TEST(CompilerAuto, PicksTheBestScoringStrategy) {

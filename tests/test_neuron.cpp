@@ -74,16 +74,6 @@ TEST(IfNeuron, LeakReducesMembrane) {
   EXPECT_GE(pop.membrane(0), 0.0f);
 }
 
-TEST(IfNeuron, ResetClearsState) {
-  IfPopulation pop(2, {.v_threshold = 5.0});
-  std::vector<float> current{1.0f, 2.0f};
-  std::vector<std::uint8_t> spikes(2);
-  pop.step(current, spikes);
-  pop.reset();
-  EXPECT_FLOAT_EQ(pop.membrane(0), 0.0f);
-  EXPECT_FLOAT_EQ(pop.membrane(1), 0.0f);
-}
-
 TEST(IfNeuron, IndependentNeurons) {
   IfPopulation pop(3, {.v_threshold = 1.0});
   std::vector<float> current{1.2f, 0.2f, 0.0f};

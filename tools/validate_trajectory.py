@@ -21,10 +21,17 @@ rising with input sparsity (with slack for timing jitter) and at least a
 regime.
 
 Usage: validate_trajectory.py FILE [FILE...]
+       validate_trajectory.py --same-as DIR FILE [FILE...]
 Exits non-zero listing every violation.
+
+The --same-as mode checks freshness instead of the schema: each FILE must
+equal DIR/<its basename> in everything but "commit".  CI runs it on the
+model-output benches, whose numbers are deterministic, so a change that
+moves a modelled number fails until the new snapshot is committed.
 """
 import json
 import math
+import os
 import sys
 
 # Required numeric fields per tracked bench (rows may carry more).
@@ -355,17 +362,61 @@ def validate_file(path, errors):
         validate_search_mapping_semantics(results, path, errors)
 
 
+def json_diffs(fresh, committed, where=""):
+    """Yields the paths at which two parsed JSON values differ."""
+    if isinstance(fresh, dict) and isinstance(committed, dict):
+        for key in sorted(set(fresh) | set(committed)):
+            if key not in fresh or key not in committed:
+                yield f"{where}.{key} (only in one file)"
+            else:
+                yield from json_diffs(fresh[key], committed[key],
+                                      f"{where}.{key}")
+    elif isinstance(fresh, list) and isinstance(committed, list):
+        if len(fresh) != len(committed):
+            yield f"{where} ({len(fresh)} vs {len(committed)} entries)"
+        for i, (a, b) in enumerate(zip(fresh, committed)):
+            yield from json_diffs(a, b, f"{where}[{i}]")
+    elif type(fresh) is not type(committed) or fresh != committed:
+        yield f"{where}: {fresh!r} (fresh) vs {committed!r} (committed)"
+
+
+def check_same_as(directory, path, errors):
+    committed_path = os.path.join(directory, os.path.basename(path))
+    docs = []
+    for source in (path, committed_path):
+        try:
+            with open(source, encoding="utf-8") as handle:
+                docs.append(json.load(handle))
+        except (OSError, json.JSONDecodeError) as exc:
+            fail(errors, source, f"unreadable: {exc}")
+            return
+    for doc in docs:
+        if isinstance(doc, dict):
+            doc.pop("commit", None)
+    diffs = list(json_diffs(docs[0], docs[1]))
+    for where in diffs[:10]:
+        fail(errors, path, f"differs from {committed_path} at {where}")
+    if len(diffs) > 10:
+        fail(errors, path, f"... and {len(diffs) - 10} more differences")
+
+
 def main(argv):
-    if len(argv) < 2:
+    same_as = len(argv) >= 2 and argv[1] == "--same-as"
+    paths = argv[3:] if same_as else argv[1:]
+    if not paths:
         print(__doc__)
         return 2
     errors = []
-    for path in argv[1:]:
-        validate_file(path, errors)
+    for path in paths:
+        if same_as:
+            check_same_as(argv[2], path, errors)
+        else:
+            validate_file(path, errors)
     for message in errors:
         print(f"error: {message}", file=sys.stderr)
     if not errors:
-        print(f"ok: {len(argv) - 1} trajectory file(s) valid")
+        verdict = f"match {argv[2]}" if same_as else "valid"
+        print(f"ok: {len(paths)} trajectory file(s) {verdict}")
     return 1 if errors else 0
 
 
