@@ -14,15 +14,21 @@
 // unified headline numbers and, for the built-in backends, the native
 // typed report so figure benches can reach architecture-specific detail
 // (event counters, paper energy buckets) without downcasting accelerators.
+// Reports are immutable values whose copies share the native report
+// (docs/serving.md, "What a response carries").
 #pragma once
 
-#include <optional>
+#include <algorithm>
+#include <array>
+#include <initializer_list>
 #include <span>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
 #include "cmos/falcon.hpp"
+#include "common/shared_value.hpp"
 #include "core/energy.hpp"
 #include "snn/topology.hpp"
 #include "snn/trace.hpp"
@@ -37,8 +43,54 @@ struct AcceleratorMetrics {
   double frequency_mhz = 0.0;  ///< operating clock
 };
 
+/// A report's named buckets: up to kCapacity (name, value) pairs, held
+/// inline in the order the backend emitted them.  The list keeps a view of
+/// each name, so names must have static storage (string literals).
+/// Equality compares names and values in order.
+class BucketList {
+ public:
+  /// One bucket: its name and its value.
+  using value_type = std::pair<std::string_view, double>;
+  /// Most buckets a list holds: both built-in backends emit three.
+  static constexpr std::size_t kCapacity = 3;
+
+  /// An empty list.
+  BucketList() = default;
+  /// The given buckets, in order; more than kCapacity is a ConfigError.
+  BucketList(std::initializer_list<value_type> buckets);
+
+  /// First bucket.
+  const value_type* begin() const { return items_.data(); }
+  /// One past the last bucket.
+  const value_type* end() const { return items_.data() + size_; }
+  /// Number of buckets.
+  std::size_t size() const { return size_; }
+  /// True when the list holds no bucket.
+  bool empty() const { return size_ == 0; }
+  /// Bucket `i` (i < size()).
+  const value_type& operator[](std::size_t i) const { return items_[i]; }
+  /// Value of the bucket called `name` (0 when absent).
+  double value(std::string_view name) const;
+
+  /// Same names and values in the same order.
+  friend bool operator==(const BucketList& a, const BucketList& b) {
+    return std::equal(a.begin(), a.end(), b.begin(), b.end());
+  }
+
+ private:
+  std::array<value_type, kCapacity> items_{};
+  std::size_t size_ = 0;
+};
+
 /// Backend-independent result of replaying traces.  Energy and latency are
 /// per classification (averaged over the trace set).
+///
+/// A report is immutable once made and cheap to copy: the buckets are
+/// inline and the native report and fault manifest are SharedValue
+/// handles, so every copy (batched results, serving responses, promises,
+/// callbacks) reads the one block the replay made.  Copying a report
+/// allocates at most once, for a backend name longer than the string's
+/// inline buffer.
 struct ExecutionReport {
   std::string backend;               ///< Accelerator::name() of the producer
   std::size_t classifications = 0;   ///< presentations replayed
@@ -49,36 +101,33 @@ struct ExecutionReport {
   /// Named energy buckets (paper Fig. 12 style), backend-defined:
   /// RESPARC reports neuron/crossbar/peripherals, CMOS reports
   /// core/memory_access/memory_leakage.
-  std::vector<std::pair<std::string, double>> energy_breakdown_pj;
+  BucketList energy_breakdown_pj;
 
   /// Named latency buckets (ns per classification, serial decomposition):
   /// the RESPARC backend reports compute / transport / noc_stall from the
   /// Ml-NoC model (docs/noc.md; stall is 0 in analytic fidelity).
   /// Backends without a transport model leave it empty.
-  std::vector<std::pair<std::string, double>> latency_breakdown_ns;
+  BucketList latency_breakdown_ns;
 
   /// Realised device-fault manifest of the chip instance the replay ran
   /// on (RESPARC backend with ResparcConfig::faults enabled); absent on
   /// fault-free runs and non-RESPARC backends (docs/reliability.md).
-  std::optional<tech::FaultManifest> faults;
+  /// Shared with `resparc->faults` and every other report of the chip.
+  SharedValue<tech::FaultManifest> faults;
 
   /// Native typed report when the producer is the RESPARC backend.
-  std::optional<core::RunReport> resparc;
+  SharedValue<core::RunReport> resparc;
   /// Native typed report when the producer is the CMOS baseline backend.
-  std::optional<cmos::CmosReport> cmos;
+  SharedValue<cmos::CmosReport> cmos;
 
   /// Value of one named breakdown bucket (0 when absent).
-  double bucket_pj(const std::string& name) const {
-    for (const auto& [key, value] : energy_breakdown_pj)
-      if (key == name) return value;
-    return 0.0;
+  double bucket_pj(std::string_view name) const {
+    return energy_breakdown_pj.value(name);
   }
 
   /// Value of one named latency bucket (0 when absent).
-  double bucket_ns(const std::string& name) const {
-    for (const auto& [key, value] : latency_breakdown_ns)
-      if (key == name) return value;
-    return 0.0;
+  double bucket_ns(std::string_view name) const {
+    return latency_breakdown_ns.value(name);
   }
 };
 

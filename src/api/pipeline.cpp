@@ -220,7 +220,9 @@ namespace {
 
 /// Reduces per-trace reports in presentation order, reproducing the exact
 /// accumulate-then-divide arithmetic of the legacy sequential run_all().
-ExecutionReport merge_reports(std::vector<ExecutionReport>& parts) {
+/// Only native reports can be reduced exactly, so a backend that returns
+/// neither a RESPARC nor a CMOS report is rejected.
+ExecutionReport merge_reports(const std::vector<ExecutionReport>& parts) {
   bool all_resparc = true;
   bool all_cmos = true;
   for (const auto& p : parts) {
@@ -246,48 +248,22 @@ ExecutionReport merge_reports(std::vector<ExecutionReport>& parts) {
     return to_execution_report(total, parts.front().backend);
   }
 
-  if (all_cmos) {
-    cmos::CmosReport total;
-    for (const auto& p : parts) {
-      total.energy += p.cmos->energy;
-      total.events += p.cmos->events;
-      total.cycles += p.cmos->cycles;
-      total.clock_mhz = p.cmos->clock_mhz;
-      total.classifications += p.cmos->classifications;
-    }
-    const double n = static_cast<double>(total.classifications);
-    total.energy /= n;
-    total.cycles /= n;
-    return to_execution_report(total, parts.front().backend);
-  }
-
-  // Third-party backend without a native report: classification-weighted
-  // means of the unified fields.  A backend that never sets
-  // classifications falls back to equal weights instead of dividing by
-  // zero — the batched result must stay finite for any thread count.
-  ExecutionReport out;
-  out.backend = parts.front().backend;
-  double n = 0.0;
-  for (const auto& p : parts) n += static_cast<double>(p.classifications);
+  if (!all_cmos)
+    throw ConfigError("pipeline: backend '" + parts.front().backend +
+                      "' returned reports without a native RESPARC or CMOS "
+                      "report; batched execution cannot reduce them");
+  cmos::CmosReport total;
   for (const auto& p : parts) {
-    const double w = n > 0.0
-                         ? static_cast<double>(p.classifications) / n
-                         : 1.0 / static_cast<double>(parts.size());
-    out.classifications += p.classifications;
-    out.energy_pj += w * p.energy_pj;
-    out.latency_ns += w * p.latency_ns;
-    for (const auto& [key, value] : p.energy_breakdown_pj) {
-      auto it = std::find_if(out.energy_breakdown_pj.begin(),
-                             out.energy_breakdown_pj.end(),
-                             [&](const auto& kv) { return kv.first == key; });
-      if (it == out.energy_breakdown_pj.end())
-        out.energy_breakdown_pj.emplace_back(key, w * value);
-      else
-        it->second += w * value;
-    }
+    total.energy += p.cmos->energy;
+    total.events += p.cmos->events;
+    total.cycles += p.cmos->cycles;
+    total.clock_mhz = p.cmos->clock_mhz;
+    total.classifications += p.cmos->classifications;
   }
-  out.throughput_hz = out.latency_ns > 0.0 ? 1e9 / out.latency_ns : 0.0;
-  return out;
+  const double n = static_cast<double>(total.classifications);
+  total.energy /= n;
+  total.cycles /= n;
+  return to_execution_report(total, parts.front().backend);
 }
 
 }  // namespace

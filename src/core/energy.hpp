@@ -6,8 +6,8 @@
 #pragma once
 
 #include <cstddef>
-#include <optional>
 
+#include "common/shared_value.hpp"
 #include "noc/stats.hpp"
 #include "tech/nonideal.hpp"
 
@@ -27,6 +27,7 @@ struct EnergyBreakdown {
   double peripherals_pj() const {
     return buffer_pj + control_pj + comm_pj + leakage_pj;
   }
+  /// Sum of every component: neuron + crossbar + peripherals.
   double total_pj() const {
     return neuron_pj + crossbar_pj + peripherals_pj();
   }
@@ -55,16 +56,18 @@ struct EnergyBreakdown {
 struct EventCounts {
   std::size_t mca_activations = 0;   ///< MCA reads actually performed
   std::size_t mca_skips = 0;         ///< reads elided by zero-check
+  /// Column currents integrated into neuron membranes (used columns per
+  /// group activation).
   std::size_t neuron_integrations = 0;
-  std::size_t neuron_fires = 0;
-  std::size_t buffer_bits = 0;
+  std::size_t neuron_fires = 0;      ///< output spikes generated
+  std::size_t buffer_bits = 0;       ///< iBUFF/oBUFF/tBUFF bits moved
   std::size_t switch_flits = 0;      ///< packets through switches
   std::size_t switch_skips = 0;      ///< zero packets dropped at switches
   std::size_t bus_words = 0;         ///< words over the global IO bus
   std::size_t bus_skips = 0;         ///< zero words elided at the SRAM check
   std::size_t ccu_transfers = 0;     ///< inter-mPE analog current transfers
-  std::size_t sram_reads = 0;
-  std::size_t sram_writes = 0;
+  std::size_t sram_reads = 0;        ///< global-bus SRAM words read
+  std::size_t sram_writes = 0;       ///< global-bus SRAM words written
 
   EventCounts& operator+=(const EventCounts& other);
 };
@@ -81,7 +84,7 @@ struct PerfReport {
   /// Serial-cycle decomposition: cycles stalled on busy NoC resources
   /// (always 0 in analytic NoC fidelity).
   double cycles_stall = 0.0;
-  double clock_mhz = 0.0;
+  double clock_mhz = 0.0;  ///< clock the cycle counts convert to time at
 
   /// Latency of one classification with the pipeline full (throughput
   /// figure the paper reports).
@@ -123,10 +126,11 @@ struct RunReport {
   /// Per-level Ml-NoC traffic counters (docs/noc.md), summed over the
   /// trace set like `events`.
   noc::NocStats noc;
-  std::size_t classifications = 0;
+  std::size_t classifications = 0;  ///< presentations the report covers
   /// Realised device-fault manifest of the chip instance the replay ran
   /// on; absent when fault injection is disabled (docs/reliability.md).
-  std::optional<tech::FaultManifest> faults;
+  /// Every report of one Executor shares the one manifest it derived.
+  SharedValue<tech::FaultManifest> faults;
 };
 
 }  // namespace resparc::core

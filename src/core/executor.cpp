@@ -384,7 +384,7 @@ void Executor::finish_replay(const ReplayCosts& costs, ReplayState& state) const
       costs.sram.leakage_w();
   e.leakage_pj += leak_w * report.perf.latency_pipelined_ns() * 1e3;  // W*ns -> pJ
 
-  if (fault_manifest_) report.faults = fault_manifest_;
+  report.faults = fault_manifest_;
 }
 
 RunReport Executor::run(const snn::SpikeTrace& trace,
@@ -442,7 +442,7 @@ RunReport Executor::run_all(std::span<const snn::SpikeTrace> traces,
   const double n = static_cast<double>(total.classifications);
   total.energy /= n;
   total.perf /= n;
-  if (fault_manifest_) total.faults = fault_manifest_;
+  total.faults = fault_manifest_;
   return total;
 }
 

@@ -19,6 +19,7 @@
 // in docs/execution.md.
 #pragma once
 
+#include "common/shared_value.hpp"
 #include "core/energy.hpp"
 #include "core/events.hpp"
 #include "core/mapper.hpp"
@@ -140,9 +141,9 @@ class Executor {
   /// (core/fault_injection.hpp); exactly 1.0 when fault injection is
   /// disabled, so the fault-free cost path is bit-for-bit unchanged.
   double fault_cell_scale_ = 1.0;
-  /// Realised fault manifest stamped onto every RunReport; absent when
-  /// fault injection is disabled.
-  std::optional<tech::FaultManifest> fault_manifest_;
+  /// Realised fault manifest, derived once at construction; every
+  /// RunReport shares it.  Empty when fault injection is disabled.
+  SharedValue<tech::FaultManifest> fault_manifest_;
 };
 
 }  // namespace resparc::core

@@ -5,7 +5,9 @@
 // encodes and simulates with the session's own RNG stream before replaying.
 // A serve::Response pairs the per-request api::ExecutionReport with the
 // serving-layer latency stamps (queue wait, batch wall time) that the
-// accelerator model cannot know about.
+// accelerator model cannot know about.  Copies of a response share the
+// report's native report and fault manifest, so the callback's and the
+// promise's copies cost at most one allocation each (docs/serving.md).
 //
 // Serving failures are reported as ServeError with a stable RS-* code
 // (mirroring the verifier's RV-* convention, docs/verification.md), so

@@ -170,6 +170,8 @@ std::future<Response> Server::submit(SessionId session, Request request) {
   tenant.queue.push_back(std::move(pending));
   ++pending_;
   ++stats_.submitted;
+  // notify_all: the first dispatcher scheduled takes the request; notify_one
+  // raised the request p50 in alternating mlp-serve pairs (ROADMAP.md).
   cv_.notify_all();
   return std::move(future);
 }

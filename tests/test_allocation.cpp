@@ -7,19 +7,28 @@
 // paper-scale CNN presentation to warm the simulator's scratch arenas,
 // then run a second identical presentation and require that it
 // allocated nothing.
+//
+// The same counter pins the sharing of replay reports: a copy of an
+// api::ExecutionReport, or of a serve::Response holding one, allocates at
+// most its backend name, and shares the native report and fault manifest
+// the replay made.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdlib>
 #include <memory>
 #include <new>
+#include <optional>
 #include <vector>
 
+#include "api/pipeline.hpp"
+#include "api/registry.hpp"
 #include "core/executor.hpp"
 #include "core/mapper.hpp"
 #include "snn/benchmarks.hpp"
 #include "snn/network.hpp"
 #include "snn/simulator.hpp"
+#include "serve/request.hpp"
 
 namespace {
 
@@ -176,6 +185,73 @@ TEST_F(AllocationSteadyState, ExecutorReplaySecondRunAllocatesNothing) {
       count_allocations([&] { report = executor.run(trace); });
   EXPECT_GT(report.events.neuron_integrations, 0u);
   EXPECT_EQ(allocations, 0u);
+}
+
+/// Two recorded presentations of the reduced MNIST MLP.
+class SharedReport : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    net_ = std::make_unique<snn::Network>(
+        snn::small_mlp_topology(snn::DatasetKind::kMnistLike));
+    Rng rng(51);
+    net_->init_random(rng, 1.0f);
+    net_->set_uniform_threshold(1.5);
+    snn::SimConfig cfg;
+    cfg.timesteps = 4;
+    snn::Simulator sim(*net_, cfg);
+    std::vector<float> image(net_->topology().input_shape().size());
+    for (int k = 0; k < 2; ++k) {
+      for (auto& p : image) p = static_cast<float>(rng.uniform(0.0, 0.5));
+      traces_.push_back(sim.run(image, rng).trace);
+    }
+  }
+
+  std::unique_ptr<snn::Network> net_;
+  std::vector<snn::SpikeTrace> traces_;
+};
+
+// Copying a replay's report, alone or inside a serving response, allocates
+// at most the backend name ("RESPARC-64/greedy-pack" is longer than the
+// string's inline buffer) and reads the one native report the replay made.
+TEST_F(SharedReport, CopiesAllocateAtMostTheBackendName) {
+  const auto accel = api::make_accelerator("resparc-64/greedy-pack");
+  accel->load(net_->topology());
+  const api::ExecutionReport original = accel->execute(traces_.front());
+  ASSERT_TRUE(original.resparc.has_value());
+
+  std::optional<api::ExecutionReport> copy;
+  EXPECT_LE(count_allocations([&] { copy.emplace(original); }), 1u);
+  EXPECT_EQ(&*copy->resparc, &*original.resparc);
+  EXPECT_EQ(copy->energy_breakdown_pj, original.energy_breakdown_pj);
+  EXPECT_EQ(copy->latency_breakdown_ns, original.latency_breakdown_ns);
+
+  serve::Response response;
+  response.report = original;
+  std::optional<serve::Response> response_copy;
+  EXPECT_LE(count_allocations([&] { response_copy.emplace(response); }), 1u);
+  EXPECT_EQ(&*response_copy->report.resparc, &*original.resparc);
+}
+
+// A chip derives its fault manifest once: every replay's report, the
+// native report inside it and a batched reduction all point at it.
+TEST_F(SharedReport, ReplaysOfOneChipShareOneFaultManifest) {
+  api::BackendOptions options;
+  options.resparc.faults.enabled = true;
+  options.resparc.faults.chip_seed = 7;
+  options.resparc.faults.stuck_off_rate = 0.01;
+  options.resparc.faults.failed_density = 1.0;  // keep every mPE placeable
+  const auto accel = api::make_accelerator("resparc-64", options);
+  accel->load(net_->topology());
+  const api::ExecutionReport a = accel->execute(traces_[0]);
+  const api::ExecutionReport b = accel->execute(traces_[1]);
+  ASSERT_TRUE(a.faults.has_value());
+  ASSERT_TRUE(b.faults.has_value());
+  EXPECT_EQ(&*a.faults, &*b.faults);
+  EXPECT_EQ(&*a.faults, &*a.resparc->faults);
+  const api::ExecutionReport merged =
+      api::Pipeline::execute(*accel, traces_, 2);
+  ASSERT_TRUE(merged.faults.has_value());
+  EXPECT_EQ(&*merged.faults, &*a.faults);
 }
 
 }  // namespace

@@ -3,6 +3,10 @@
 // thread-count invariance of the batched pipeline.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <string_view>
+#include <vector>
+
 #include "api/backends.hpp"
 #include "api/pipeline.hpp"
 #include "api/registry.hpp"
@@ -223,8 +227,26 @@ TEST_F(ApiWorkload, ExecuteRequiresLoadedNetwork) {
 // -------------------------------------------------------- batched execution --
 
 TEST_F(ApiWorkload, BatchedExecuteMatchesSequentialBitForBit) {
+  // Bucket names and their order are part of the report: digests of
+  // reports hash every (name, value) pair in order.
+  const struct {
+    const char* backend;
+    std::vector<std::string_view> energy;
+    std::vector<std::string_view> latency;
+  } cases[] = {
+      {"resparc",
+       {"neuron", "crossbar", "peripherals"},
+       {"compute", "transport", "noc_stall"}},
+      {"cmos", {"core", "memory_access", "memory_leakage"}, {}},
+  };
+  const auto names = [](const BucketList& buckets) {
+    std::vector<std::string_view> out;
+    for (const auto& [name, value] : buckets) out.push_back(name);
+    return out;
+  };
   const Workload& w = *workload_;
-  for (const char* name : {"resparc", "cmos"}) {
+  for (const auto& c : cases) {
+    const char* name = c.backend;
     const auto accel = make_accelerator(name);
     accel->load(w.topology());
     const ExecutionReport sequential = accel->execute(w.traces);
@@ -232,15 +254,58 @@ TEST_F(ApiWorkload, BatchedExecuteMatchesSequentialBitForBit) {
     EXPECT_EQ(batched.energy_pj, sequential.energy_pj) << name;
     EXPECT_EQ(batched.latency_ns, sequential.latency_ns) << name;
     EXPECT_EQ(batched.classifications, sequential.classifications) << name;
-    ASSERT_EQ(batched.energy_breakdown_pj.size(),
-              sequential.energy_breakdown_pj.size());
-    for (std::size_t i = 0; i < batched.energy_breakdown_pj.size(); ++i) {
-      EXPECT_EQ(batched.energy_breakdown_pj[i].first,
-                sequential.energy_breakdown_pj[i].first);
-      EXPECT_EQ(batched.energy_breakdown_pj[i].second,
-                sequential.energy_breakdown_pj[i].second)
-          << name << " bucket " << batched.energy_breakdown_pj[i].first;
-    }
+    EXPECT_EQ(names(sequential.energy_breakdown_pj), c.energy) << name;
+    EXPECT_EQ(names(sequential.latency_breakdown_ns), c.latency) << name;
+    EXPECT_EQ(names(batched.energy_breakdown_pj), c.energy) << name;
+    EXPECT_EQ(names(batched.latency_breakdown_ns), c.latency) << name;
+    EXPECT_EQ(batched.energy_breakdown_pj, sequential.energy_breakdown_pj)
+        << name;
+    EXPECT_EQ(batched.latency_breakdown_ns, sequential.latency_breakdown_ns)
+        << name;
+  }
+  // Equality reads the names' contents, not where they are stored, and
+  // order matters.
+  const char stored[] = "neuron";
+  EXPECT_EQ(BucketList({{std::string_view(stored), 1.0}}),
+            BucketList({{"neuron", 1.0}}));
+  EXPECT_NE(BucketList({{"neuron", 1.0}, {"crossbar", 2.0}}),
+            BucketList({{"crossbar", 2.0}, {"neuron", 1.0}}));
+}
+
+/// A backend outside the built-in two: its reports carry the unified
+/// fields only, with no native report.
+class BareAccelerator : public Accelerator {
+ public:
+  std::string name() const override { return "bare-test-backend"; }
+  void load(const snn::Topology&) override { loaded_ = true; }
+  bool loaded() const override { return loaded_; }
+  ExecutionReport execute(
+      std::span<const snn::SpikeTrace> traces) const override {
+    ExecutionReport report;
+    report.backend = name();
+    report.classifications = traces.size();
+    report.energy_pj = 1.0;
+    return report;
+  }
+  AcceleratorMetrics metrics() const override { return {}; }
+
+ private:
+  bool loaded_ = false;
+};
+
+TEST_F(ApiWorkload, BatchedExecuteRejectsReportsWithoutNativeReport) {
+  // Batched results are reduced from native reports, so a backend without
+  // one runs sequentially but cannot be batched.
+  BareAccelerator accel;
+  accel.load(workload_->topology());
+  EXPECT_EQ(Pipeline::execute(accel, workload_->traces, 1).energy_pj, 1.0);
+  try {
+    Pipeline::execute(accel, workload_->traces, 2);
+    FAIL() << "a batch of bare reports was reduced";
+  } catch (const ConfigError& e) {
+    EXPECT_NE(std::string(e.what()).find("bare-test-backend"),
+              std::string::npos)
+        << e.what();
   }
 }
 
