@@ -84,13 +84,6 @@ inline float dot(const float* __restrict a, const float* __restrict b,
   return acc;
 }
 
-/// acc[i] += v * row[i] for i in [0, n) — the crossbar read-current
-/// accumulate (double precision: conductances are device-scale).
-inline void scaled_row_add(double* __restrict acc, double v,
-                           const double* __restrict row, std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) acc[i] += v * row[i];
-}
-
 /// The body of accumulate_rows.  Inline so that the runtime-dispatched
 /// entry compiles it once per vector width (see below) and a test can
 /// compile it at the baseline ISA to compare the two bit for bit.

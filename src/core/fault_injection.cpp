@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "common/error.hpp"
+#include "snn/quantize.hpp"
 #include "tech/memristor.hpp"
 
 namespace resparc::core {
@@ -53,7 +54,8 @@ void perturb_network(snn::Network& network, const Mapping& mapping) {
   const tech::FaultModel model = make_model(mapping);
   const std::size_t n = mapping.config.mca_size;
   const std::size_t per_mpe = mapping.config.mcas_per_mpe;
-  const int steps = fc.weight_bits > 0 ? (1 << fc.weight_bits) - 1 : 0;
+  const float steps = static_cast<float>(
+      fc.weight_bits > 0 ? (1 << fc.weight_bits) - 1 : 0);
   for (const LayerMapping& lm : mapping.layers) {
     Matrix& w = network.layer(lm.layer).weights;
     if (w.empty()) continue;  // pool layers store no weights
@@ -75,15 +77,9 @@ void perturb_network(snn::Network& network, const Mapping& mapping) {
           for (std::size_t c = tc * n; c < c_end; ++c) {
             const std::size_t cell = (r % n) * n + (c % n);
             float v = w(r, c);
-            if (steps > 0) {
-              // Quantise the magnitude to the configured level count
-              // (the device discretisation of snn::quantize_network).
-              const float m = std::clamp(std::abs(v) / scale, 0.0f, 1.0f);
-              v = std::copysign(
-                  std::round(m * static_cast<float>(steps)) /
-                      static_cast<float>(steps) * scale,
-                  v);
-            }
+            // Quantise the magnitude to the configured level count (the
+            // device discretisation of snn::quantize_network).
+            if (steps > 0.0f) v = snn::quantize_value(v, scale, steps);
             switch (faults.cells[cell]) {
               case tech::CellFault::kStuckOff:
                 v = 0.0f;

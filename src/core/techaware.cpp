@@ -2,7 +2,7 @@
 
 #include "common/error.hpp"
 #include "core/resparc.hpp"
-#include "tech/crossbar_model.hpp"
+#include "tech/memristor.hpp"
 
 namespace resparc::core {
 
@@ -12,15 +12,12 @@ std::vector<std::size_t> permissible_sizes(std::span<const std::size_t> sizes,
                                            double min_attenuation) {
   require(min_attenuation > 0.0 && min_attenuation <= 1.0,
           "min_attenuation must be in (0,1]");
+  const tech::Memristor device{technology.memristor};
   std::vector<std::size_t> ok;
-  for (std::size_t n : sizes) {
-    tech::CrossbarModel model(n, n, tech::Memristor{technology.memristor});
-    tech::CrossbarNonIdealities ni;
-    ni.wire_resistance_ohm = wire_resistance_ohm;
-    Matrix mags(n, n, 1.0f);  // worst case: every device at G_on
-    model.program(mags, ni);
-    if (model.worst_case_ir_attenuation() >= min_attenuation) ok.push_back(n);
-  }
+  for (std::size_t n : sizes)
+    if (tech::worst_case_ir_attenuation(device, n, wire_resistance_ohm) >=
+        min_attenuation)
+      ok.push_back(n);
   return ok;
 }
 

@@ -6,7 +6,6 @@
 #include "common/error.hpp"
 
 namespace resparc::snn {
-namespace {
 
 float quantize_value(float w, float scale, float steps) {
   if (scale <= 0.0f) return 0.0f;
@@ -14,6 +13,8 @@ float quantize_value(float w, float scale, float steps) {
   const float mq = std::round(m * steps) / steps;
   return std::copysign(mq * scale, w);
 }
+
+namespace {
 
 float layer_scale(const Matrix& w) {
   float s = 0.0f;

@@ -1,8 +1,5 @@
 #include "tech/memristor.hpp"
 
-#include <algorithm>
-#include <cmath>
-
 #include "common/error.hpp"
 
 namespace resparc::tech {
@@ -21,16 +18,6 @@ Memristor::Memristor(MemristorParams params) : params_(std::move(params)) {
   params_.validate();
 }
 
-double Memristor::quantize_magnitude(double m) const {
-  const double clamped = std::clamp(m, 0.0, 1.0);
-  const double steps = static_cast<double>(levels() - 1);
-  return std::round(clamped * steps) / steps;
-}
-
-double Memristor::conductance(double m) const {
-  return g_min() + quantize_magnitude(m) * (g_max() - g_min());
-}
-
 double Memristor::cell_read_energy_pj(double conductance_s) const {
   // E = V^2 * G * t; volts^2 * siemens * ns = nano-joule-ish scale:
   // V^2[V^2] * G[S] * t[s] = J; with t in ns the product is J*1e-9 = 1e3 pJ.
@@ -40,6 +27,19 @@ double Memristor::cell_read_energy_pj(double conductance_s) const {
 
 double Memristor::mean_cell_read_energy_pj() const {
   return cell_read_energy_pj(0.5 * (g_min() + g_max()));
+}
+
+double worst_case_ir_attenuation(const Memristor& device, std::size_t n,
+                                 double wire_resistance_ohm) {
+  require(n > 0, "IR attenuation: array size must be positive");
+  require(wire_resistance_ohm >= 0.0,
+          "IR attenuation: wire resistance must be >= 0 ohm");
+  if (wire_resistance_ohm == 0.0) return 1.0;
+  // 1/G_max rather than R_on: 1/(1/r) is not always r in floating point,
+  // and the size filter's results are pinned to this expression.
+  const double r_dev = 1.0 / device.g_max();
+  const double r_wire = wire_resistance_ohm * static_cast<double>(n + n);
+  return r_dev / (r_dev + r_wire);
 }
 
 MemristorParams pcm_params() {

@@ -48,10 +48,11 @@ McaFaults FaultModel::sample_impl(std::size_t mca_id, bool materialize) const {
     out.cells.assign(cells, CellFault::kNone);
     out.gain.assign(cells, 1.0);
   }
-  // Per-cell draw discipline mirrors CrossbarModel::program, row-major:
-  // stuck-off bernoulli, else stuck-on bernoulli, else the variation
-  // draws.  The summary path (materialize = false) consumes the exact
-  // same stream so densities match sample() bit-for-bit.
+  // Per-cell draw discipline, row-major: stuck-off bernoulli, else
+  // stuck-on bernoulli, else the programming then the read-noise normal
+  // draw, each only when its sigma is positive.  The summary path
+  // (materialize = false) consumes the exact same stream so densities
+  // match sample() bit-for-bit.
   for (std::size_t cell = 0; cell < cells; ++cell) {
     if (rng.bernoulli(config_.stuck_off_rate)) {
       ++out.stuck_off;

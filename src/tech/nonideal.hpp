@@ -12,10 +12,11 @@
 // fleet harness) sees the *same* silicon, and a fleet Monte-Carlo sweep
 // is just a sweep over chip seeds (docs/reliability.md).
 //
-// The model is applied at program time (like CrossbarModel::program's
-// non-idealities): read noise is frozen per cell rather than redrawn
-// per read, so multi-trace and per-trace replays stay bit-for-bit
-// equivalent under faults (tests/test_differential.cpp).
+// The model is applied at program time: each cell draws, row-major,
+// stuck-off, else stuck-on, else its programming then read-noise gain,
+// and read noise is frozen per cell rather than redrawn per read, so
+// multi-trace and per-trace replays stay bit-for-bit equivalent under
+// faults (tests/test_differential.cpp).
 #pragma once
 
 #include <cstddef>

@@ -94,11 +94,11 @@ struct DigitalCosts {
 
   // --- gate-count coefficients (for the Fig. 8/9 tables) -------------------
 
-  double gates_per_mpe = 3200.0;
-  double gates_per_switch = 1500.0;
-  double gates_gcu = 2800.0;
-  double gates_per_nu = 2300.0;
-  double gates_baseline_ctrl = 8000.0;
+  double gates_per_mpe = 3200.0;        ///< buffers+neurons+LCU of one mPE
+  double gates_per_switch = 1500.0;     ///< programmable switch
+  double gates_gcu = 2800.0;            ///< global control + registers
+  double gates_per_nu = 2300.0;         ///< one baseline neuron unit
+  double gates_baseline_ctrl = 8000.0;  ///< baseline control + FIFO fabric
 };
 
 }  // namespace resparc::tech

@@ -25,8 +25,10 @@ struct SramConfig {
 /// Analytic SRAM cost model at 45 nm.
 class SramModel {
  public:
+  /// Builds the model for one macro configuration.
   explicit SramModel(SramConfig config);
 
+  /// The macro configuration the model was built with.
   const SramConfig& config() const { return config_; }
 
   /// Dynamic energy of one word read (pJ).  Grows ~sqrt(capacity) —

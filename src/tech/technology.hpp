@@ -14,8 +14,8 @@ namespace resparc::tech {
 
 /// Full technology operating point.
 struct Technology {
-  std::string name = "default-45nm";
-  MemristorParams memristor = pcm_params();
+  std::string name = "default-45nm";       ///< preset label (reports only)
+  MemristorParams memristor = pcm_params(); ///< crossbar device technology
   DigitalCosts digital{};
   double resparc_clock_mhz = 200.0;   ///< Fig. 8: NeuroCell frequency
   double baseline_clock_mhz = 1000.0; ///< Fig. 9: CMOS baseline frequency

@@ -5,6 +5,7 @@
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
+#include "compile/cost_model.hpp"
 #include "snn/simulator.hpp"
 
 namespace resparc::core {
@@ -148,6 +149,25 @@ TEST(Executor, EnergyBreakdownSumsToTotal) {
               e.neuron_pj + e.crossbar_pj + e.buffer_pj + e.control_pj +
                   e.comm_pj + e.leakage_pj,
               1e-9);
+}
+
+TEST(Executor, SneakLeakageRaisesReplayAndAnalyticEnergy) {
+  // Half-selected cells of a selectorless array leak during every read
+  // (paper section 1): a positive sneak fraction must cost crossbar
+  // energy in the trace replay and in the search's analytic estimate.
+  Fixture fx(128, 64);
+  ResparcConfig ideal = default_config();
+  ideal.technology.memristor.sneak_leak_fraction = 0.0;
+  ResparcConfig leaky = ideal;
+  leaky.technology.memristor.sneak_leak_fraction = 0.1;
+  const Mapping m_ideal = map_network(fx.topo, ideal);
+  const Mapping m_leaky = map_network(fx.topo, leaky);
+  const RunReport r_ideal = Executor(fx.topo, m_ideal).run(fx.traces[0]);
+  const RunReport r_leaky = Executor(fx.topo, m_leaky).run(fx.traces[0]);
+  EXPECT_GT(r_leaky.energy.crossbar_pj, r_ideal.energy.crossbar_pj);
+  EXPECT_GT(r_leaky.energy.total_pj(), r_ideal.energy.total_pj());
+  EXPECT_GT(compile::estimate_cost(fx.topo, m_leaky).energy_pj_per_step,
+            compile::estimate_cost(fx.topo, m_ideal).energy_pj_per_step);
 }
 
 TEST(Executor, SmallerMcaMorePeripheralShare) {

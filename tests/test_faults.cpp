@@ -18,6 +18,7 @@
 #include "core/config.hpp"
 #include "core/fault_injection.hpp"
 #include "snn/benchmarks.hpp"
+#include "snn/quantize.hpp"
 #include "tech/nonideal.hpp"
 #include "verify/verifier.hpp"
 
@@ -104,6 +105,56 @@ TEST(FaultModel, StuckRatesScaleTheDrawnPopulation) {
   const double realised = static_cast<double>(stuck) / cells;
   EXPECT_GT(realised, 0.01);
   EXPECT_LT(realised, 0.04);
+}
+
+/// Standard deviation of log(gain) over the healthy cells of `slots`
+/// MCAs; stuck cells must keep the ideal gain of exactly 1.0.
+double healthy_log_gain_spread(const FaultConfig& f, std::size_t slots) {
+  const FaultModel model(f, 32);
+  double sum = 0.0, sum_sq = 0.0;
+  std::size_t healthy = 0;
+  for (std::size_t mca = 0; mca < slots; ++mca) {
+    const McaFaults s = model.sample(mca);
+    for (std::size_t cell = 0; cell < s.cells.size(); ++cell) {
+      if (s.cells[cell] != CellFault::kNone) {
+        EXPECT_EQ(s.gain[cell], 1.0);
+        continue;
+      }
+      const double lg = std::log(s.gain[cell]);
+      sum += lg;
+      sum_sq += lg * lg;
+      ++healthy;
+    }
+  }
+  const double mean = sum / static_cast<double>(healthy);
+  return std::sqrt(std::max(0.0, sum_sq / static_cast<double>(healthy) -
+                                     mean * mean));
+}
+
+TEST(FaultModel, HealthyGainSpreadGrowsWithSigma) {
+  // Programming variation and frozen read noise are independent lognormal
+  // factors: the spread of log(gain) over healthy cells tracks each sigma
+  // and their root sum of squares (4096 cells per point, 10% band).
+  FaultConfig f;
+  f.enabled = true;
+  f.stuck_off_rate = 0.02;
+  f.stuck_on_rate = 0.01;
+  EXPECT_EQ(healthy_log_gain_spread(f, 4), 0.0);
+  for (const bool read_noise : {false, true}) {
+    double prev = 0.0;
+    for (double sigma : {0.01, 0.05, 0.2}) {
+      FaultConfig g = f;
+      (read_noise ? g.read_noise_sigma : g.programming_sigma) = sigma;
+      const double spread = healthy_log_gain_spread(g, 4);
+      EXPECT_GT(spread, prev) << "sigma " << sigma;
+      EXPECT_NEAR(spread, sigma, 0.1 * sigma) << "sigma " << sigma;
+      prev = spread;
+    }
+  }
+  f.programming_sigma = 0.2;
+  f.read_noise_sigma = 0.1;
+  EXPECT_NEAR(healthy_log_gain_spread(f, 4), std::hypot(0.2, 0.1),
+              0.1 * std::hypot(0.2, 0.1));
 }
 
 TEST(FaultModel, ValidateRejectsBadRates) {
@@ -193,6 +244,29 @@ TEST(FaultFree, ZeroRatePerturbationIsIdentity) {
 }
 
 // ------------------------------------------------ perturbation semantics --
+
+TEST(FaultInjection, WeightBitsRequantiseLikeQuantizeNetwork) {
+  // With no faults drawn, faults.weight_bits re-quantises every weight
+  // through the one shared quantiser, so it matches snn::quantize_network
+  // at the same bit count bit for bit.
+  const api::Workload w = golden_workload();
+  core::ResparcConfig config = core::config_with_mca(64);
+  config.faults.enabled = true;
+  config.faults.chip_seed = 42;
+  config.faults.weight_bits = 4;
+  const compile::CompiledProgram program =
+      compile::Compiler(config).compile(w.topology(), "paper");
+  snn::Network perturbed = w.network;
+  core::perturb_network(perturbed, program.mapping);
+  snn::Network quantized = w.network;
+  snn::quantize_network(quantized, 4);
+  bool changed = false;
+  for (std::size_t l = 0; l < perturbed.layer_count(); ++l) {
+    EXPECT_TRUE(same_weights(perturbed, quantized, l)) << "layer " << l;
+    changed = changed || !same_weights(perturbed, w.network, l);
+  }
+  EXPECT_TRUE(changed) << "4-bit re-quantisation left every weight untouched";
+}
 
 TEST(FaultInjection, PerturbNetworkIsDeterministicAndSeedSensitive) {
   const api::Workload w = golden_workload();

@@ -13,7 +13,7 @@ TEST(Memristor, PaperParameterRange) {
   const Memristor m{pcm_params()};
   EXPECT_DOUBLE_EQ(m.g_max(), 1.0 / 20e3);
   EXPECT_DOUBLE_EQ(m.g_min(), 1.0 / 200e3);
-  EXPECT_EQ(m.levels(), 16);
+  EXPECT_EQ(m.params().bits, 4);
   EXPECT_DOUBLE_EQ(m.params().read_voltage_v, 0.5);
 }
 
@@ -30,50 +30,6 @@ TEST(Memristor, ValidationRejectsBadRanges) {
   p = pcm_params();
   p.bits = 9;
   EXPECT_THROW(Memristor{p}, ConfigError);
-}
-
-TEST(Memristor, QuantizeEndpointsExact) {
-  const Memristor m{pcm_params()};
-  EXPECT_DOUBLE_EQ(m.quantize_magnitude(0.0), 0.0);
-  EXPECT_DOUBLE_EQ(m.quantize_magnitude(1.0), 1.0);
-}
-
-TEST(Memristor, QuantizeClampsOutOfRange) {
-  const Memristor m{pcm_params()};
-  EXPECT_DOUBLE_EQ(m.quantize_magnitude(-0.5), 0.0);
-  EXPECT_DOUBLE_EQ(m.quantize_magnitude(1.5), 1.0);
-}
-
-TEST(Memristor, QuantizeStepCount) {
-  // 4 bits -> 16 levels -> 15 steps of 1/15.
-  const Memristor m{pcm_params()};
-  const double step = 1.0 / 15.0;
-  EXPECT_NEAR(m.quantize_magnitude(step * 0.49), 0.0, 1e-12);
-  EXPECT_NEAR(m.quantize_magnitude(step * 0.51), step, 1e-12);
-}
-
-TEST(Memristor, QuantizeIsIdempotent) {
-  const Memristor m{pcm_params()};
-  for (double v : {0.1, 0.33, 0.77, 0.99}) {
-    const double q = m.quantize_magnitude(v);
-    EXPECT_DOUBLE_EQ(m.quantize_magnitude(q), q);
-  }
-}
-
-TEST(Memristor, ConductanceMonotoneInMagnitude) {
-  const Memristor m{pcm_params()};
-  double prev = -1.0;
-  for (int i = 0; i <= 15; ++i) {
-    const double g = m.conductance(i / 15.0);
-    EXPECT_GT(g, prev);
-    prev = g;
-  }
-}
-
-TEST(Memristor, ConductanceBounds) {
-  const Memristor m{pcm_params()};
-  EXPECT_DOUBLE_EQ(m.conductance(0.0), m.g_min());
-  EXPECT_DOUBLE_EQ(m.conductance(1.0), m.g_max());
 }
 
 TEST(Memristor, CellReadEnergyMatchesFormula) {
@@ -95,29 +51,6 @@ TEST(Memristor, AgSiLowerReadEnergy) {
   const Memristor agsi{agsi_params()};
   EXPECT_LT(agsi.mean_cell_read_energy_pj(), pcm.mean_cell_read_energy_pj());
 }
-
-class MemristorBits : public ::testing::TestWithParam<int> {};
-
-TEST_P(MemristorBits, LevelsArePowerOfTwo) {
-  MemristorParams p = pcm_params();
-  p.bits = GetParam();
-  const Memristor m{p};
-  EXPECT_EQ(m.levels(), 1 << GetParam());
-  // Quantising a fine ramp yields exactly `levels` distinct values.
-  int distinct = 1;
-  double prev = m.quantize_magnitude(0.0);
-  for (int i = 1; i <= 4096; ++i) {
-    const double q = m.quantize_magnitude(i / 4096.0);
-    if (q != prev) {
-      ++distinct;
-      prev = q;
-    }
-  }
-  EXPECT_EQ(distinct, m.levels());
-}
-
-INSTANTIATE_TEST_SUITE_P(AllPrecisions, MemristorBits,
-                         ::testing::Values(1, 2, 3, 4, 5, 6, 7, 8));
 
 }  // namespace
 }  // namespace resparc::tech

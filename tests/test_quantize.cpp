@@ -75,6 +75,29 @@ TEST(Quantize, RejectsBadBits) {
   EXPECT_THROW(quantize_matrix(w, 9, 1.0f), ConfigError);
 }
 
+class QuantizeBits : public ::testing::TestWithParam<int> {};
+
+TEST_P(QuantizeBits, LevelsArePowerOfTwo) {
+  // A fine ramp over [0, scale] quantises to exactly 2^bits distinct
+  // magnitudes, from exact zero to exact full scale.
+  const int bits = GetParam();
+  Matrix ramp(1, 4097);
+  for (int i = 0; i <= 4096; ++i)
+    ramp(0, static_cast<std::size_t>(i)) = static_cast<float>(i) / 4096.0f;
+  quantize_matrix(ramp, bits, 1.0f);
+  EXPECT_EQ(ramp(0, 0), 0.0f);
+  EXPECT_EQ(ramp(0, 4096), 1.0f);
+  int distinct = 1;
+  for (std::size_t i = 1; i < ramp.cols(); ++i) {
+    EXPECT_GE(ramp(0, i), ramp(0, i - 1));
+    if (ramp(0, i) != ramp(0, i - 1)) ++distinct;
+  }
+  EXPECT_EQ(distinct, 1 << bits);
+}
+
+INSTANTIATE_TEST_SUITE_P(AllPrecisions, QuantizeBits,
+                         ::testing::Values(1, 2, 3, 4, 5, 6, 7, 8));
+
 TEST(Quantize, NetworkQuantizesEveryTrainableLayer) {
   Topology topo("q", Shape3{1, 4, 4},
                 {LayerSpec::conv(2, 3), LayerSpec::avg_pool(2),
