@@ -5,7 +5,6 @@
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
-#include "compile/cost_model.hpp"
 #include "snn/simulator.hpp"
 
 namespace resparc::core {
@@ -151,10 +150,11 @@ TEST(Executor, EnergyBreakdownSumsToTotal) {
               1e-9);
 }
 
-TEST(Executor, SneakLeakageRaisesReplayAndAnalyticEnergy) {
+TEST(Executor, SneakLeakageRaisesReplayEnergy) {
   // Half-selected cells of a selectorless array leak during every read
   // (paper section 1): a positive sneak fraction must cost crossbar
-  // energy in the trace replay and in the search's analytic estimate.
+  // energy in the trace replay.  The analytic estimate's share is
+  // Reliability.SneakFractionRaisesAnalyticEnergy.
   Fixture fx(128, 64);
   ResparcConfig ideal = default_config();
   ideal.technology.memristor.sneak_leak_fraction = 0.0;
@@ -166,8 +166,6 @@ TEST(Executor, SneakLeakageRaisesReplayAndAnalyticEnergy) {
   const RunReport r_leaky = Executor(fx.topo, m_leaky).run(fx.traces[0]);
   EXPECT_GT(r_leaky.energy.crossbar_pj, r_ideal.energy.crossbar_pj);
   EXPECT_GT(r_leaky.energy.total_pj(), r_ideal.energy.total_pj());
-  EXPECT_GT(compile::estimate_cost(fx.topo, m_leaky).energy_pj_per_step,
-            compile::estimate_cost(fx.topo, m_ideal).energy_pj_per_step);
 }
 
 TEST(Executor, SmallerMcaMorePeripheralShare) {
