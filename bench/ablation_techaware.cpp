@@ -10,6 +10,7 @@
 #include "bench_util.hpp"
 #include "common/csv.hpp"
 #include "common/table.hpp"
+#include "compile/techaware.hpp"
 #include "core/techaware.hpp"
 
 int main() {
@@ -32,7 +33,7 @@ int main() {
   Csv csv({"benchmark", "chosen", "energy_uj", "utilization"});
 
   for (const auto& w : bench::paper_workloads()) {
-    const core::TechAwareResult result = core::explore_mca_sizes(
+    const compile::TechAwareResult result = compile::explore_mca_sizes(
         w.topology(), w.traces, core::default_config(), permitted);
     const auto& best = result.best();
     t.add_row({w.topology().name(), std::to_string(best.mca_size),

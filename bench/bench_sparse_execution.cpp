@@ -8,7 +8,7 @@
 // unchanged thresholds quiets every downstream layer, exactly the regime
 // where event-driven execution pays (paper section 3.2, Fig. 13).  For
 // each sparsity level the bench reports measured input sparsity and mean
-// activity (snn::ActivityTrace), the simulator's traces/sec and its
+// activity (snn/stats.hpp), the simulator's traces/sec and its
 // speedup over the rate-1.0 row; throughput must rise monotonically with
 // sparsity.  The simulator picks its stepped or touched branch per layer
 // and step (snn/simulator.hpp), so this sweep is also what the
@@ -29,9 +29,9 @@
 #include "api/pipeline.hpp"
 #include "bench_util.hpp"
 #include "common/table.hpp"
-#include "snn/activity.hpp"
 #include "snn/benchmarks.hpp"
 #include "snn/simulator.hpp"
+#include "snn/stats.hpp"
 
 namespace {
 
@@ -106,20 +106,24 @@ int main() {
     cfg.timesteps = timesteps;
     cfg.encoder.max_rate = rate;
 
-    // Measured sparsity of this sweep point.
-    snn::ActivityTrace activity;
+    // Measured sparsity of this sweep point: every trace has one shape, so
+    // the mean over traces is the slot-weighted mean over the set.
+    double input_activity = 0.0;
+    double activity = 0.0;
     {
       snn::Simulator sim(w.network, cfg);
       for (std::size_t i = 0; i < images; ++i) {
         Rng rng(api::presentation_seed(bench::bench_seed(), i));
-        activity.add(sim.run(w.test.images[i], rng).trace);
+        const snn::SpikeTrace trace = sim.run(w.test.images[i], rng).trace;
+        input_activity += trace.layer_activity(0);
+        activity += snn::mean_activity(trace);
       }
     }
 
     Row row;
     row.rate = rate;
-    row.input_sparsity = activity.input_sparsity();
-    row.mean_activity = activity.mean_activity();
+    row.input_sparsity = 1.0 - input_activity / static_cast<double>(images);
+    row.mean_activity = activity / static_cast<double>(images);
     row.tps = time_engine(w, cfg, images, repeats);
     // The sweep starts at rate 1.0, the baseline every speedup is over.
     row.speedup = row.tps / (rows.empty() ? row.tps : rows.front().tps);

@@ -5,13 +5,14 @@
 // benchmarks at every permitted size, and reports the energy-optimal
 // choice per network (paper contribution #3).  Traces come from one
 // Pipeline call per benchmark; the size exploration itself is the
-// core::explore_mca_sizes analysis.
+// compile::explore_mca_sizes analysis.
 //
 //   ./technology_explorer
 #include <cstdio>
 #include <vector>
 
 #include "api/pipeline.hpp"
+#include "compile/techaware.hpp"
 #include "core/techaware.hpp"
 #include "snn/benchmarks.hpp"
 
@@ -38,8 +39,8 @@ int main() {
 
       core::ResparcConfig base = core::default_config();
       base.technology = technology;
-      const core::TechAwareResult result =
-          core::explore_mca_sizes(spec.topology, w.traces, base, permitted);
+      const compile::TechAwareResult result =
+          compile::explore_mca_sizes(spec.topology, w.traces, base, permitted);
       std::printf("  %-10s ->", spec.topology.name().c_str());
       for (const auto& c : result.candidates)
         std::printf("  N%-3zu %8.3f uJ (util %4.1f%%)", c.mca_size,

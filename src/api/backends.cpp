@@ -54,36 +54,56 @@ ExecutionReport to_execution_report(const cmos::CmosReport& report,
 
 ResparcBackend::ResparcBackend(core::ResparcConfig config, std::string strategy,
                                noc::Fidelity noc)
-    : chip_(std::move(config), noc), strategy_(std::move(strategy)) {
+    : config_(std::move(config)), strategy_(std::move(strategy)),
+      fidelity_(noc) {
+  config_.validate();
   require(!strategy_.empty(), "ResparcBackend: empty strategy name");
 }
 
 std::string ResparcBackend::name() const {
   const std::string& s = strategy();  // the loaded program's, once loaded
-  std::string name = s == "paper" ? chip_.config().label()
-                                  : chip_.config().label() + "/" + s;
-  if (chip_.fidelity() == noc::Fidelity::kEvent) name += "@event";
+  std::string name = s == "paper" ? config_.label() : config_.label() + "/" + s;
+  if (fidelity_ == noc::Fidelity::kEvent) name += "@event";
   return name;
 }
 
 void ResparcBackend::load(const snn::Topology& topology) {
-  chip_.load(topology,
-             compile::Compiler(chip_.config()).compile(topology, strategy_));
+  load_program(topology,
+               compile::Compiler(config_).compile(topology, strategy_));
 }
 
 void ResparcBackend::load_program(const snn::Topology& topology,
                                   compile::CompiledProgram program) {
-  chip_.load(topology, std::move(program));
+  if (program.config_fingerprint != config_.fingerprint())
+    throw compile::CompileError(
+        "ResparcBackend: program was compiled for a different configuration");
+  program.check_matches(topology);
+  executor_.reset();  // drop the references into the old state first
+  topology_ = topology;
+  program_ = std::move(program);
+  // Legacy artifacts (or hand-built programs) may carry no route table;
+  // the routing pass is deterministic, so recomputing it here yields the
+  // same routes the compiler would have emitted.
+  noc::RouteTable routes = program_->routes.empty()
+                               ? noc::compute_routes(program_->mapping)
+                               : program_->routes;
+  executor_ = std::make_unique<core::Executor>(
+      *topology_, program_->mapping, std::move(routes), fidelity_);
+}
+
+const compile::CompiledProgram& ResparcBackend::program() const {
+  require(program_.has_value(), "ResparcBackend: no network loaded");
+  return *program_;
 }
 
 ExecutionReport ResparcBackend::execute(
     std::span<const snn::SpikeTrace> traces) const {
   require(loaded(), "ResparcBackend: no network loaded");
-  return to_execution_report(chip_.execute(traces), name());
+  return to_execution_report(executor_->run_all(traces), name());
 }
 
 AcceleratorMetrics ResparcBackend::metrics() const {
-  const core::NeuroCellMetrics m = core::neurocell_metrics(chip_.config());
+  const core::NeuroCellMetrics m = core::neurocell_metrics(config_);
   return {.area_mm2 = m.area_mm2,
           .power_mw = m.power_mw,
           .gate_count = m.gate_count,

@@ -205,7 +205,6 @@ Workload Pipeline::run() {
     std::size_t correct = 0;
     for (std::size_t i = 0; i < n; ++i) {
       activity += snn::mean_activity(w.traces[i]);
-      w.activity.add(w.traces[i]);
       if (static_cast<int>(w.predicted[i]) == w.labels[i]) ++correct;
     }
     w.mean_activity = activity / static_cast<double>(n);
@@ -232,13 +231,7 @@ ExecutionReport merge_reports(const std::vector<ExecutionReport>& parts) {
 
   if (all_resparc) {
     core::RunReport total;
-    for (const auto& p : parts) {
-      total.energy += p.resparc->energy;
-      total.events += p.resparc->events;
-      total.perf += p.resparc->perf;
-      total.noc += p.resparc->noc;
-      total.classifications += p.resparc->classifications;
-    }
+    for (const auto& p : parts) total += *p.resparc;
     const double n = static_cast<double>(total.classifications);
     total.energy /= n;
     total.perf /= n;
@@ -253,13 +246,7 @@ ExecutionReport merge_reports(const std::vector<ExecutionReport>& parts) {
                       "' returned reports without a native RESPARC or CMOS "
                       "report; batched execution cannot reduce them");
   cmos::CmosReport total;
-  for (const auto& p : parts) {
-    total.energy += p.cmos->energy;
-    total.events += p.cmos->events;
-    total.cycles += p.cmos->cycles;
-    total.clock_mhz = p.cmos->clock_mhz;
-    total.classifications += p.cmos->classifications;
-  }
+  for (const auto& p : parts) total += *p.cmos;
   const double n = static_cast<double>(total.classifications);
   total.energy /= n;
   total.cycles /= n;

@@ -29,7 +29,6 @@
 #include "api/accelerator.hpp"
 #include "api/registry.hpp"
 #include "data/dataset.hpp"
-#include "snn/activity.hpp"
 #include "snn/benchmarks.hpp"
 #include "snn/network.hpp"
 #include "snn/simulator.hpp"
@@ -69,9 +68,6 @@ struct Workload {
   std::vector<int> labels;               ///< label of each presentation
   std::vector<std::size_t> predicted;    ///< simulator argmax per presentation
   double mean_activity = 0.0;            ///< spikes/neuron/step over traces
-  /// Per-layer spike rasters + sparsity stats over the traced set (empty
-  /// when record_traces is off); what benches report as measured sparsity.
-  snn::ActivityTrace activity;
   double accuracy = 0.0;                 ///< argmax accuracy over traces
   data::Dataset test;                    ///< the traced (held-out) image set
   std::optional<train::TrainReport> training;  ///< set when options.train

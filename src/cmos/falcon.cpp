@@ -182,14 +182,7 @@ CmosReport FalconAccelerator::run_all(
     std::span<const snn::SpikeTrace> traces) const {
   require(!traces.empty(), "baseline: no traces");
   CmosReport total;
-  for (const auto& trace : traces) {
-    const CmosReport r = run(trace);
-    total.energy += r.energy;
-    total.events += r.events;
-    total.cycles += r.cycles;
-    total.clock_mhz = r.clock_mhz;
-    total.classifications += r.classifications;
-  }
+  for (const auto& trace : traces) total += run(trace);
   const double n = static_cast<double>(total.classifications);
   total.energy /= n;
   total.cycles /= n;

@@ -96,6 +96,19 @@ struct CmosReport {
     const double ns = latency_ns();
     return ns > 0.0 ? 1e9 / ns : 0.0;
   }
+
+  /// Adds `other` into this report in the one order every reduction uses:
+  /// energy, events, cycles, clock_mhz (taken, not summed),
+  /// classifications.  A trace-set average then divides energy and cycles
+  /// by `classifications`.
+  CmosReport& operator+=(const CmosReport& other) {
+    energy += other.energy;
+    events += other.events;
+    cycles += other.cycles;
+    clock_mhz = other.clock_mhz;
+    classifications += other.classifications;
+    return *this;
+  }
 };
 
 /// Implementation metrics table (paper Fig. 9).

@@ -15,11 +15,11 @@
 //                   is violated (docs/verification.md)
 //
 // and emits a CompiledProgram — a serializable artifact that
-// ResparcChip/api::ResparcBackend load directly:
+// api::ResparcBackend loads directly:
 //
 //   compile::Compiler compiler(config);
 //   auto program = compiler.compile(topology, "greedy-pack");
-//   chip.load(topology, program);
+//   backend.load_program(topology, program);
 //
 // compile(topology, "auto") scores every registered strategy and keeps the
 // lowest energy-delay product.

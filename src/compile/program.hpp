@@ -1,7 +1,7 @@
 // CompiledProgram: the self-contained artifact emitted by compile::Compiler.
 //
-// A program bundles everything `ResparcChip`/`api::ResparcBackend` need to
-// host a network — the crossbar Mapping, the fingerprint of the config it
+// A program bundles everything `api::ResparcBackend` needs to host a
+// network — the crossbar Mapping, the fingerprint of the config it
 // was compiled for, the strategy that produced it, an analytic cost
 // estimate and a per-layer utilisation report — so a network compiled once
 // can be executed many times or round-tripped through a file:
@@ -11,7 +11,7 @@
 //   p.save_file("mnist.rcp");
 //   ...
 //   auto q = compile::CompiledProgram::load_file("mnist.rcp", config);
-//   chip.load(topology, q);   // rejects if config fingerprint differs
+//   backend.load_program(topology, q);  // rejects a foreign fingerprint
 //
 // The on-disk format is a versioned line-oriented text format; doubles are
 // written as hexfloats so a round trip is bit-exact.

@@ -5,6 +5,7 @@
 #include <type_traits>
 
 #include "common/error.hpp"
+#include "tech/sram.hpp"
 
 namespace resparc::core {
 
@@ -109,6 +110,39 @@ std::uint64_t ResparcConfig::fingerprint() const {
     h.add(faults.chip_neurocells);
   }
   return h.state;
+}
+
+NeuroCellMetrics neurocell_metrics(const ResparcConfig& config) {
+  config.validate();
+  const tech::DigitalCosts& d = config.technology.digital;
+  NeuroCellMetrics m;
+  m.mpe_count = config.mpes_per_neurocell();
+  m.switch_count = config.switches_per_neurocell();
+  m.mcas_per_mpe = config.mcas_per_mpe;
+  m.frequency_mhz = config.technology.resparc_clock_mhz;
+
+  const tech::SramModel sram{
+      {.capacity_bytes = config.input_sram_bytes, .word_bits = 64}};
+
+  m.area_mm2 = static_cast<double>(m.mpe_count) * d.area_per_mpe_mm2 +
+               static_cast<double>(m.switch_count) * d.area_per_switch_mm2 +
+               d.area_gcu_mm2 + sram.area_mm2();
+  m.gate_count = static_cast<double>(m.mpe_count) * d.gates_per_mpe +
+                 static_cast<double>(m.switch_count) * d.gates_per_switch +
+                 d.gates_gcu;
+
+  // Peak dynamic power: every MCA sequenced each cycle (control + iBUFF
+  // read) and every switch forwarding one flit per cycle, at f_clk.
+  const double mca_event_pj =
+      d.mca_control_pj +
+      static_cast<double>(config.mca_size) * d.buffer_bit_pj;
+  const double per_cycle_pj =
+      static_cast<double>(config.mcas_per_neurocell()) * mca_event_pj +
+      static_cast<double>(m.switch_count) * d.switch_flit_pj +
+      d.gcu_event_pj;
+  // pJ * MHz = uW; convert to mW.
+  m.power_mw = per_cycle_pj * m.frequency_mhz * 1e-3;
+  return m;
 }
 
 ResparcConfig default_config() {

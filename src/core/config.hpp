@@ -62,6 +62,20 @@ struct ResparcConfig {
   std::uint64_t fingerprint() const;
 };
 
+/// Implementation metrics of one NeuroCell (paper Fig. 8).
+struct NeuroCellMetrics {
+  double area_mm2 = 0.0;
+  double power_mw = 0.0;      ///< peak dynamic power at full activity
+  double gate_count = 0.0;
+  double frequency_mhz = 0.0;
+  std::size_t mpe_count = 0;
+  std::size_t switch_count = 0;
+  std::size_t mcas_per_mpe = 0;
+};
+
+/// Computes the Fig. 8 metric roll-up for a configuration.
+NeuroCellMetrics neurocell_metrics(const ResparcConfig& config);
+
 /// The paper's default operating point: RESPARC-64 as in Fig. 8.
 ResparcConfig default_config();
 

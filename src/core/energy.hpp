@@ -131,6 +131,18 @@ struct RunReport {
   /// on; absent when fault injection is disabled (docs/reliability.md).
   /// Every report of one Executor shares the one manifest it derived.
   SharedValue<tech::FaultManifest> faults;
+
+  /// Adds `other` into this report in the one order every reduction uses:
+  /// energy, events, perf, noc, classifications.  A trace-set average then
+  /// divides energy and perf by `classifications`; `faults` is untouched.
+  RunReport& operator+=(const RunReport& other) {
+    energy += other.energy;
+    events += other.events;
+    perf += other.perf;
+    noc += other.noc;
+    classifications += other.classifications;
+    return *this;
+  }
 };
 
 }  // namespace resparc::core

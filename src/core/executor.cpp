@@ -54,7 +54,6 @@ struct Executor::ReplayState {
   double cycles_transport = 0.0;
   double cycles_stall = 0.0;
   std::optional<noc::Fabric> fabric;
-  EventStream* stream = nullptr;
 };
 
 Executor::Executor(const snn::Topology& topology, const Mapping& mapping)
@@ -70,7 +69,7 @@ Executor::Executor(const snn::Topology& topology, const Mapping& mapping,
   require(mapping.layers.size() == topology.layer_count(),
           "executor: mapping does not match topology");
   // Catches stale artifacts (e.g. a deserialized CompiledProgram for a
-  // different network slipping past the facade): every mapped synapse must
+  // different network slipping past the backend): every mapped synapse must
   // belong to the layer it claims.
   for (std::size_t l = 0; l < mapping.layers.size(); ++l)
     require(mapping.layers[l].synapses == topology.layers()[l].synapses,
@@ -197,7 +196,6 @@ void Executor::replay_step(const snn::SpikeTrace& trace, std::size_t step,
   EventCounts& ev = state.report.events;
   noc::NocStats& nstats = state.report.noc;
   std::optional<noc::Fabric>& fabric = state.fabric;
-  EventStream* stream = state.stream;
 
   double stage_max = 0.0;
   if (fabric) fabric->begin_step();
@@ -214,12 +212,6 @@ void Executor::replay_step(const snn::SpikeTrace& trace, std::size_t step,
     ev.sram_reads += sent;
     ev.bus_words += sent;
     ev.bus_skips += zeros;
-    if (stream) {
-      StepEvents& cell = stream->at(step, 0);
-      cell.words_sent = sent;
-      cell.words_skipped = zeros;
-      cell.neuron_fires = in0.count();
-    }
     const noc::Transport tr =
         fabric ? fabric->transfer(route, sent, zeros, 0.0)
                : noc::analytic_transfer(route, sent, zeros, cfg, nstats);
@@ -235,8 +227,6 @@ void Executor::replay_step(const snn::SpikeTrace& trace, std::size_t step,
     const SpikeVector& in_vec = trace.layers[l][step];
     const SpikeVector& out_vec = trace.layers[l + 1][step];
 
-    StepEvents* cell = stream ? &stream->at(step, l + 1) : nullptr;
-
     bool layer_active = false;
     const std::vector<GroupConsts>& consts = group_consts_[l];
     for (std::size_t gi = 0; gi < lm.groups.size(); ++gi) {
@@ -245,7 +235,6 @@ void Executor::replay_step(const snn::SpikeTrace& trace, std::size_t step,
       const std::size_t active = active_rows(l, gi, in_vec);
       if (active == 0 && cfg.event_driven) {
         ev.mca_skips += g.mca_count;
-        if (cell) cell->mca_skips += g.mca_count;
         continue;
       }
       layer_active = layer_active || active > 0;
@@ -270,10 +259,6 @@ void Executor::replay_step(const snn::SpikeTrace& trace, std::size_t step,
             sneak * std::max(0.0, gc.total_cells - driven_cells) * cell_off_pj;
       }
       ev.mca_activations += g.mca_count;
-      if (cell) {
-        cell->mca_reads += g.mca_count;
-        cell->active_rows += active * g.mca_count;
-      }
       // The iBUFF feeds all N row drivers of each array regardless of how
       // many rows carry mapped synapses, and every physical column's
       // sense/interface path cycles on a read, used or not.
@@ -282,9 +267,7 @@ void Executor::replay_step(const snn::SpikeTrace& trace, std::size_t step,
       ev.neuron_integrations += g.cols_used;
     }
 
-    const std::size_t fires = out_vec.count();
-    ev.neuron_fires += fires;
-    if (cell) cell->neuron_fires = fires;
+    ev.neuron_fires += out_vec.count();
 
     if ((layer_active || !cfg.event_driven) && lm.ccu_transfers_per_neuron > 0)
       ev.ccu_transfers += li.neurons * lm.ccu_transfers_per_neuron;
@@ -305,10 +288,6 @@ void Executor::replay_step(const snn::SpikeTrace& trace, std::size_t step,
     } else {
       ev.switch_flits += sent;
       ev.switch_skips += zeros;
-    }
-    if (cell) {
-      cell->words_sent += sent;
-      cell->words_skipped += zeros;
     }
     // oBUFF write+read of every sent flit plus a tBUFF address lookup.
     ev.buffer_bits +=
@@ -387,8 +366,7 @@ void Executor::finish_replay(const ReplayCosts& costs, ReplayState& state) const
   report.faults = fault_manifest_;
 }
 
-RunReport Executor::run(const snn::SpikeTrace& trace,
-                        EventStream* stream) const {
+RunReport Executor::run(const snn::SpikeTrace& trace) const {
   require(trace.layer_count() == topology_.layer_count() + 1,
           "executor: trace does not match topology");
   const std::size_t T = trace.timesteps();
@@ -411,10 +389,6 @@ RunReport Executor::run(const snn::SpikeTrace& trace,
   // state, tests/test_allocation.cpp) through noc::analytic_transfer.
   if (fidelity_ == noc::Fidelity::kEvent)
     state.fabric.emplace(costs.cfg, mapping_.total_neurocells);
-  if (stream) {
-    *stream = EventStream(T, topology_.layer_count() + 1);
-    state.stream = stream;
-  }
 
   for (std::size_t step = 0; step < T; ++step)
     replay_step(trace, step, costs, state);
@@ -423,22 +397,10 @@ RunReport Executor::run(const snn::SpikeTrace& trace,
   return state.report;
 }
 
-RunReport Executor::run_all(std::span<const snn::SpikeTrace> traces,
-                            EventStream* stream) const {
+RunReport Executor::run_all(std::span<const snn::SpikeTrace> traces) const {
   require(!traces.empty(), "executor: no traces");
   RunReport total;
-  EventStream merged;
-  for (const auto& trace : traces) {
-    EventStream local;
-    const RunReport r = run(trace, stream ? &local : nullptr);
-    if (stream) merged.merge(local);
-    total.energy += r.energy;
-    total.events += r.events;
-    total.perf += r.perf;
-    total.noc += r.noc;
-    total.classifications += r.classifications;
-  }
-  if (stream) *stream = std::move(merged);
+  for (const auto& trace : traces) total += run(trace);
   const double n = static_cast<double>(total.classifications);
   total.energy /= n;
   total.perf /= n;

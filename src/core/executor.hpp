@@ -21,7 +21,6 @@
 
 #include "common/shared_value.hpp"
 #include "core/energy.hpp"
-#include "core/events.hpp"
 #include "core/mapper.hpp"
 #include "noc/fabric.hpp"
 #include "noc/route.hpp"
@@ -49,19 +48,12 @@ class Executor {
            noc::RouteTable routes, noc::Fidelity fidelity);
 
   /// Replays one presentation (trace from Simulator::run with
-  /// record_trace=true) and returns the per-classification report.  When
-  /// `stream` is non-null it is filled with the per-timestep, per-stage
-  /// event record the counters are summed from — the actual spike-driven
-  /// event streams rather than their totals (docs/execution.md); the
-  /// report is the same either way.
-  RunReport run(const snn::SpikeTrace& trace,
-                EventStream* stream = nullptr) const;
+  /// record_trace=true) and returns the per-classification report.
+  RunReport run(const snn::SpikeTrace& trace) const;
 
   /// Replays many presentations; energy/perf are averaged per
-  /// classification, events and NoC counters are summed.  Each
-  /// presentation's event stream is merged into `stream` when non-null.
-  RunReport run_all(std::span<const snn::SpikeTrace> traces,
-                    EventStream* stream = nullptr) const;
+  /// classification, events and NoC counters are summed.
+  RunReport run_all(std::span<const snn::SpikeTrace> traces) const;
 
   const Mapping& mapping() const { return mapping_; }
 

@@ -11,7 +11,9 @@
 #include "api/pipeline.hpp"
 #include "api/registry.hpp"
 #include "cmos/falcon.hpp"
-#include "core/resparc.hpp"
+#include "compile/compiler.hpp"
+#include "core/config.hpp"
+#include "core/executor.hpp"
 #include "snn/benchmarks.hpp"
 
 namespace resparc::api {
@@ -166,9 +168,13 @@ TEST(Registry, OptionsReachTheBackend) {
 TEST_F(ApiWorkload, ResparcBackendMatchesLegacyChipExactly) {
   const Workload& w = *workload_;
 
-  core::ResparcChip chip(core::default_config());
-  chip.load(w.topology());
-  const core::RunReport legacy = chip.execute(w.traces);
+  // The backend is compile + replay: the same program on a bare executor
+  // must give the same report.
+  const compile::CompiledProgram program =
+      compile::Compiler(core::default_config()).compile(w.topology(), "paper");
+  const core::Executor executor(w.topology(), program.mapping, program.routes,
+                                noc::Fidelity::kAnalytic);
+  const core::RunReport legacy = executor.run_all(w.traces);
 
   const auto accel = make_accelerator("resparc");
   accel->load(w.topology());

@@ -13,7 +13,6 @@
 #include "compile/cost_model.hpp"
 #include "compile/program.hpp"
 #include "compile/strategy.hpp"
-#include "core/resparc.hpp"
 #include "snn/benchmarks.hpp"
 
 namespace resparc::compile {
@@ -345,8 +344,8 @@ TEST(ProgramSerialization, LoadedProgramRejectsWrongTopology) {
   const core::ResparcConfig cfg = core::default_config();
   const CompiledProgram p =
       Compiler(cfg).compile(snn::mnist_mlp().topology, "paper");
-  core::ResparcChip chip(cfg);
-  EXPECT_THROW(chip.load(snn::svhn_mlp().topology, p), CompileError);
+  api::ResparcBackend backend(cfg);
+  EXPECT_THROW(backend.load_program(snn::svhn_mlp().topology, p), CompileError);
 }
 
 // ------------------------------------------------- chip / backend execution --
@@ -384,13 +383,13 @@ TEST_F(CompiledWorkload, DeserializedProgramExecutesIdentically) {
   fresh.save(ss);
   const CompiledProgram restored = CompiledProgram::load(ss, cfg);
 
-  core::ResparcChip a(cfg);
-  a.load(w.topology(), fresh);
-  core::ResparcChip b(cfg);
-  b.load(w.topology(), restored);
+  api::ResparcBackend a(cfg);
+  a.load_program(w.topology(), fresh);
+  api::ResparcBackend b(cfg);
+  b.load_program(w.topology(), restored);
 
-  const core::RunReport ra = a.execute(w.traces);
-  const core::RunReport rb = b.execute(w.traces);
+  const core::RunReport ra = *a.execute(w.traces).resparc;
+  const core::RunReport rb = *b.execute(w.traces).resparc;
   EXPECT_EQ(ra.energy.total_pj(), rb.energy.total_pj());
   EXPECT_EQ(ra.energy.crossbar_pj, rb.energy.crossbar_pj);
   EXPECT_EQ(ra.perf.cycles_pipelined, rb.perf.cycles_pipelined);
@@ -402,15 +401,16 @@ TEST_F(CompiledWorkload, ChipLoadIsThePaperStrategy) {
   const api::Workload& w = *workload_;
   const core::ResparcConfig cfg = core::default_config();
 
-  core::ResparcChip legacy(cfg);
-  legacy.load(w.topology());
-  EXPECT_EQ(legacy.program().strategy, "paper");
+  api::ResparcBackend loaded(cfg);  // default strategy
+  loaded.load(w.topology());
+  EXPECT_EQ(loaded.program().strategy, "paper");
 
-  core::ResparcChip compiled(cfg);
-  compiled.load(w.topology(), Compiler(cfg).compile(w.topology(), "paper"));
+  api::ResparcBackend compiled(cfg);
+  compiled.load_program(w.topology(),
+                        Compiler(cfg).compile(w.topology(), "paper"));
 
-  const core::RunReport a = legacy.execute(w.traces);
-  const core::RunReport b = compiled.execute(w.traces);
+  const core::RunReport a = *loaded.execute(w.traces).resparc;
+  const core::RunReport b = *compiled.execute(w.traces).resparc;
   EXPECT_EQ(a.energy.total_pj(), b.energy.total_pj());
   EXPECT_EQ(a.perf.cycles_pipelined, b.perf.cycles_pipelined);
   EXPECT_EQ(a.events.bus_words, b.events.bus_words);

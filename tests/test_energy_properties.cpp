@@ -5,9 +5,9 @@
 
 #include <vector>
 
+#include "api/backends.hpp"
 #include "cmos/falcon.hpp"
 #include "common/rng.hpp"
-#include "core/resparc.hpp"
 #include "snn/simulator.hpp"
 
 namespace resparc::core {
@@ -37,6 +37,15 @@ std::vector<snn::SpikeTrace> traces_at(double activity, std::uint64_t seed,
   return traces;
 }
 
+/// Compiles `topo` for `config` with the paper strategy and replays
+/// `traces` on it.
+RunReport replay(const ResparcConfig& config, const Topology& topo,
+                 std::span<const snn::SpikeTrace> traces) {
+  api::ResparcBackend backend(config);
+  backend.load(topo);
+  return *backend.execute(traces).resparc;
+}
+
 Topology mlp_topo() {
   return Topology("p-mlp", Shape3{1, 1, 256},
                   {LayerSpec::dense(256), LayerSpec::dense(10)});
@@ -46,21 +55,17 @@ class McaSweep : public ::testing::TestWithParam<std::size_t> {};
 
 TEST_P(McaSweep, PipelinedNeverSlowerThanSerial) {
   const auto traces = traces_at(0.1, 1, mlp_topo());
-  ResparcChip chip(config_with_mca(GetParam()));
-  chip.load(mlp_topo());
-  const RunReport r = chip.execute(traces);
+  const RunReport r = replay(config_with_mca(GetParam()), mlp_topo(), traces);
   EXPECT_LE(r.perf.cycles_pipelined, r.perf.cycles_serial);
   EXPECT_GT(r.perf.throughput_hz(), 0.0);
 }
 
 TEST_P(McaSweep, EnergyRisesWithActivity) {
   const Topology topo = mlp_topo();
-  ResparcChip chip(config_with_mca(GetParam()));
+  api::ResparcBackend chip(config_with_mca(GetParam()));
   chip.load(topo);
-  const double low =
-      chip.execute(traces_at(0.05, 2, topo)).energy.total_pj();
-  const double high =
-      chip.execute(traces_at(0.25, 2, topo)).energy.total_pj();
+  const double low = chip.execute(traces_at(0.05, 2, topo)).energy_pj;
+  const double high = chip.execute(traces_at(0.25, 2, topo)).energy_pj;
   EXPECT_GT(high, low);
 }
 
@@ -69,11 +74,8 @@ TEST_P(McaSweep, EventDrivenOnlySubtracts) {
   ResparcConfig on = config_with_mca(GetParam());
   ResparcConfig off = on;
   off.event_driven = false;
-  ResparcChip chip_on(on), chip_off(off);
-  chip_on.load(mlp_topo());
-  chip_off.load(mlp_topo());
-  const RunReport r_on = chip_on.execute(traces);
-  const RunReport r_off = chip_off.execute(traces);
+  const RunReport r_on = replay(on, mlp_topo(), traces);
+  const RunReport r_off = replay(off, mlp_topo(), traces);
   EXPECT_LE(r_on.energy.total_pj(), r_off.energy.total_pj());
   // Functional events (fires, integrations of active groups) are counts
   // of real work; the zero-check must never *create* events.
@@ -87,9 +89,7 @@ TEST_P(McaSweep, CrossbarEnergyIndependentOfDeviceBits) {
   for (int bits : {1, 4, 8}) {
     ResparcConfig cfg = config_with_mca(GetParam());
     cfg.technology.memristor.bits = bits;
-    ResparcChip chip(cfg);
-    chip.load(mlp_topo());
-    const double e = chip.execute(traces).energy.crossbar_pj;
+    const double e = replay(cfg, mlp_topo(), traces).energy.crossbar_pj;
     if (first < 0.0)
       first = e;
     else
@@ -109,11 +109,8 @@ TEST(EnergyProperties, LeakageScalesWithDeployedColumns) {
                        {LayerSpec::dense(512), LayerSpec::dense(10)});
   const auto traces_small = traces_at(0.1, 5, small_t);
   const auto traces_big = traces_at(0.1, 5, big_t);
-  ResparcChip chip_small(default_config()), chip_big(default_config());
-  chip_small.load(small_t);
-  chip_big.load(big_t);
-  const RunReport rs = chip_small.execute(traces_small);
-  const RunReport rb = chip_big.execute(traces_big);
+  const RunReport rs = replay(default_config(), small_t, traces_small);
+  const RunReport rb = replay(default_config(), big_t, traces_big);
   const double leak_rate_small =
       rs.energy.leakage_pj / rs.perf.latency_pipelined_ns();
   const double leak_rate_big =
@@ -138,10 +135,10 @@ TEST(EnergyProperties, CmosCyclesScaleInverselyWithNuWidth) {
 TEST(EnergyProperties, SameTracesSameReportDeterminism) {
   const Topology topo = mlp_topo();
   const auto traces = traces_at(0.1, 7, topo);
-  ResparcChip chip(default_config());
+  api::ResparcBackend chip(default_config());
   chip.load(topo);
-  const RunReport a = chip.execute(traces);
-  const RunReport b = chip.execute(traces);
+  const RunReport a = *chip.execute(traces).resparc;
+  const RunReport b = *chip.execute(traces).resparc;
   EXPECT_DOUBLE_EQ(a.energy.total_pj(), b.energy.total_pj());
   EXPECT_DOUBLE_EQ(a.perf.cycles_pipelined, b.perf.cycles_pipelined);
   EXPECT_EQ(a.events.mca_activations, b.events.mca_activations);

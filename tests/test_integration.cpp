@@ -3,9 +3,9 @@
 // reproduce at paper scale (see bench/ and docs/architecture.md).
 #include <gtest/gtest.h>
 
+#include "api/backends.hpp"
 #include "cmos/falcon.hpp"
 #include "common/rng.hpp"
-#include "core/resparc.hpp"
 #include "data/synthetic.hpp"
 #include "snn/benchmarks.hpp"
 #include "snn/quantize.hpp"
@@ -17,7 +17,6 @@
 namespace resparc {
 namespace {
 
-using core::ResparcChip;
 using core::RunReport;
 using snn::DatasetKind;
 
@@ -51,10 +50,16 @@ class PaperShapes : public ::testing::Test {
 
   static RunReport run_resparc(const snn::Topology& topo,
                                std::span<const snn::SpikeTrace> traces,
+                               const core::ResparcConfig& config) {
+    api::ResparcBackend backend(config);
+    backend.load(topo);
+    return *backend.execute(traces).resparc;
+  }
+
+  static RunReport run_resparc(const snn::Topology& topo,
+                               std::span<const snn::SpikeTrace> traces,
                                std::size_t mca) {
-    ResparcChip chip(core::config_with_mca(mca));
-    chip.load(topo);
-    return chip.execute(traces);
+    return run_resparc(topo, traces, core::config_with_mca(mca));
   }
 
   static cmos::CmosReport run_cmos(const snn::Topology& topo,
@@ -111,11 +116,10 @@ TEST_F(PaperShapes, EventDrivenSavingsLargerForSmallMca) {
     core::ResparcConfig on = core::config_with_mca(mca);
     core::ResparcConfig off = on;
     off.event_driven = false;
-    ResparcChip chip_on(on), chip_off(off);
-    chip_on.load(*mlp_topo_);
-    chip_off.load(*mlp_topo_);
-    const double e_on = chip_on.execute(mlp_traces_).energy.total_pj();
-    const double e_off = chip_off.execute(mlp_traces_).energy.total_pj();
+    const double e_on =
+        run_resparc(*mlp_topo_, mlp_traces_, on).energy.total_pj();
+    const double e_off =
+        run_resparc(*mlp_topo_, mlp_traces_, off).energy.total_pj();
     return e_off - e_on;
   };
   EXPECT_GT(savings(32), savings(128));
@@ -160,9 +164,8 @@ TEST_F(PaperShapes, ResparcEnergyFlatCmosEnergyRisingWithBits) {
   for (int bits : {1, 2, 4, 8}) {
     core::ResparcConfig rc = core::config_with_mca(64);
     rc.technology.memristor.bits = bits;
-    ResparcChip chip(rc);
-    chip.load(*mlp_topo_);
-    resparc_e.push_back(chip.execute(mlp_traces_).energy.total_pj());
+    resparc_e.push_back(
+        run_resparc(*mlp_topo_, mlp_traces_, rc).energy.total_pj());
     cmos::FalconConfig cc;
     cc.weight_bits = bits;
     cmos_e.push_back(

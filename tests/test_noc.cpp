@@ -8,13 +8,13 @@
 #include <cmath>
 #include <sstream>
 
+#include "api/backends.hpp"
 #include "api/pipeline.hpp"
 #include "api/registry.hpp"
 #include "common/error.hpp"
 #include "common/rng.hpp"
 #include "compile/compiler.hpp"
 #include "core/executor.hpp"
-#include "core/resparc.hpp"
 #include "noc/fabric.hpp"
 #include "noc/route.hpp"
 #include "snn/benchmarks.hpp"
@@ -663,10 +663,11 @@ TEST(NocApi, BatchedExecuteSumsNocCountersLikeSequential) {
 
 TEST(NocChip, EventFidelityChipReportsStallsAndNocCounters) {
   Fixture fx(512, 256);
-  core::ResparcChip chip(core::default_config(), noc::Fidelity::kEvent);
+  api::ResparcBackend chip(core::default_config(), "paper",
+                           noc::Fidelity::kEvent);
   chip.load(fx.topo);
-  const RunReport r = chip.execute(fx.traces);
-  EXPECT_EQ(chip.fidelity(), noc::Fidelity::kEvent);
+  const RunReport r = *chip.execute(fx.traces).resparc;
+  EXPECT_EQ(chip.noc_fidelity(), noc::Fidelity::kEvent);
   EXPECT_GT(r.noc.total_hops(), 0u);
   EXPECT_GE(r.perf.cycles_stall, 0.0);
 }

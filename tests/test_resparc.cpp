@@ -1,10 +1,12 @@
-// Unit tests for the ResparcChip facade and Fig. 8 metrics (core/resparc.hpp).
-#include "core/resparc.hpp"
-
+// Unit tests for hosting a network on api::ResparcBackend (compile +
+// replay) and for the Fig. 8 metric roll-up (core/config.hpp).
 #include <gtest/gtest.h>
 
+#include "api/backends.hpp"
+#include "api/registry.hpp"
 #include "common/error.hpp"
 #include "common/rng.hpp"
+#include "compile/compiler.hpp"
 #include "snn/simulator.hpp"
 
 namespace resparc::core {
@@ -22,7 +24,8 @@ snn::SpikeTrace make_trace(const Topology& topo) {
   snn::Network net(topo);
   Rng rng(1);
   net.init_random(rng, 1.0f);
-  std::vector<std::vector<float>> images{std::vector<float>(64, 0.5f)};
+  std::vector<std::vector<float>> images{
+      std::vector<float>(topo.input_shape().size(), 0.5f)};
   snn::SimConfig cfg;
   cfg.timesteps = 8;
   snn::calibrate_thresholds(net, images, cfg, rng, 0.1);
@@ -30,32 +33,48 @@ snn::SpikeTrace make_trace(const Topology& topo) {
   return sim.run(images[0], rng).trace;
 }
 
-TEST(ResparcChip, LoadThenExecute) {
-  ResparcChip chip(default_config());
-  EXPECT_FALSE(chip.loaded());
+TEST(ResparcBackend, LoadThenExecute) {
+  api::ResparcBackend backend(default_config());
+  EXPECT_FALSE(backend.loaded());
   const Topology topo = small_topo();
-  const Mapping& m = chip.load(topo);
-  EXPECT_TRUE(chip.loaded());
-  EXPECT_GT(m.total_mcas, 0u);
-  const RunReport r = chip.execute(make_trace(topo));
-  EXPECT_GT(r.energy.total_pj(), 0.0);
+  backend.load(topo);
+  EXPECT_TRUE(backend.loaded());
+  EXPECT_GT(backend.mapping().total_mcas, 0u);
+  const snn::SpikeTrace trace = make_trace(topo);
+  EXPECT_GT(backend.execute(trace).energy_pj, 0.0);
 }
 
-TEST(ResparcChip, ExecuteWithoutLoadThrows) {
-  ResparcChip chip(default_config());
+TEST(ResparcBackend, ExecuteWithoutLoadThrows) {
+  api::ResparcBackend backend(default_config());
   snn::SpikeTrace t;
-  EXPECT_THROW(chip.execute(t), ConfigError);
-  EXPECT_THROW(chip.mapping(), ConfigError);
+  EXPECT_THROW(backend.execute(t), ConfigError);
+  EXPECT_THROW(backend.mapping(), ConfigError);
+  EXPECT_THROW(backend.program(), ConfigError);
 }
 
-TEST(ResparcChip, ReloadReplacesNetwork) {
-  ResparcChip chip(default_config());
-  chip.load(small_topo());
-  const std::size_t mcas1 = chip.mapping().total_mcas;
+TEST(ResparcBackend, ReloadReplacesNetwork) {
+  api::ResparcBackend backend(default_config());
+  backend.load(small_topo());
+  const std::size_t mcas1 = backend.mapping().total_mcas;
   const Topology bigger("b", Shape3{1, 1, 256},
                         {LayerSpec::dense(256), LayerSpec::dense(10)});
-  chip.load(bigger);
-  EXPECT_GT(chip.mapping().total_mcas, mcas1);
+  backend.load(bigger);
+  EXPECT_GT(backend.mapping().total_mcas, mcas1);
+  // The replay runs against the new network, not the first one.
+  const snn::SpikeTrace trace = make_trace(bigger);
+  EXPECT_GT(backend.execute(trace).energy_pj, 0.0);
+}
+
+// A program carries the fingerprint of the configuration it was compiled
+// for; a backend of another configuration refuses it and keeps its state.
+TEST(ResparcBackend, LoadProgramRejectsForeignConfig) {
+  const Topology topo = small_topo();
+  const compile::CompiledProgram mca64 =
+      compile::Compiler(config_with_mca(64)).compile(topo, "paper");
+  const auto accel = api::make_accelerator("resparc-128");
+  auto& backend = dynamic_cast<api::ResparcBackend&>(*accel);
+  EXPECT_THROW(backend.load_program(topo, mca64), compile::CompileError);
+  EXPECT_FALSE(backend.loaded());
 }
 
 TEST(Fig8Metrics, MatchesPaperStructure) {

@@ -4,21 +4,16 @@
 //     the bundled topologies, the paper-scale shapes at busy and sparse
 //     input, leaky networks, and a busy -> silent -> busy presentation
 //     that switches branches with hot neurons carried over;
-//   * the per-timestep event stream reproducing the replay's counters;
-//   * ActivityTrace accumulation and round-trip serialization;
 //   * the all-zero-input regression: under the event-driven executor an
 //     empty trace must be (almost) free — every array skipped, nothing
 //     transferred, zero cycles;
 //   * registry keys with a "+<suffix>" being rejected.
 #include <gtest/gtest.h>
 
-#include <sstream>
-
+#include "api/backends.hpp"
 #include "api/differential.hpp"
 #include "api/pipeline.hpp"
 #include "api/registry.hpp"
-#include "core/resparc.hpp"
-#include "snn/activity.hpp"
 #include "snn/benchmarks.hpp"
 #include "snn/simulator.hpp"
 
@@ -98,41 +93,6 @@ TEST_P(SparseParity, TracesAreBitForBitIdentical) {
     cfg.encoder.max_rate = rate;
     for (std::size_t i = 0; i < w.test.images.size(); ++i)
       expect_matches_reference(w.network, cfg, w.test.images[i], 100 + i);
-  }
-}
-
-// The per-timestep event stream is an option of the replay, not a mode:
-// it leaves the report unchanged and its totals reproduce the counters.
-TEST_P(SparseParity, ExecutorReportsMatchInBothEventDrivenModes) {
-  const snn::Topology& topo = GetParam().topology;
-  const Workload w = run_workload(topo, snn::DatasetKind::kMnistLike);
-
-  for (const bool event_driven : {true, false}) {
-    core::ResparcConfig config = core::config_with_mca(64);
-    config.event_driven = event_driven;
-    core::ResparcChip chip(config);
-    chip.load(topo);
-    const core::RunReport plain = chip.execute(w.traces);
-    core::EventStream stream;
-    const core::RunReport streamed = chip.execute(w.traces, &stream);
-
-    EXPECT_EQ(plain.energy.total_pj(), streamed.energy.total_pj())
-        << "event_driven=" << event_driven;
-    EXPECT_EQ(plain.perf.cycles_pipelined, streamed.perf.cycles_pipelined);
-    EXPECT_EQ(plain.events.mca_activations, streamed.events.mca_activations);
-    EXPECT_EQ(plain.events.mca_skips, streamed.events.mca_skips);
-    EXPECT_EQ(plain.events.bus_words, streamed.events.bus_words);
-    EXPECT_EQ(plain.events.neuron_fires, streamed.events.neuron_fires);
-
-    const core::StepEvents total = stream.total();
-    EXPECT_EQ(total.mca_reads, streamed.events.mca_activations);
-    EXPECT_EQ(total.mca_skips, streamed.events.mca_skips);
-    EXPECT_EQ(total.words_sent,
-              streamed.events.bus_words + streamed.events.switch_flits);
-    std::size_t layer_fires = 0;
-    for (std::size_t s = 1; s < stream.stages(); ++s)
-      layer_fires += stream.stage_total(s).neuron_fires;
-    EXPECT_EQ(layer_fires, streamed.events.neuron_fires);
   }
 }
 
@@ -232,61 +192,6 @@ TEST(SparseParity, BranchSwitchCarriesHotNeuronsBitForBit) {
   EXPECT_GT(silent_fires, 0u) << "no hot neuron fired on a silent step";
 }
 
-// ------------------------------------------------------- activity trace ----
-
-TEST(ActivityTrace, AccumulatesAndMatchesMeanActivity) {
-  const Workload w =
-      run_workload(snn::small_mlp_topology(snn::DatasetKind::kMnistLike),
-                   snn::DatasetKind::kMnistLike, 3);
-  ASSERT_EQ(w.activity.presentations, w.traces.size());
-  ASSERT_EQ(w.activity.layer_count(), w.traces.front().layer_count());
-  EXPECT_NEAR(w.activity.mean_activity(), w.mean_activity, 1e-12);
-  EXPECT_GT(w.activity.layers[0].total_spikes(), 0u);
-  EXPECT_GE(w.activity.input_sparsity(), 0.0);
-  EXPECT_LE(w.activity.input_sparsity(), 1.0);
-}
-
-TEST(ActivityTrace, RoundTripsThroughSerialization) {
-  const Workload w =
-      run_workload(snn::small_cnn_topology(snn::DatasetKind::kMnistLike),
-                   snn::DatasetKind::kMnistLike, 2);
-  std::stringstream ss;
-  w.activity.save(ss);
-  const snn::ActivityTrace loaded = snn::ActivityTrace::load(ss);
-
-  ASSERT_EQ(loaded.presentations, w.activity.presentations);
-  ASSERT_EQ(loaded.layer_count(), w.activity.layer_count());
-  for (std::size_t l = 0; l < loaded.layer_count(); ++l) {
-    EXPECT_EQ(loaded.layers[l].neurons, w.activity.layers[l].neurons);
-    ASSERT_EQ(loaded.layers[l].spikes_per_step,
-              w.activity.layers[l].spikes_per_step);
-  }
-  EXPECT_DOUBLE_EQ(loaded.mean_activity(), w.activity.mean_activity());
-}
-
-TEST(ActivityTrace, RejectsMalformedStreams) {
-  std::stringstream bad_magic("not-an-activity-trace v1\n");
-  EXPECT_THROW(snn::ActivityTrace::load(bad_magic), snn::ActivityError);
-
-  std::stringstream bad_version("resparc-activity-trace v999\n");
-  EXPECT_THROW(snn::ActivityTrace::load(bad_version), snn::ActivityError);
-
-  std::stringstream truncated(
-      "resparc-activity-trace v1\npresentations 1\nlayers 2\nlayer 4 2 1");
-  EXPECT_THROW(snn::ActivityTrace::load(truncated), snn::ActivityError);
-}
-
-TEST(ActivityTrace, RejectsMismatchedAccumulation) {
-  const Workload mlp =
-      run_workload(snn::small_mlp_topology(snn::DatasetKind::kMnistLike),
-                   snn::DatasetKind::kMnistLike, 1);
-  const Workload cnn =
-      run_workload(snn::small_cnn_topology(snn::DatasetKind::kMnistLike),
-                   snn::DatasetKind::kMnistLike, 1);
-  snn::ActivityTrace acc = snn::ActivityTrace::from_trace(mlp.traces.front());
-  EXPECT_THROW(acc.add(cnn.traces.front()), snn::ActivityError);
-}
-
 // ------------------------------------------- all-zero-input regression ----
 
 // With the event-driven levers on, a presentation that never spikes must
@@ -304,10 +209,9 @@ TEST(ZeroInputRegression, EmptyTraceIsAlmostFree) {
   for (std::size_t l = 0; l < topo.layer_count(); ++l)
     empty.layers[l + 1].assign(T, snn::SpikeVector(topo.layers()[l].neurons));
 
-  core::ResparcChip chip(core::config_with_mca(64));
+  api::ResparcBackend chip(core::config_with_mca(64));
   chip.load(topo);
-  core::EventStream stream;
-  const core::RunReport r = chip.execute({&empty, 1}, &stream);
+  const core::RunReport r = *chip.execute(empty).resparc;
   const core::EventCounts& ev = r.events;
 
   EXPECT_EQ(ev.mca_activations, 0u);
@@ -324,7 +228,8 @@ TEST(ZeroInputRegression, EmptyTraceIsAlmostFree) {
   EXPECT_EQ(ev.mca_skips, chip.mapping().total_mcas * T);
 
   // No stage ever advances: zero cycles, zero latency, zero leakage
-  // window — and the recorded event stream is idle in every cell.
+  // window.  Zero counters above already mean that no (timestep, stage)
+  // read, sent or fired anything.
   EXPECT_DOUBLE_EQ(r.perf.cycles_pipelined, 0.0);
   EXPECT_DOUBLE_EQ(r.perf.latency_pipelined_ns(), 0.0);
   EXPECT_DOUBLE_EQ(r.energy.crossbar_pj, 0.0);
@@ -332,10 +237,6 @@ TEST(ZeroInputRegression, EmptyTraceIsAlmostFree) {
   EXPECT_DOUBLE_EQ(r.energy.buffer_pj, 0.0);
   EXPECT_DOUBLE_EQ(r.energy.comm_pj, 0.0);
   EXPECT_DOUBLE_EQ(r.energy.leakage_pj, 0.0);
-  ASSERT_EQ(stream.timesteps(), T);
-  for (std::size_t t = 0; t < stream.timesteps(); ++t)
-    for (std::size_t s = 0; s < stream.stages(); ++s)
-      EXPECT_TRUE(stream.at(t, s).idle()) << "t=" << t << " stage=" << s;
 }
 
 // ------------------------------------------------------ registry suffix ----

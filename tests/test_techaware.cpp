@@ -1,9 +1,11 @@
-// Unit tests for technology-aware MCA size selection (core/techaware.hpp).
+// Unit tests for technology-aware MCA size selection: the IR-drop size
+// filter (core/techaware.hpp) and the energy search (compile/techaware.hpp).
 #include "core/techaware.hpp"
 
 #include <gtest/gtest.h>
 
 #include "common/error.hpp"
+#include "compile/techaware.hpp"
 #include "common/rng.hpp"
 #include "snn/benchmarks.hpp"
 #include "snn/simulator.hpp"
@@ -12,6 +14,8 @@
 namespace resparc::core {
 namespace {
 
+using compile::explore_mca_sizes;
+using compile::TechAwareResult;
 using snn::LayerSpec;
 using snn::Topology;
 
