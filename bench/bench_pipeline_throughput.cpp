@@ -3,7 +3,8 @@
 // Measures the two thread-pooled stages of api::Pipeline on the MNIST MLP
 // benchmark: trace simulation (presentations/sec of Pipeline::run's
 // simulate stage, timed on its own) and backend execution (traces/sec
-// through Pipeline::execute on the RESPARC and CMOS backends).
+// through Pipeline::execute on the RESPARC and CMOS backends), at 1, 2,
+// 4 and 8 threads up to the host's hardware threads.
 // Results go to stdout and to
 // bench/trajectory/pipeline_throughput.json so future PRs can track the
 // perf trajectory.
@@ -74,11 +75,12 @@ int main() {
   const std::size_t timesteps =
       std::min<std::size_t>(bench::bench_timesteps(), 16);
   const std::size_t reps = bench_reps();
-  const unsigned hw = std::thread::hardware_concurrency();
+  const std::size_t host_threads =
+      std::max(1u, std::thread::hardware_concurrency());
   std::printf("== pipeline throughput vs thread count ==\n");
   std::printf("(mnist-mlp, %zu presentations x %zu timesteps, %zu reps, "
-              "%u hardware threads)\n\n",
-              images, timesteps, reps, hw == 0 ? 1 : hw);
+              "%zu hardware threads)\n\n",
+              images, timesteps, reps, host_threads);
 
   const snn::BenchmarkSpec spec = snn::mnist_mlp();
 
@@ -115,8 +117,10 @@ int main() {
 
   // Traces are thread-count invariant (test-enforced), so every row
   // replays the one warm workload's traces — no per-row pipeline rebuild.
+  // No row claims more threads than the host has.
   std::vector<Row> rows;
   for (const std::size_t threads : {1u, 2u, 4u, 8u}) {
+    if (threads > host_threads) break;
     Row row;
     row.threads = threads;
 
@@ -148,7 +152,7 @@ int main() {
   std::ostringstream config;
   config << "{\"benchmark\": \"mnist-mlp\", \"presentations\": " << images
          << ", \"timesteps\": " << timesteps << ", \"reps\": " << reps
-         << ", \"hardware_threads\": " << (hw == 0 ? 1 : hw) << "}";
+         << ", \"hardware_threads\": " << host_threads << "}";
   std::ostringstream metrics;
   metrics << "{\"results\": [\n";
   for (std::size_t i = 0; i < rows.size(); ++i) {

@@ -5,9 +5,11 @@
 //     normalised accuracy).  Networks are trained offline through the
 //     Pipeline's train path (Diehl-style conversion) at reduced width —
 //     training the paper-scale nets is not needed to reproduce the trend.
-// (b) Energy vs precision for RESPARC (analog reads: ~flat) and the CMOS
-//     baseline (memory + datapath scale with bits: rising), on the MNIST
-//     MLP workload, with the precision set through BackendOptions.
+// (b) Energy vs precision for RESPARC and the CMOS baseline (memory +
+//     datapath scale with bits: rising), on the MNIST MLP workload, with
+//     the precision set through BackendOptions.  The RESPARC row is flat
+//     by construction: no modelled term reads technology.memristor.bits
+//     (test ResparcBackend.MemristorBitsDoNotMoveReplayReport pins it).
 #include <iostream>
 
 #include "api/pipeline.hpp"

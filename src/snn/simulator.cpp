@@ -1,7 +1,9 @@
 #include "snn/simulator.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <memory>
 
 #include "common/error.hpp"
 #include "snn/scatter.hpp"
@@ -182,8 +184,7 @@ std::size_t Simulator::step_touched(std::size_t l,
 }
 
 void Simulator::observe_currents(std::span<const float> image, Rng& rng,
-                                 std::size_t layer,
-                                 std::vector<float>& samples_out) {
+                                 std::size_t layer, const CurrentSink& sink) {
   const Topology& topo = net_.topology();
   require(layer < topo.layer_count(), "observe_currents: layer out of range");
 
@@ -202,10 +203,36 @@ void Simulator::observe_currents(std::span<const float> image, Rng& rng,
     prev->append_active(active_scratch_);
     scatter_accumulate(observed.plan, net_.layer(layer).weights,
                        active_scratch_, observed.current);
-    samples_out.insert(samples_out.end(), observed.current.begin(),
-                       observed.current.end());
+    sink(observed.current);
     std::fill(observed.current.begin(), observed.current.end(), 0.0f);
   }
+}
+
+void Simulator::observe_currents(std::span<const float> image, Rng& rng,
+                                 std::size_t layer,
+                                 std::vector<float>& samples_out) {
+  observe_currents(image, rng, layer, [&](std::span<const float> step) {
+    samples_out.insert(samples_out.end(), step.begin(), step.end());
+  });
+}
+
+float select_kth_positive(std::span<const float> values, std::size_t k) {
+  require(k < values.size(), "select_kth_positive: k out of range");
+  // Rank k lies in the 16-bit bucket where the running count passes it;
+  // the second pass resolves it among that bucket's members alone.
+  std::vector<std::size_t> counts(std::size_t{1} << 16, 0);
+  for (const float v : values) ++counts[std::bit_cast<std::uint32_t>(v) >> 16];
+  std::uint32_t high = 0;
+  while (k >= counts[high]) k -= counts[high++];
+
+  std::fill(counts.begin(), counts.end(), 0);
+  for (const float v : values) {
+    const std::uint32_t bits = std::bit_cast<std::uint32_t>(v);
+    if (bits >> 16 == high) ++counts[bits & 0xFFFFu];
+  }
+  std::uint32_t low = 0;
+  while (k >= counts[low]) k -= counts[low++];
+  return std::bit_cast<float>(high << 16 | low);
 }
 
 std::vector<double> calibrate_thresholds(
@@ -225,28 +252,39 @@ std::vector<double> calibrate_thresholds(
       chosen.push_back(0.5);
       continue;
     }
-    std::vector<float> samples;
-    Simulator sim(net, config);
-    for (const auto& img : images) sim.observe_currents(img, rng, l, samples);
-
     // Keep strictly positive currents; a layer that never receives positive
-    // drive keeps threshold 1 (it will stay silent, which is honest).
-    std::vector<float> pos;
-    pos.reserve(samples.size());
-    for (float s : samples)
-      if (s > 0.0f) pos.push_back(s);
+    // drive keeps threshold 1 (it will stay silent, which is honest).  The
+    // buffer is sized for every current but left uninitialised, so only
+    // pages that kept samples reach are ever touched.  Each current is
+    // stored at the end of the kept run, which advances only past a
+    // positive one: no branch on the data.
+    const std::size_t bound = net.topology().layers()[l].neurons *
+                              config.timesteps * images.size();
+    const auto pos = std::make_unique_for_overwrite<float[]>(bound);
+    std::size_t kept = 0;
+    Simulator sim(net, config);
+    for (const auto& img : images)
+      sim.observe_currents(img, rng, l, [&](std::span<const float> step) {
+        float* out = pos.get();
+        std::size_t n = kept;
+        for (const float c : step) {
+          out[n] = c;
+          n += c > 0.0f ? 1 : 0;
+        }
+        kept = n;
+      });
+
     double vth = 1.0;
-    if (!pos.empty()) {
+    if (kept > 0) {
       // The threshold acts on *accumulated* membrane, so a neuron whose mean
       // positive per-step current is c fires roughly every vth/c steps.
       // Setting vth to the (1-a) quantile of per-step currents yields a
       // per-step fire probability of ~a for the upper tail of neurons.
       const double q = 1.0 - target_activity;
       const std::size_t idx = std::min(
-          pos.size() - 1, static_cast<std::size_t>(q * static_cast<double>(pos.size())));
-      std::nth_element(pos.begin(), pos.begin() + static_cast<std::ptrdiff_t>(idx),
-                       pos.end());
-      vth = std::max(1e-6, static_cast<double>(pos[idx]));
+          kept - 1, static_cast<std::size_t>(q * static_cast<double>(kept)));
+      vth = std::max(1e-6, static_cast<double>(select_kth_positive(
+                               {pos.get(), kept}, idx)));
     }
     net.layer(l).neuron.v_threshold = vth;
     chosen.push_back(vth);

@@ -31,6 +31,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <span>
 #include <string>
 #include <vector>
@@ -95,9 +96,18 @@ class Simulator {
   /// bench/bench_sparse_execution on the paper-scale MNIST-CNN.
   static constexpr double kTouchedCrossover = 0.25;
 
-  /// Collects per-neuron per-step input currents arriving at `layer` over
-  /// one presentation (used by threshold calibration).  Layers after
-  /// `layer` are not executed.
+  /// Receives the observed layer's input currents of one timestep, one
+  /// float per neuron; the span is valid only for the call.
+  using CurrentSink = std::function<void(std::span<const float>)>;
+
+  /// Presents one image up to `layer` and hands `sink` the per-neuron
+  /// input currents arriving at `layer`, once per timestep.  Layers before
+  /// `layer` run on the stepped branch; layers after it are not executed.
+  void observe_currents(std::span<const float> image, Rng& rng,
+                        std::size_t layer, const CurrentSink& sink);
+
+  /// Appends every current the sink form observes to `samples_out`
+  /// (timestep-major, neurons x timesteps floats per presentation).
   void observe_currents(std::span<const float> image, Rng& rng,
                         std::size_t layer, std::vector<float>& samples_out);
 
@@ -130,10 +140,27 @@ class Simulator {
 /// observed positive input currents, front to back, so every layer fires at
 /// roughly `target_activity` — the regime the paper's energy numbers assume.
 /// `images` are flat intensity vectors.  Returns the chosen thresholds.
+///
+/// Each layer's currents stream straight from observe_currents into one
+/// buffer that keeps only those > 0.0f (NaN, +-0 and negatives never
+/// enter), and select_kth_positive picks sample k = min(n-1, floor(q*n)),
+/// q = 1 - target_activity, of the n kept.  The selection is exact: the
+/// threshold is the value std::nth_element would put at k.  Memory: the
+/// buffer reserves neurons x timesteps x images floats of address space,
+/// but only the pages holding kept samples (4 bytes each, plus one page)
+/// become resident; the selection adds a fixed 512 KiB histogram.
 std::vector<double> calibrate_thresholds(Network& net,
                                          std::span<const std::vector<float>> images,
                                          const SimConfig& config, Rng& rng,
                                          double target_activity);
+
+/// The k-th smallest (0-based) of `values` in linear time: a two-pass
+/// radix select over the float bit patterns, 16 high bits then 16 low
+/// bits.  Every value must be > 0.0f and not NaN (subnormals and +inf are
+/// fine): such floats order exactly as their uint32 encodings, so the
+/// result is bit-for-bit the element std::nth_element would place at k.
+/// Requires k < values.size().
+float select_kth_positive(std::span<const float> values, std::size_t k);
 
 /// Fraction of correct argmax classifications over the given image/label set.
 double evaluate_accuracy(const Network& net, const SimConfig& config,

@@ -23,7 +23,9 @@ struct MemristorParams {
   std::string name = "generic";  ///< technology label (reports only)
   double r_on_ohm = 20e3;        ///< lowest programmable resistance (R_on)
   double r_off_ohm = 200e3;      ///< highest programmable resistance (R_off)
-  int bits = 4;                  ///< weight discretisation (2^bits levels)
+  /// Device precision (2^bits levels).  No modelled term reads it; it
+  /// feeds validate() and the config fingerprint (docs/architecture.md).
+  int bits = 4;
   double read_voltage_v = 0.5;   ///< read voltage = Vdd/2 (CMOS neuron interface)
   double read_pulse_ns = 1.0;    ///< duration of one read (spike) pulse
   /// Fraction of a G_off cell read that each *unselected* cell leaks during

@@ -77,6 +77,52 @@ TEST(ResparcBackend, LoadProgramRejectsForeignConfig) {
   EXPECT_FALSE(backend.loaded());
 }
 
+// No modelled term reads the memristor precision: crossbar reads are
+// analog, and the IR-drop size filter and every energy and timing constant
+// ignore `technology.memristor.bits`.  So two resparc-64 chips that differ
+// only there replay a trace to bit-identical reports, and Fig. 14(b)'s
+// flat RESPARC row is flat by construction.  A precision term added to the
+// model fails this test on purpose.
+TEST(ResparcBackend, MemristorBitsDoNotMoveReplayReport) {
+  const Topology topo = small_topo();
+  const snn::SpikeTrace trace = make_trace(topo);
+  api::BackendOptions one_bit, eight_bit;
+  one_bit.resparc.technology.memristor.bits = 1;
+  eight_bit.resparc.technology.memristor.bits = 8;
+  const auto a = api::make_accelerator("resparc-64", one_bit);
+  const auto b = api::make_accelerator("resparc-64", eight_bit);
+  const auto& ra = dynamic_cast<api::ResparcBackend&>(*a);
+  const auto& rb = dynamic_cast<api::ResparcBackend&>(*b);
+  ASSERT_NE(ra.config().fingerprint(), rb.config().fingerprint());
+  a->load(topo);
+  b->load(topo);
+  const api::ExecutionReport x = a->execute(trace);
+  const api::ExecutionReport y = b->execute(trace);
+
+  EXPECT_EQ(x.energy_pj, y.energy_pj);
+  EXPECT_EQ(x.latency_ns, y.latency_ns);
+  EXPECT_EQ(x.throughput_hz, y.throughput_hz);
+  EXPECT_EQ(x.energy_breakdown_pj, y.energy_breakdown_pj);
+  EXPECT_EQ(x.latency_breakdown_ns, y.latency_breakdown_ns);
+  ASSERT_TRUE(x.resparc && y.resparc);
+  const RunReport& p = *x.resparc;
+  const RunReport& q = *y.resparc;
+  EXPECT_EQ(p.energy.neuron_pj, q.energy.neuron_pj);
+  EXPECT_EQ(p.energy.crossbar_pj, q.energy.crossbar_pj);
+  EXPECT_EQ(p.energy.buffer_pj, q.energy.buffer_pj);
+  EXPECT_EQ(p.energy.control_pj, q.energy.control_pj);
+  EXPECT_EQ(p.energy.comm_pj, q.energy.comm_pj);
+  EXPECT_EQ(p.energy.leakage_pj, q.energy.leakage_pj);
+  EXPECT_EQ(p.perf.cycles_pipelined, q.perf.cycles_pipelined);
+  EXPECT_EQ(p.perf.cycles_serial, q.perf.cycles_serial);
+  EXPECT_EQ(p.events.mca_activations, q.events.mca_activations);
+  EXPECT_EQ(p.events.neuron_integrations, q.events.neuron_integrations);
+  EXPECT_EQ(p.events.buffer_bits, q.events.buffer_bits);
+  EXPECT_EQ(p.events.switch_flits, q.events.switch_flits);
+  EXPECT_EQ(p.events.bus_words, q.events.bus_words);
+  EXPECT_EQ(p.events.sram_reads, q.events.sram_reads);
+}
+
 TEST(Fig8Metrics, MatchesPaperStructure) {
   const NeuroCellMetrics m = neurocell_metrics(default_config());
   EXPECT_EQ(m.mpe_count, 16u);      // Fig. 8: 16 mPEs

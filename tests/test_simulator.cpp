@@ -3,6 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "common/error.hpp"
@@ -185,6 +189,137 @@ TEST(Calibration, RejectsBadTarget) {
   EXPECT_THROW(
       calibrate_thresholds(net, images, det_config(4), rng, 1.0),
       ConfigError);
+}
+
+/// select_kth_positive must return, bit for bit, what std::nth_element
+/// places at k.
+void expect_select_matches_nth_element(const std::vector<float>& values,
+                                       std::size_t k) {
+  std::vector<float> ref = values;
+  std::nth_element(ref.begin(), ref.begin() + static_cast<std::ptrdiff_t>(k),
+                   ref.end());
+  EXPECT_EQ(std::bit_cast<std::uint32_t>(select_kth_positive(values, k)),
+            std::bit_cast<std::uint32_t>(ref[k]))
+      << "n=" << values.size() << " k=" << k;
+}
+
+/// The ranks worth checking: both ends, the middle and the calibration
+/// quantile.
+void expect_select_matches_at_edges(const std::vector<float>& values) {
+  const std::size_t n = values.size();
+  for (const std::size_t k : {std::size_t{0}, n / 2, n * 9 / 10, n - 1})
+    expect_select_matches_nth_element(values, k);
+}
+
+TEST(SelectKthPositive, SingleValue) {
+  expect_select_matches_nth_element({3.5f}, 0);
+  expect_select_matches_nth_element({std::numeric_limits<float>::infinity()},
+                                    0);
+}
+
+TEST(SelectKthPositive, TiesAndAllEqual) {
+  expect_select_matches_at_edges(std::vector<float>(1000, 0.75f));
+  // Few distinct values, many copies of each, in shuffled order.
+  Rng rng(21);
+  std::vector<float> ties(5000);
+  for (auto& v : ties) v = 0.25f * static_cast<float>(1 + rng.below(4));
+  for (std::size_t k = 0; k < ties.size(); k += 499)
+    expect_select_matches_nth_element(ties, k);
+  expect_select_matches_at_edges(ties);
+}
+
+TEST(SelectKthPositive, SubnormalsAndInfinity) {
+  const float denorm = std::numeric_limits<float>::denorm_min();
+  std::vector<float> values{std::numeric_limits<float>::infinity(),
+                            denorm,
+                            std::numeric_limits<float>::min(),
+                            1e-40f,
+                            std::numeric_limits<float>::max(),
+                            2.0f * denorm,
+                            std::numeric_limits<float>::infinity(),
+                            1.0f,
+                            denorm};
+  for (std::size_t k = 0; k < values.size(); ++k)
+    expect_select_matches_nth_element(values, k);
+}
+
+TEST(SelectKthPositive, MoreValuesThanOneHistogram) {
+  Rng rng(22);
+  // 200k values over many exponents, plus a dense cluster that shares its
+  // 16 high bits so the second pass has to split one bucket finely.
+  std::vector<float> values;
+  for (int i = 0; i < 150000; ++i)
+    values.push_back(static_cast<float>(rng.uniform(1e-6, 1e3)));
+  const std::uint32_t base = std::bit_cast<std::uint32_t>(0.5f);
+  for (int i = 0; i < 70000; ++i)
+    values.push_back(std::bit_cast<float>(
+        base | static_cast<std::uint32_t>(rng.below(1 << 16))));
+  ASSERT_GT(values.size(), std::size_t{65536});
+  expect_select_matches_at_edges(values);
+  for (std::size_t k = 1; k < values.size(); k += 27361)
+    expect_select_matches_nth_element(values, k);
+}
+
+TEST(SelectKthPositive, RejectsRankOutOfRange) {
+  EXPECT_THROW(select_kth_positive(std::vector<float>{1.0f}, 1), ConfigError);
+  EXPECT_THROW(select_kth_positive({}, 0), ConfigError);
+}
+
+TEST(Calibration, ThresholdsMatchNthElementReference) {
+  Topology topo("cpcpd", Shape3{1, 12, 12},
+                {LayerSpec::conv(4, 3), LayerSpec::avg_pool(2),
+                 LayerSpec::conv(8, 3), LayerSpec::avg_pool(2),
+                 LayerSpec::dense(10)});
+  Network net(topo);
+  Rng rng(31);
+  net.init_random(rng, 1.0f);
+  std::vector<std::vector<float>> images;
+  for (int i = 0; i < 3; ++i) {
+    std::vector<float> img(topo.input_shape().size());
+    for (auto& p : img) p = static_cast<float>(rng.uniform(0.0, 1.0));
+    images.push_back(std::move(img));
+  }
+  SimConfig cfg;
+  cfg.timesteps = 16;  // Poisson encoding: every pass draws from the Rng
+  const double target = 0.10;
+
+  // The reference: every current collected, the positive ones copied out,
+  // std::nth_element at the same rank, from a copy of the same Rng.
+  Network ref_net = net;
+  Rng ref_rng = rng;
+  std::vector<double> expected;
+  for (std::size_t l = 0; l < topo.layer_count(); ++l) {
+    double vth = 0.5;
+    if (topo.layers()[l].spec.kind != LayerKind::kAvgPool) {
+      Simulator sim(ref_net, cfg);
+      std::vector<float> samples;
+      for (const auto& img : images)
+        sim.observe_currents(img, ref_rng, l, samples);
+      std::vector<float> pos;
+      for (const float s : samples)
+        if (s > 0.0f) pos.push_back(s);
+      ASSERT_FALSE(pos.empty()) << "layer " << l;
+      const std::size_t idx = std::min(
+          pos.size() - 1, static_cast<std::size_t>(
+                              (1.0 - target) * static_cast<double>(pos.size())));
+      std::nth_element(pos.begin(),
+                       pos.begin() + static_cast<std::ptrdiff_t>(idx),
+                       pos.end());
+      vth = std::max(1e-6, static_cast<double>(pos[idx]));
+    }
+    ref_net.layer(l).neuron.v_threshold = vth;
+    expected.push_back(vth);
+  }
+
+  const std::vector<double> chosen =
+      calibrate_thresholds(net, images, cfg, rng, target);
+  ASSERT_EQ(chosen.size(), expected.size());
+  for (std::size_t l = 0; l < chosen.size(); ++l) {
+    EXPECT_EQ(chosen[l], expected[l]) << "layer " << l;
+    EXPECT_EQ(net.layer(l).neuron.v_threshold, expected[l]) << "layer " << l;
+  }
+  // Both paths drew the same number of encodings.
+  EXPECT_EQ(rng(), ref_rng());
 }
 
 TEST(EvaluateAccuracy, PerfectOnSeparableToy) {

@@ -237,20 +237,32 @@ def validate_micro_kernel_semantics(results, path, errors):
              f"{CONV_FORWARD_MIN_SPEEDUP}x floor")
 
 
-def validate_pipeline_semantics(results, path, errors):
+def validate_pipeline_semantics(doc, results, path, errors):
     """Every simulate rate must be finite, positive and at most
-    SIMULATE_TPS_MAX."""
+    SIMULATE_TPS_MAX, and no row may claim more threads than the host
+    that measured it had (config.hardware_threads)."""
     needed = ("threads", "simulate_tps")
     rows = [r for r in results
             if isinstance(r, dict) and all(k in r for k in needed)]
     if len(rows) != len(results):
         return  # field errors were already reported by validate_rows
+    config = doc.get("config")
+    hardware = config.get("hardware_threads") if isinstance(config, dict) \
+        else None
+    if not (isinstance(hardware, int) and hardware > 0):
+        fail(errors, path,
+             f"config.hardware_threads {hardware!r} is not a positive integer")
+        hardware = None
     for row in rows:
         tps = row["simulate_tps"]
         if not (math.isfinite(tps) and 0 < tps <= SIMULATE_TPS_MAX):
             fail(errors, path,
                  f"threads={row['threads']}: simulate_tps {tps} is not a "
                  f"finite rate in (0, {SIMULATE_TPS_MAX:g}]")
+        if hardware is not None and row["threads"] > hardware:
+            fail(errors, path,
+                 f"threads={row['threads']}: more threads than the "
+                 f"{hardware} hardware threads the host had")
 
 
 def validate_fault_yield_semantics(results, path, errors):
@@ -349,7 +361,7 @@ def validate_file(path, errors):
     if doc["bench"] == "bench_sparse_execution":
         validate_sparse_semantics(results, path, errors)
     if doc["bench"] == "pipeline_throughput":
-        validate_pipeline_semantics(results, path, errors)
+        validate_pipeline_semantics(doc, results, path, errors)
     if doc["bench"] == "micro_kernels":
         validate_micro_kernel_semantics(results, path, errors)
     if doc["bench"] == "ablation_mapping_strategy":
