@@ -207,8 +207,11 @@ Row bench_if_step_packed(std::size_t reps) {
   // neurons) stepped with a drive that fires a fraction of it each step.
   const std::size_t n = 40768, steps = 32;
   Rng rng(stream_seed(bench::bench_seed(), 3));
+  std::vector<float> drive(n);
+  for (auto& v : drive) v = static_cast<float>(rng.uniform(-0.2, 0.6));
+  // step_packed consumes its currents, so both sides copy the drive in
+  // every step, as the simulator's scatter writes it.
   std::vector<float> current(n);
-  for (auto& v : current) v = static_cast<float>(rng.uniform(-0.2, 0.6));
   const snn::IfParams params;  // subtractive reset, no leak
   const float vth = static_cast<float>(params.v_threshold);
   const float vreset = static_cast<float>(params.v_reset);
@@ -222,6 +225,7 @@ Row bench_if_step_packed(std::size_t reps) {
   // Naive: the scalar byte rule, then one SpikeVector::set per spike.
   row.naive_ms = min_ms(reps, [&] {
     for (std::size_t t = 0; t < steps; ++t) {
+      std::copy(drive.begin(), drive.end(), current.begin());
       spikes.reset(n);
       for (std::size_t i = 0; i < n; ++i) {
         float v = membrane[i] + current[i];
@@ -238,7 +242,10 @@ Row bench_if_step_packed(std::size_t reps) {
     g_sink_f = membrane[0] + static_cast<float>(spikes.words()[0]);
   });
   row.kernel_ms = min_ms(reps, [&] {
-    for (std::size_t t = 0; t < steps; ++t) pop.step_packed(current, spikes);
+    for (std::size_t t = 0; t < steps; ++t) {
+      std::copy(drive.begin(), drive.end(), current.begin());
+      pop.step_packed(current, spikes);
+    }
     g_sink_f = pop.membrane(0) + static_cast<float>(spikes.words()[0]);
   });
   return row;

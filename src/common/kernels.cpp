@@ -28,9 +28,22 @@ void accumulate_rows(const float* w, std::size_t stride, std::size_t cols,
 }
 
 RESPARC_KERNEL_CLONES
-std::size_t if_step_words(const IfRule& r, float* m, const float* cur,
+void sum_rows64(const float* w, std::size_t stride,
+                std::span<const std::uint32_t> rows, float* out) {
+  sum_rows64_body(w, stride, rows, out);
+}
+
+RESPARC_KERNEL_CLONES
+std::size_t if_step_words(const IfRule& r, float* m, float* cur,
                           std::uint64_t* words, std::size_t n) {
   return if_step_words_body(r, m, cur, words, n);
+}
+
+RESPARC_KERNEL_CLONES
+std::size_t count_masked(const std::uint64_t* words,
+                         const std::uint64_t* masks,
+                         const std::uint32_t* index, std::size_t n) {
+  return count_masked_body(words, masks, index, n);
 }
 
 void matvec_in_major(const float* w, std::size_t rows, std::size_t cols,

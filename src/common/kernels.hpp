@@ -1,9 +1,9 @@
 // Shared SIMD-friendly hot-loop kernels (docs/performance.md).
 //
 // Every hot inner loop of the repository — the trainer's dense/conv
-// forward, the functional simulator's spike-driven row accumulate and
-// conv gather, and the crossbar/MCA read paths — is implemented exactly
-// once here.  The kernels share three invariants:
+// forward, the functional simulator's spike-driven row accumulate, conv
+// gather and IF update, and the executor's per-group active-row count —
+// is implemented exactly once here.  The kernels share three invariants:
 //
 //   * contiguous unit-stride inner loops over `__restrict` pointers, so
 //     the compiler can auto-vectorize without runtime alias checks;
@@ -22,6 +22,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <span>
+#include <utility>
 #include <vector>
 
 namespace resparc::kernels {
@@ -105,14 +106,64 @@ inline float dot(const float* __restrict a, const float* __restrict b,
     row_add(acc, w + static_cast<std::size_t>(rows[i]) * stride, cols);
 }
 
+/// Width of the register-held output block of sum_rows64.
+inline constexpr std::size_t kRowBlock = 64;
+
+/// The block of sum_rows64_body as kRowBlock / 8 vectors of 8 floats,
+/// one per index in K.  The pack expansions unroll every per-vector
+/// statement at compile time, so the accumulators stay in registers.
+template <std::size_t... K>
+[[gnu::always_inline]] inline void sum_rows64_lanes(
+    std::index_sequence<K...>, const float* __restrict w, std::size_t stride,
+    std::span<const std::uint32_t> rows, float* __restrict out) {
+  using Lanes = float __attribute__((vector_size(32)));
+  constexpr std::size_t kLanes = sizeof(Lanes) / sizeof(float);
+  static_assert(sizeof...(K) * kLanes == kRowBlock);
+  Lanes acc[sizeof...(K)] = {};
+  Lanes x[sizeof...(K)];
+  for (const std::uint32_t r : rows) {
+    const float* __restrict row = w + static_cast<std::size_t>(r) * stride;
+    (__builtin_memcpy(&x[K], row + K * kLanes, sizeof(Lanes)), ...);
+    ((acc[K] += x[K]), ...);
+  }
+  (__builtin_memcpy(out + K * kLanes, &acc[K], sizeof(Lanes)), ...);
+}
+
+/// The body of sum_rows64.  Eight 8-float accumulators hold the whole
+/// 64-wide block in registers over the entire row list (16 xmm registers
+/// at the baseline ISA, 8 ymm in the x86-64-v3 clone), so each row costs
+/// its loads and adds and nothing else.  Per element the adds run in list
+/// order from +0.0f — the order accumulate_rows gives a zeroed block.
+[[gnu::always_inline]] inline void sum_rows64_body(
+    const float* __restrict w, std::size_t stride,
+    std::span<const std::uint32_t> rows, float* __restrict out) {
+  sum_rows64_lanes(std::make_index_sequence<kRowBlock / 8>{}, w, stride,
+                   rows, out);
+}
+
+/// The body of count_masked: one popcount per plan entry.  popcount64's
+/// bit count is the idiom GCC turns into one POPCNT where the target has
+/// it, so the x86-64-v3 clone issues the instruction and the baseline
+/// clone keeps the inline count.
+[[gnu::always_inline]] inline std::size_t count_masked_body(
+    const std::uint64_t* __restrict words,
+    const std::uint64_t* __restrict masks,
+    const std::uint32_t* __restrict index, std::size_t n) {
+  std::size_t total = 0;
+  for (std::size_t i = 0; i < n; ++i)
+    total += popcount64(words[index[i]] & masks[i]);
+  return total;
+}
+
 // ------------------------------------------------ dispatched kernels --
-// accumulate_rows and if_step_words are the simulator's two per-step hot
-// passes.  On x86-64 they are compiled twice from the one inline body —
-// for x86-64-v3 (AVX2) and for the build's baseline — and the loader
-// binds the widest clone the CPU supports (GCC/Clang target_clones,
-// kernels.cpp).  Both clones give the same bits: the bodies fix the
-// per-element order of every addition and contain no multiply-add, so
-// vector width cannot change a result (docs/performance.md).
+// accumulate_rows, sum_rows64 and if_step_words are the simulator's
+// per-step hot passes, count_masked the replay's.  On x86-64 each is
+// compiled twice from its one inline body — for x86-64-v3 (AVX2, POPCNT)
+// and for the build's baseline — and the loader binds the widest clone
+// the CPU supports (GCC/Clang target_clones, kernels.cpp).  Both clones
+// give the same bits: the bodies fix the per-element order of every
+// addition and contain no multiply-add, so vector width cannot change a
+// result (docs/performance.md).
 
 /// Adds weight rows `rows` of the input-major matrix starting at `w`
 /// (row r begins at w + r*stride) onto `acc[0, cols)`: acc[c] += sum
@@ -125,6 +176,23 @@ inline float dot(const float* __restrict a, const float* __restrict b,
 /// touched output pixel with that pixel's weight-row list.
 void accumulate_rows(const float* w, std::size_t stride, std::size_t cols,
                      std::span<const std::uint32_t> rows, float* acc);
+
+/// Writes out[c] = +0.0f + the sum over `rows` of w[r*stride + c], added
+/// in the given row order, for the kRowBlock columns c in [0, 64): the
+/// same bits as accumulate_rows over a zeroed 64-wide block, with the
+/// block held in registers over the whole list instead of reloaded and
+/// stored every four rows.  `stride >= kRowBlock`.  The conv gather
+/// (snn/scatter.cpp) sums each full 64-channel output block with it.
+void sum_rows64(const float* w, std::size_t stride,
+                std::span<const std::uint32_t> rows, float* out);
+
+/// Returns the sum over i in [0, n) of popcount(words[index[i]] &
+/// masks[i]): the spikes of packed vector `words` that fall in the bit
+/// sets the (index, mask) entries name.  The executor counts each MCA
+/// group's active rows with it from the group's word-mask plan.
+std::size_t count_masked(const std::uint64_t* words,
+                         const std::uint64_t* masks,
+                         const std::uint32_t* index, std::size_t n);
 
 /// The constants of one integrate-and-fire population, narrowed to float
 /// once per call (snn::IfParams holds them in double).
@@ -168,16 +236,19 @@ inline constexpr auto kLaneBit = [] {
   return bits;
 }();
 
-/// Runs if_fire over 32 neurons and returns their spikes as one mask
-/// (neuron j -> bit j).  Fixed width, so the loop fully vectorises.
+/// Runs if_fire over 32 neurons, clearing each current to +0.0f as it
+/// reads it, and returns their spikes as one mask (neuron j -> bit j).
+/// Fixed width, so the loop fully vectorises.
 template <bool Leak, bool Subtractive>
 [[gnu::always_inline]] inline std::uint32_t if_fire32(
-    float* __restrict m, const float* __restrict cur, float vth,
-    float vreset, float leak) {
+    float* __restrict m, float* __restrict cur, float vth, float vreset,
+    float leak) {
   std::uint32_t bits = 0;
-  for (std::size_t j = 0; j < 32; ++j)
+  for (std::size_t j = 0; j < 32; ++j) {
     bits |= kLaneBit[j] & (0u - std::uint32_t{if_fire<Leak, Subtractive>(
                                    m[j], cur[j], vth, vreset, leak)});
+    cur[j] = 0.0f;
+  }
   return bits;
 }
 
@@ -186,7 +257,7 @@ template <bool Leak, bool Subtractive>
 /// number of neurons that fired.
 template <bool Leak, bool Subtractive>
 [[gnu::always_inline]] inline std::size_t if_step_words_regime(
-    const IfRule& r, float* __restrict m, const float* __restrict cur,
+    const IfRule& r, float* __restrict m, float* __restrict cur,
     std::uint64_t* __restrict words, std::size_t n) {
   const float vth = r.v_threshold, vreset = r.v_reset, leak = r.leak;
   std::size_t fired = 0;
@@ -203,10 +274,12 @@ template <bool Leak, bool Subtractive>
   }
   if (base < n) {  // tail word: bits at and above n stay zero
     std::uint64_t word = 0;
-    for (std::size_t j = 0; base + j < n; ++j)
+    for (std::size_t j = 0; base + j < n; ++j) {
       word |= std::uint64_t{if_fire<Leak, Subtractive>(
                   m[base + j], cur[base + j], vth, vreset, leak)}
               << j;
+      cur[base + j] = 0.0f;
+    }
     words[base >> 6] = word;
     fired += popcount64(word);
   }
@@ -216,7 +289,7 @@ template <bool Leak, bool Subtractive>
 /// The body of if_step_words: picks the leak/reset regime once, then
 /// runs it over all n neurons.
 [[gnu::always_inline]] inline std::size_t if_step_words_body(
-    const IfRule& r, float* __restrict m, const float* __restrict cur,
+    const IfRule& r, float* __restrict m, float* __restrict cur,
     std::uint64_t* __restrict words, std::size_t n) {
   if (r.leak > 0.0f)
     return r.subtractive_reset
@@ -230,9 +303,11 @@ template <bool Leak, bool Subtractive>
 /// Steps n IF neurons — membranes `m`, input currents `cur` — and writes
 /// their spikes as ceil(n/64) packed words (neuron i -> bit i%64 of word
 /// i/64; the tail word's bits at and above n are zero).  Every word is
-/// built from the compare masks of 64 neurons and stored once.  Returns
-/// the number of neurons that fired.
-std::size_t if_step_words(const IfRule& r, float* m, const float* cur,
+/// built from the compare masks of 64 neurons and stored once.  The
+/// currents are consumed: each is +0.0f on return, so a caller that
+/// scatters the next step's drive onto them needs no clearing pass.
+/// Returns the number of neurons that fired.
+std::size_t if_step_words(const IfRule& r, float* m, float* cur,
                           std::uint64_t* words, std::size_t n);
 
 /// out[c] = sum_r x[r] * w[r*cols + c] — input-major matvec (the layer

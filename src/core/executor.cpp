@@ -88,36 +88,43 @@ Executor::Executor(const snn::Topology& topology, const Mapping& mapping,
     fault_manifest_ = derive_manifest(mapping_);
   }
 
+  // The replay tables hold counts and word indices in 32 bits; a chip
+  // beyond that is not one this model describes.
+  const auto narrow = [](std::size_t v) {
+    require(v <= UINT32_MAX,
+            "executor: mapping exceeds the 32-bit replay tables");
+    return static_cast<std::uint32_t>(v);
+  };
   // Appends the bit run [begin, end) of a layer input to `plan` as
   // (word, mask) entries; a run that starts in the word the group's
   // previous entry covers merges into that entry (runs never overlap).
-  const auto append_run = [](std::vector<SliceWord>& plan,
-                             std::size_t group_begin, std::size_t begin,
-                             std::size_t end) {
+  const auto append_run = [&narrow](LayerPlan& plan, std::size_t group_begin,
+                                    std::size_t begin, std::size_t end) {
     for (std::size_t w = begin >> 6; begin < end; ++w) {
       const std::size_t lo = begin - (w << 6);
       const std::size_t hi = std::min<std::size_t>(end - (w << 6), 64);
       std::uint64_t mask = ~std::uint64_t{0} << lo;
       if (hi < 64) mask &= (std::uint64_t{1} << hi) - 1;
-      if (plan.size() > group_begin && plan.back().word == w)
-        plan.back().mask |= mask;
-      else
-        plan.push_back({mask, w});
+      if (plan.words.size() > group_begin && plan.words.back() == w) {
+        plan.masks.back() |= mask;
+      } else {
+        plan.masks.push_back(mask);
+        plan.words.push_back(narrow(w));
+      }
       begin = (w + 1) << 6;
     }
   };
 
   const tech::DigitalCosts& d = mapping_.config.technology.digital;
-  group_consts_.resize(mapping.layers.size());
-  slice_words_.resize(mapping.layers.size());
+  plans_.resize(mapping.layers.size());
   for (std::size_t l = 0; l < mapping.layers.size(); ++l) {
     const snn::LayerInfo& li = topology.layers()[l];
-    std::vector<SliceWord>& plan = slice_words_[l];
+    LayerPlan& plan = plans_[l];
     // Heterogeneous chips (search strategies) size arrays per layer; all
     // pre-search mappings resolve to config.mca_size here.
     const std::size_t N = mapping.layer_mca_size(l);
     leak_columns_ += mapping.layers[l].mca_count * N;
-    group_consts_[l].reserve(mapping.layers[l].groups.size());
+    plan.groups.reserve(mapping.layers[l].groups.size());
     for (const McaGroup& g : mapping.layers[l].groups) {
       // The plan indexes input words directly, so a slice reaching past
       // the layer input would read past the spike vector.
@@ -126,43 +133,44 @@ Executor::Executor(const snn::Topology& topology, const Mapping& mapping,
                               " has a group input slice outside its input "
                               "shape",
                           "RV-TOPO-SLICE-BOUNDS");
-      GroupConsts gc;
-      gc.bits = static_cast<double>(slice_bits(g.slice, li.in_shape));
-      gc.driven_scale = static_cast<double>(g.rows_used * g.mca_count);
-      gc.synapses = static_cast<double>(g.synapses);
-      gc.total_cells =
+      GroupRecord gr;
+      gr.mca_count = narrow(g.mca_count);
+      gr.cols_used = narrow(g.cols_used);
+      gr.buffer_bits = narrow(g.mca_count * N);
+      gr.bits = static_cast<double>(slice_bits(g.slice, li.in_shape));
+      gr.driven_scale = static_cast<double>(g.rows_used * g.mca_count);
+      gr.synapses = static_cast<double>(g.synapses);
+      gr.total_cells =
           static_cast<double>(g.mca_count) * static_cast<double>(N * N);
-      gc.control_pj = static_cast<double>(g.mca_count) * d.mca_control_pj +
+      gr.control_pj = static_cast<double>(g.mca_count) * d.mca_control_pj +
                       static_cast<double>(g.mca_count * N) *
                           d.column_interface_pj;
-      gc.mca_size_d = static_cast<double>(N);
-      gc.buffer_bits = g.mca_count * N;
-      gc.words_begin = plan.size();
+      gr.mca_size_d = static_cast<double>(N);
+      const std::size_t plan_begin = plan.words.size();
       if (g.slice.kind == SliceKind::kContiguous) {
-        append_run(plan, gc.words_begin, g.slice.begin, g.slice.end);
+        append_run(plan, plan_begin, g.slice.begin, g.slice.end);
       } else {
         for (std::size_t c = 0; c < li.in_shape.c; ++c)
           for (std::size_t y = g.slice.y0; y <= g.slice.y1; ++y) {
             const std::size_t base = (c * li.in_shape.h + y) * li.in_shape.w;
-            append_run(plan, gc.words_begin, base + g.slice.x0,
+            append_run(plan, plan_begin, base + g.slice.x0,
                        base + g.slice.x1 + 1);
           }
       }
-      gc.words_end = plan.size();
-      group_consts_[l].push_back(gc);
+      gr.plan_end = narrow(plan.words.size());
+      plan.groups.push_back(gr);
     }
   }
 }
 
 std::size_t Executor::active_rows(std::size_t layer, std::size_t group,
                                   const SpikeVector& spikes) const {
-  const GroupConsts& gc = group_consts_[layer][group];
-  const SliceWord* plan = slice_words_[layer].data();
-  const std::uint64_t* words = spikes.words().data();
-  std::size_t active = 0;
-  for (std::size_t i = gc.words_begin; i < gc.words_end; ++i)
-    active += kernels::popcount64(words[plan[i].word] & plan[i].mask);
-  return active;
+  const LayerPlan& plan = plans_[layer];
+  const std::size_t begin = group > 0 ? plan.groups[group - 1].plan_end : 0;
+  return kernels::count_masked(spikes.words().data(),
+                               plan.masks.data() + begin,
+                               plan.words.data() + begin,
+                               plan.groups[group].plan_end - begin);
 }
 
 Executor::ReplayCosts Executor::make_costs() const {
@@ -227,45 +235,61 @@ void Executor::replay_step(const snn::SpikeTrace& trace, std::size_t step,
     const SpikeVector& in_vec = trace.layers[l][step];
     const SpikeVector& out_vec = trace.layers[l + 1][step];
 
+    // The group loop tallies into locals and writes them back once; the
+    // doubles see the same additions in the same order as in place.
+    const LayerPlan& plan = plans_[l];
+    const std::uint64_t* const in_words = in_vec.words().data();
+    const std::uint64_t* const masks = plan.masks.data();
+    const std::uint32_t* const words = plan.words.data();
+    double crossbar_pj = e.crossbar_pj;
+    double control_pj = e.control_pj;
+    std::size_t mca_skips = 0, mca_activations = 0, buffer_bits = 0,
+                integrations = 0;
     bool layer_active = false;
-    const std::vector<GroupConsts>& consts = group_consts_[l];
-    for (std::size_t gi = 0; gi < lm.groups.size(); ++gi) {
-      const McaGroup& g = lm.groups[gi];
-      const GroupConsts& gc = consts[gi];
-      const std::size_t active = active_rows(l, gi, in_vec);
+    std::uint32_t begin = 0;
+    for (const GroupRecord& g : plan.groups) {
+      const std::size_t active = kernels::count_masked(
+          in_words, masks + begin, words + begin, g.plan_end - begin);
+      begin = g.plan_end;
       if (active == 0 && cfg.event_driven) {
-        ev.mca_skips += g.mca_count;
+        mca_skips += g.mca_count;
         continue;
       }
       layer_active = layer_active || active > 0;
       const double fraction =
-          gc.bits != 0.0 ? static_cast<double>(active) / gc.bits : 0.0;
+          g.bits != 0.0 ? static_cast<double>(active) / g.bits : 0.0;
       // Programmed cells on driven rows dissipate at the mean programmed
       // conductance; the *unmapped* crosspoints of a driven row still sit
       // at G_off and leak V^2*G_off*t each — the physical cost of poor
       // utilisation that makes oversized MCAs lose on sparse (CNN)
       // connectivity (paper section 5.2, Fig. 12(c)).
-      const double driven_rows = fraction * gc.driven_scale;
-      const double driven_cells = driven_rows * gc.mca_size_d;
-      const double used_cells = fraction * gc.synapses;
-      e.crossbar_pj += used_cells * cell_pj +
-                       std::max(0.0, driven_cells - used_cells) * cell_off_pj;
+      const double driven_rows = fraction * g.driven_scale;
+      const double driven_cells = driven_rows * g.mca_size_d;
+      const double used_cells = fraction * g.synapses;
+      crossbar_pj += used_cells * cell_pj +
+                     std::max(0.0, driven_cells - used_cells) * cell_off_pj;
       // Sneak paths: in a selectorless array every *half-selected* cell
       // leaks a fraction of a full read during each access [Liang,
       // TED'10] — the total grows with the square of the array size,
       // which is the paper's reason large MCAs lose (sections 1, 5.2).
       if (sneak > 0.0) {
-        e.crossbar_pj +=
-            sneak * std::max(0.0, gc.total_cells - driven_cells) * cell_off_pj;
+        crossbar_pj +=
+            sneak * std::max(0.0, g.total_cells - driven_cells) * cell_off_pj;
       }
-      ev.mca_activations += g.mca_count;
+      mca_activations += g.mca_count;
       // The iBUFF feeds all N row drivers of each array regardless of how
       // many rows carry mapped synapses, and every physical column's
       // sense/interface path cycles on a read, used or not.
-      ev.buffer_bits += gc.buffer_bits;
-      e.control_pj += gc.control_pj;
-      ev.neuron_integrations += g.cols_used;
+      buffer_bits += g.buffer_bits;
+      control_pj += g.control_pj;
+      integrations += g.cols_used;
     }
+    e.crossbar_pj = crossbar_pj;
+    e.control_pj = control_pj;
+    ev.mca_skips += mca_skips;
+    ev.mca_activations += mca_activations;
+    ev.buffer_bits += buffer_bits;
+    ev.neuron_integrations += integrations;
 
     ev.neuron_fires += out_vec.count();
 

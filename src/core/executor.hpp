@@ -12,12 +12,15 @@
 // Inter-stage transfers travel the hierarchical Ml-NoC model (src/noc/,
 // docs/noc.md) along the per-boundary Route table: `analytic` fidelity
 // charges the flat per-word cycles this executor has always used
-// (bit-for-bit reproducible totals), `event` fidelity drives real
-// ProgrammableSwitch FIFOs and adds hop pipeline-fill plus congestion
-// stall latency.  Event counts are converted to energy with the
+// (bit-for-bit reproducible totals), `event` fidelity counts flits
+// through ProgrammableSwitch levels and adds hop pipeline-fill plus
+// congestion stall latency.  Event counts are converted to energy with the
 // technology cost tables and to cycles with the pipeline model described
 // in docs/execution.md.
 #pragma once
+
+#include <cstdint>
+#include <vector>
 
 #include "common/shared_value.hpp"
 #include "core/energy.hpp"
@@ -86,19 +89,19 @@ class Executor {
   /// perf/leakage fields (the run() epilogue).
   void finish_replay(const ReplayCosts& costs, ReplayState& state) const;
 
-  /// One entry of the word-mask plan: the bits of a group's input slice
-  /// that fall in packed input word `word` are the set bits of `mask`.
-  struct SliceWord {
-    std::uint64_t mask = 0;
-    std::size_t word = 0;
-  };
-
-  /// Per-group constants of the replay inner loop, precomputed at
-  /// construction so replay_step performs no integer->double conversion or
-  /// per-group multiply on the hot path.  Every field is the exact value
-  /// the loop used to recompute per step (same operands, same operations),
-  /// so replay results are bit-for-bit unchanged.
-  struct GroupConsts {
+  /// Per-group record of the replay inner loop, one cache line,
+  /// precomputed at construction so replay_step performs no
+  /// integer->double conversion or per-group multiply on the hot path.
+  /// Every field is the exact value the loop used to recompute per step
+  /// (same operands, same operations), so replay results are bit-for-bit
+  /// unchanged.
+  struct GroupRecord {
+    /// End of the group's entries in its layer's word-mask plan; they
+    /// begin at the previous record's end (0 for the first group).
+    std::uint32_t plan_end = 0;
+    std::uint32_t mca_count = 0;    ///< arrays in the group
+    std::uint32_t cols_used = 0;    ///< neurons integrated per activation
+    std::uint32_t buffer_bits = 0;  ///< iBUFF bits fed per activation
     double bits = 0.0;          ///< bits in the slice (fraction denominator)
     double driven_scale = 0.0;  ///< rows_used * mca_count
     double synapses = 0.0;      ///< crosspoints actually programmed
@@ -107,24 +110,26 @@ class Executor {
     /// The layer's resolved MCA size as double (heterogeneous chips carry a
     /// per-layer size; Mapping::layer_mca_size).  Exact for any legal size.
     double mca_size_d = 0.0;
-    std::size_t buffer_bits = 0;  ///< iBUFF bits fed per activation
-    /// The group's entries [words_begin, words_end) of its layer's
-    /// slice_words_ table.
-    std::size_t words_begin = 0;
-    std::size_t words_end = 0;
+  };
+  static_assert(sizeof(GroupRecord) == 64, "one record per cache line");
+
+  /// One layer's replay tables.  The word-mask plan lists each group's
+  /// input slice as (word, mask) entries, so a group's active count is
+  /// the sum of popcount(input[word[i]] & mask[i]) over its entries
+  /// (kernels::count_masked).  A contiguous slice is its covered words; a
+  /// window is its per-(channel, row) bit runs, with runs that fall in the
+  /// same word merged into one entry.  Built once at construction.
+  struct LayerPlan {
+    std::vector<GroupRecord> groups;
+    std::vector<std::uint64_t> masks;  ///< plan entry masks
+    std::vector<std::uint32_t> words;  ///< plan entry input-word indices
   };
 
   const snn::Topology& topology_;
   const Mapping& mapping_;
   noc::RouteTable routes_;
   noc::Fidelity fidelity_ = noc::Fidelity::kAnalytic;
-  std::vector<std::vector<GroupConsts>> group_consts_;  ///< [layer][group]
-  /// Word-mask plan, [layer][entry]: each group's input slice as
-  /// (word, mask) pairs, so a group's active count is a sum of
-  /// popcount(word & mask).  A contiguous slice is its covered words; a
-  /// window is its per-(channel, row) bit runs, with runs that fall in the
-  /// same word merged into one entry.  Built once at construction.
-  std::vector<std::vector<SliceWord>> slice_words_;
+  std::vector<LayerPlan> plans_;  ///< [layer]
   /// Deployed column-periphery count, sum over layers of mca_count * N_l —
   /// the leakage denominator.  Equals total_mcas * mca_size when the chip
   /// is homogeneous.

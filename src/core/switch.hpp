@@ -1,59 +1,53 @@
 // Programmable switch (paper Fig. 6).
 //
-// Routes spike packets between the mPEs and switches of a NeuroCell.  Each
-// packet carries a destination address (switch id / mPE id / MCA id) and a
-// flit payload.  The switch implements the section-3.2 zero-check: an
-// all-zero payload is dropped before traversal, saving the hop energy.
+// Routes spike flits between the mPEs and switches of a NeuroCell and
+// implements the section-3.2 zero-check: an all-zero flit is dropped
+// before traversal, saving the hop energy.  The NoC fabric (src/noc/)
+// only needs the switch's counters, so a transfer is counted in closed
+// form rather than queued flit by flit.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
-#include <cstdint>
-#include <deque>
 
 namespace resparc::core {
 
-/// A spike packet: one flit of payload plus its destination address
-/// (Fig. 6's iAddress format: SW_ID | mPE_ID | MCA_ID).
-struct SpikePacket {
-  std::uint16_t dst_switch = 0;
-  std::uint16_t dst_mpe = 0;
-  std::uint8_t dst_mca = 0;
-  std::uint64_t payload = 0;
-};
-
 /// Counters of one switch.
 struct SwitchCounters {
-  std::size_t forwarded = 0;   ///< packets that traversed the switch
-  std::size_t dropped_zero = 0;///< all-zero packets suppressed by zero-check
+  std::size_t forwarded = 0;   ///< flits that traversed the switch
+  std::size_t dropped_zero = 0;///< all-zero flits suppressed by zero-check
   std::size_t buffered_max = 0;///< high-water mark of the data buffer
 };
 
-/// One programmable switch with input/output packet buffers.
+/// One programmable switch: its zero-check and its traffic counters.
 class ProgrammableSwitch {
  public:
   /// `zero_check` enables the event-driven drop logic.
-  ProgrammableSwitch(std::uint16_t id, bool zero_check)
-      : id_(id), zero_check_(zero_check) {}
+  explicit ProgrammableSwitch(bool zero_check) : zero_check_(zero_check) {}
 
-  std::uint16_t id() const { return id_; }
+  /// Passes one transfer through the switch: `sent` non-zero flits and
+  /// `zeros` all-zero ones arrive in one burst and the buffer drains
+  /// before the next transfer (arbitration is FIFO across senders).  The
+  /// zero-check drops the zero flits; the rest are buffered together, so
+  /// the buffer peaks at their count.  Returns the flits that traversed.
+  std::size_t pass(std::size_t sent, std::size_t zeros) {
+    std::size_t queued = sent;
+    if (zero_check_)
+      counters_.dropped_zero += zeros;
+    else
+      queued += zeros;
+    counters_.forwarded += queued;
+    counters_.buffered_max = std::max(counters_.buffered_max, queued);
+    return queued;
+  }
 
-  /// Offers a packet to the switch.  Returns false when the zero-check
-  /// suppressed it; otherwise the packet is queued for delivery.
-  bool offer(const SpikePacket& packet);
-
-  /// True when packets are waiting.
-  bool pending() const { return !queue_.empty(); }
-
-  /// Pops the next packet (arbitration is FIFO across senders).
-  SpikePacket deliver();
-
+  /// Counters since construction or the last reset_counters().
   const SwitchCounters& counters() const { return counters_; }
+  /// Zeroes every counter.
   void reset_counters() { counters_ = SwitchCounters{}; }
 
  private:
-  std::uint16_t id_;
   bool zero_check_;
-  std::deque<SpikePacket> queue_;
   SwitchCounters counters_{};
 };
 

@@ -45,17 +45,12 @@ Transport analytic_transfer(const Route& route, std::size_t sent,
 
 Fabric::Fabric(const core::ResparcConfig& config, std::size_t neurocells)
     : config_(config),
-      root_(0, config.event_driven) {
+      mesh_(neurocells, core::ProgrammableSwitch(config.event_driven)),
+      tree_(tree_depth(neurocells),
+            core::ProgrammableSwitch(config.event_driven)),
+      root_(config.event_driven) {
   require(neurocells > 0, "fabric: need at least one NeuroCell");
-  const std::size_t depth = tree_depth(neurocells);
-  mesh_.reserve(neurocells);
-  for (std::size_t nc = 0; nc < neurocells; ++nc)
-    mesh_.emplace_back(static_cast<std::uint16_t>(nc + 1),
-                       config.event_driven);
-  tree_.reserve(depth);
-  for (std::size_t level = 0; level < depth; ++level)
-    tree_.emplace_back(static_cast<std::uint16_t>(neurocells + 1 + level),
-                       config.event_driven);
+  const std::size_t depth = tree_.size();
   mesh_free_.assign(neurocells, 0.0);
   node_free_.resize(depth);
   for (std::size_t h = 1; h <= depth; ++h)
@@ -66,22 +61,6 @@ void Fabric::begin_step() {
   std::fill(mesh_free_.begin(), mesh_free_.end(), 0.0);
   for (auto& level : node_free_) std::fill(level.begin(), level.end(), 0.0);
   bus_free_ = 0.0;
-}
-
-std::size_t Fabric::pump(core::ProgrammableSwitch& sw, std::size_t sent,
-                         std::size_t zeros) {
-  core::SpikePacket packet;
-  packet.dst_switch = sw.id();
-  packet.payload = 0;
-  for (std::size_t w = 0; w < zeros; ++w) (void)sw.offer(packet);
-  packet.payload = 1;  // non-zero flit: survives the zero-check
-  for (std::size_t w = 0; w < sent; ++w) (void)sw.offer(packet);
-  std::size_t traversed = 0;
-  while (sw.pending()) {
-    (void)sw.deliver();
-    ++traversed;
-  }
-  return traversed;
 }
 
 Transport Fabric::transfer(const Route& route, std::size_t sent,
@@ -99,10 +78,10 @@ Transport Fabric::transfer(const Route& route, std::size_t sent,
                 ? root_
                 : tree_[std::min(route.lca_height > 0 ? route.lca_height : 1,
                                  depth) - 1];
-        (void)pump(entry, 0, zeros);
+        (void)entry.pass(0, zeros);
         stats_.bus.drops += zeros;  // same attribution as analytic_transfer
       } else if (route.dst_nc_first < mesh_.size()) {
-        (void)pump(mesh_[route.dst_nc_first], 0, zeros);
+        (void)mesh_[route.dst_nc_first].pass(0, zeros);
         stats_.mesh.drops += zeros;
       }
     }
@@ -125,7 +104,7 @@ Transport Fabric::transfer(const Route& route, std::size_t sent,
                  depth > 0 ? depth : 1);
     const bool at_root = depth == 0 || route.lca_height >= depth;
     core::ProgrammableSwitch& entry = tree_.empty() ? root_ : tree_[h - 1];
-    const std::size_t offered = pump(entry, sent, zeros);
+    const std::size_t offered = entry.pass(sent, zeros);
     const std::size_t span = route.src_span > 0 ? route.src_span : 1;
     const double ascent =
         std::ceil(static_cast<double>(sent) / static_cast<double>(span));
@@ -159,7 +138,7 @@ Transport Fabric::transfer(const Route& route, std::size_t sent,
     require(route.dst_nc_first < mesh_.size(),
             "fabric: route destination outside the fabric");
     core::ProgrammableSwitch& entry = mesh_[route.dst_nc_first];
-    const std::size_t offered = pump(entry, sent, zeros);
+    const std::size_t offered = entry.pass(sent, zeros);
     double& lane = mesh_free_[route.dst_nc_first];
     const double start = std::max(arrival, lane);
     t.stall_cycles = start - arrival;

@@ -13,9 +13,10 @@
 //     always used (kBusCyclesPerWord per bus word, ceil(words/nc_dim)
 //     through the mesh).  Allocation-free, reproduces the pre-NoC energy
 //     and latency totals bit-for-bit.
-//   * Fabric — event-driven: every transfer is offered to real
-//     ProgrammableSwitch FIFOs (the zero-check drops all-zero words at
-//     injection), arbitration is FIFO across senders, shared resources
+//   * Fabric — event-driven: every transfer passes the route's entry
+//     ProgrammableSwitch (the zero-check drops all-zero words at
+//     injection; the switch counts the flits in closed form instead of
+//     queuing them), arbitration is FIFO across senders, shared resources
 //     (the root bus, each cell's mesh) serialize contending transfers and
 //     the wait shows up as per-level stall cycles.  Event fidelity adds
 //     hop pipeline-fill and congestion latency on top of the analytic
@@ -54,9 +55,10 @@ Transport analytic_transfer(const Route& route, std::size_t sent,
                             const core::ResparcConfig& config,
                             NocStats& stats);
 
-/// The event-driven fabric: per-step FIFO queues over ProgrammableSwitch
-/// levels.  One instance models one chip; create it per replay (it keeps
-/// per-resource clocks, switch queues and cumulative NocStats).
+/// The event-driven fabric: per-step FIFO resource clocks over
+/// ProgrammableSwitch levels.  One instance models one chip; create it per
+/// replay (it keeps per-resource clocks, switch counters and cumulative
+/// NocStats).
 class Fabric {
  public:
   /// Builds the fabric for `config` spanning `neurocells` cells.  The
@@ -74,8 +76,8 @@ class Fabric {
 
   /// Transfers `sent` non-zero words (plus `zeros` all-zero words that
   /// the zero-check may drop) along `route`, arriving at `arrival`
-  /// cycles into the current step.  Words are offered to the route's
-  /// switch FIFOs, resources serialize in FIFO order, and the returned
+  /// cycles into the current step.  Words pass the route's entry switch,
+  /// resources serialize in FIFO order, and the returned
   /// latency includes service, hop pipeline-fill and congestion stall.
   Transport transfer(const Route& route, std::size_t sent, std::size_t zeros,
                      double arrival);
@@ -85,18 +87,13 @@ class Fabric {
 
   /// Aggregate ProgrammableSwitch counters over every level: forwarded /
   /// dropped_zero feed the executor's switch-flit accounting, and
-  /// buffered_max is the fabric-wide FIFO high-water mark.
+  /// buffered_max is the fabric-wide buffer high-water mark.
   core::SwitchCounters switch_totals() const;
 
   /// Clears stats, switch counters and resource clocks.
   void reset();
 
  private:
-  /// Offers `sent` + `zeros` words to `sw` and drains it, tallying
-  /// forwarded/dropped counters; returns the words that traversed.
-  std::size_t pump(core::ProgrammableSwitch& sw, std::size_t sent,
-                   std::size_t zeros);
-
   core::ResparcConfig config_;
   std::vector<core::ProgrammableSwitch> mesh_;  ///< entry switch per NeuroCell
   std::vector<core::ProgrammableSwitch> tree_;  ///< one switch per H-tree level

@@ -50,7 +50,7 @@ std::size_t IfPopulation::step(std::span<const float> current,
   return fired;
 }
 
-std::size_t IfPopulation::step_packed(std::span<const float> current,
+std::size_t IfPopulation::step_packed(std::span<float> current,
                                       SpikeVector& out) {
   if (current.size() != membrane_.size() || out.size() != membrane_.size())
     throw ShapeError("IfPopulation::step_packed: size mismatch");

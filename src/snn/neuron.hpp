@@ -45,10 +45,12 @@ class IfPopulation {
   /// side of the packed datapath (docs/performance.md).  `out` must be
   /// sized to the population;
   /// every word is fully overwritten, so no stale bit survives from a
-  /// previous step.  Returns the number of neurons that fired.
+  /// previous step.  The step consumes `current`: every value is +0.0f
+  /// on return, ready for the next step's scatter.  Returns the number
+  /// of neurons that fired.
   /// Bit-for-bit the same spikes and membranes as step()
   /// (tests/test_neuron.cpp, tests/test_differential.cpp).
-  std::size_t step_packed(std::span<const float> current, SpikeVector& out);
+  std::size_t step_packed(std::span<float> current, SpikeVector& out);
 
   /// Sparse variant of step(): integrates `current` for just the neurons
   /// named in `indices` (which must be duplicate-free) and appends every

@@ -80,9 +80,10 @@ ScatterPlan::ScatterPlan(const LayerInfo& li) : li_(li) {
 /// Output-stationary form of the convolution: every event appends its
 /// weight row c*k*k + tap to the list of each output pixel it feeds
 /// (ascending events, so each list is in ascending (c, ky, kx) order);
-/// then each touched pixel sums its list across all output channels with
-/// accumulate_rows into a stack accumulator that starts at +0.0f, and
-/// stores it into the CHW `current`.
+/// then each touched pixel sums its list across all output channels, one
+/// 64-channel block at a time, into a stack accumulator that starts at
+/// +0.0f, and stores it into the CHW `current`.  Full blocks are summed
+/// in registers by sum_rows64; a narrower last block by accumulate_rows.
 void gather_conv(ScatterPlan& plan, const Matrix& w,
                  std::span<const std::uint32_t> in_active,
                  std::span<float> current) {
@@ -103,7 +104,7 @@ void gather_conv(ScatterPlan& plan, const Matrix& w,
 
   // Channel blocks bound the stack accumulator; every output still sees
   // the whole list in order, so the blocking has no numeric effect.
-  constexpr std::size_t kBlock = 128;
+  constexpr std::size_t kBlock = kernels::kRowBlock;
   float acc[kBlock] = {};
   for (std::size_t pixel = 0; pixel < plane; ++pixel) {
     const std::size_t n = counts[pixel];
@@ -112,8 +113,13 @@ void gather_conv(ScatterPlan& plan, const Matrix& w,
     const std::span<const std::uint32_t> list(rows + pixel * cap, n);
     for (std::size_t oc0 = 0; oc0 < out.c; oc0 += kBlock) {
       const std::size_t width = std::min(kBlock, out.c - oc0);
-      std::fill(acc, acc + width, 0.0f);
-      kernels::accumulate_rows(w.flat().data() + oc0, out.c, width, list, acc);
+      if (width == kBlock) {
+        kernels::sum_rows64(w.flat().data() + oc0, out.c, list, acc);
+      } else {
+        std::fill(acc, acc + width, 0.0f);
+        kernels::accumulate_rows(w.flat().data() + oc0, out.c, width, list,
+                                 acc);
+      }
       float* const dst = current.data() + oc0 * plane + pixel;
       for (std::size_t j = 0; j < width; ++j) dst[j * plane] = acc[j];
     }

@@ -115,8 +115,9 @@ class ScatterPlan {
 /// Precondition: every output is +0.0f.  Dense and pool layers add onto
 /// it.  Conv layers gather: each event appends its weight row to the list
 /// of every output pixel it feeds, then each touched pixel sums its list
-/// into a small accumulator with kernels::accumulate_rows and writes it
-/// into `current` (CHW); untouched outputs are not written.  Either way
+/// into a small accumulator (kernels::sum_rows64 per full 64-channel
+/// block, kernels::accumulate_rows for a narrower one) and writes it into
+/// `current` (CHW); untouched outputs are not written.  Either way
 /// each output gets its additions in ascending input-index order starting
 /// from +0.0f.
 void scatter_accumulate(ScatterPlan& plan, const Matrix& w,

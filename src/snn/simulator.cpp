@@ -144,8 +144,8 @@ std::size_t Simulator::step_stepped(std::size_t l,
                                     std::span<const std::uint32_t> active) {
   Layer& layer = layers_[l];
   scatter_accumulate(layer.plan, net_.layer(l).weights, active, layer.current);
+  // step_packed consumes the currents, leaving them +0.0f for the next step.
   const std::size_t fired = layer.pop.step_packed(layer.current, layer.out);
-  std::fill(layer.current.begin(), layer.current.end(), 0.0f);
   layer.lists_valid = false;
   return fired;
 }

@@ -190,12 +190,18 @@ TEST(Kernels, DispatchedIfStepWordsMatchesBaselineBody) {
               std::string(leak > 0 ? "leak" : "no-leak") +
               (subtractive ? "/subtractive" : "/hard") +
               " n=" + std::to_string(n) + " t=" + std::to_string(t);
+          // Both calls consume their currents, so each reads its own copy.
+          std::vector<float> cur_dispatched = current, cur_baseline = current;
           const std::size_t fired = kernels::if_step_words(
-              rule, m_dispatched.data(), current.data(), w_dispatched.data(), n);
+              rule, m_dispatched.data(), cur_dispatched.data(),
+              w_dispatched.data(), n);
           EXPECT_EQ(fired, kernels::if_step_words_body(
-                               rule, m_baseline.data(), current.data(),
+                               rule, m_baseline.data(), cur_baseline.data(),
                                w_baseline.data(), n))
               << label;
+          const std::vector<float> cleared(n, 0.0f);
+          EXPECT_TRUE(same_bits(cur_dispatched, cleared)) << label;
+          EXPECT_TRUE(same_bits(cur_baseline, cleared)) << label;
           EXPECT_EQ(w_dispatched, w_baseline) << label;
           EXPECT_TRUE(same_bits(m_dispatched, m_baseline)) << label;
           std::size_t ones = 0;
@@ -208,6 +214,83 @@ TEST(Kernels, DispatchedIfStepWordsMatchesBaselineBody) {
         }
       }
     }
+  }
+}
+
+TEST(Kernels, DispatchedSumRows64MatchesBaselineBody) {
+  // The register-held 64-wide block against its baseline-ISA body and
+  // against accumulate_rows over a zeroed block (the code it replaces in
+  // the conv gather).  Strides 64 (the MNIST-CNN conv2 gather) and wider
+  // (a block of a wider layer); NaN and +-inf rows included.
+  const float inf = std::numeric_limits<float>::infinity();
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  Rng rng(18);
+  for (const std::size_t stride : {64u, 130u}) {
+    for (const std::size_t count : {0u, 1u, 3u, 4u, 7u, 9u, 25u, 468u}) {
+      Matrix w(40, stride);
+      for (float& v : w.flat()) v = static_cast<float>(rng.normal(0.0, 1.0));
+      w.flat()[3] = nan;
+      w.flat()[stride + 5] = inf;
+      w.flat()[2 * stride + 5] = -inf;
+      w.flat()[3 * stride + 63] = -0.0f;
+      std::vector<std::uint32_t> rows;
+      for (std::size_t i = 0; i < count; ++i)
+        rows.push_back(static_cast<std::uint32_t>(rng.below(40)));
+      const std::string label = "stride=" + std::to_string(stride) +
+                                " count=" + std::to_string(count);
+      // Stale values: every output must be overwritten.
+      std::vector<float> dispatched(64, 7.0f), baseline(64, 7.0f);
+      kernels::sum_rows64(w.flat().data(), stride, rows, dispatched.data());
+      kernels::sum_rows64_body(w.flat().data(), stride, rows, baseline.data());
+      EXPECT_TRUE(same_bits(dispatched, baseline)) << label;
+      std::vector<float> by_rows(64, 0.0f);
+      kernels::accumulate_rows(w.flat().data(), stride, 64, rows,
+                               by_rows.data());
+      EXPECT_TRUE(same_bits(dispatched, by_rows)) << label;
+    }
+  }
+}
+
+TEST(Kernels, DispatchedCountMaskedMatchesBaselineBody) {
+  // An empty range, all-ones masks, entries on the last word of the
+  // vector, and random words, masks and indices.
+  Rng rng(19);
+  std::vector<std::uint64_t> words(13);
+  for (auto& w : words) w = rng();
+  words[5] = ~std::uint64_t{0};
+  words.back() = std::uint64_t{1} << 63;
+  const auto reference = [&](std::span<const std::uint64_t> masks,
+                             std::span<const std::uint32_t> index) {
+    std::size_t n = 0;
+    for (std::size_t i = 0; i < masks.size(); ++i)
+      n += static_cast<std::size_t>(std::popcount(words[index[i]] & masks[i]));
+    return n;
+  };
+  const auto check = [&](const std::vector<std::uint64_t>& masks,
+                         const std::vector<std::uint32_t>& index,
+                         const std::string& label) {
+    const std::size_t got = kernels::count_masked(
+        words.data(), masks.data(), index.data(), masks.size());
+    EXPECT_EQ(got, kernels::count_masked_body(words.data(), masks.data(),
+                                              index.data(), masks.size()))
+        << label;
+    EXPECT_EQ(got, reference(masks, index)) << label;
+  };
+  const std::uint32_t last = static_cast<std::uint32_t>(words.size() - 1);
+  EXPECT_EQ(kernels::count_masked(words.data(), nullptr, nullptr, 0), 0u);
+  EXPECT_EQ(kernels::count_masked_body(words.data(), nullptr, nullptr, 0), 0u);
+  check({~std::uint64_t{0}, ~std::uint64_t{0}, ~std::uint64_t{0}},
+        {5, 0, last}, "all-ones masks");
+  check({~std::uint64_t{0} << 63, 1}, {last, last}, "last word");
+  for (int trial = 0; trial < 200; ++trial) {
+    const std::size_t n = rng.below(40);
+    std::vector<std::uint64_t> masks(n);
+    std::vector<std::uint32_t> index(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      masks[i] = rng() & rng();
+      index[i] = static_cast<std::uint32_t>(rng.below(words.size()));
+    }
+    check(masks, index, "random trial " + std::to_string(trial));
   }
 }
 
@@ -409,15 +492,18 @@ std::vector<float> naive_conv_scatter(const snn::LayerInfo& li,
 }
 
 TEST(Kernels, ConvScatterMatchesNaiveChwLoopBitForBit) {
-  // The gather at every partition count and the touched form, against
-  // the naive loop (not against each other, so a layout bug they share
-  // cannot pass).  Each plan serves every call, which also checks that
-  // each call leaves its gather lists empty for the next.  The 5x67 input has rows wider than one 64-bit spike word.
+  // The gather and the touched form, against the naive loop (not against
+  // each other, so a layout bug they share cannot pass).  Each plan
+  // serves every call, which also checks that each call leaves its gather
+  // lists empty for the next.  The 5x67 input has rows wider than one
+  // 64-bit spike word.  Channel counts below 64 take the gather's
+  // accumulate_rows block, 64 one full sum_rows64 block, and 65 and 130
+  // full blocks plus a narrow remainder.
   Rng rng(10);
   for (const Shape3 shape : {Shape3{2, 9, 8}, Shape3{2, 5, 67}}) {
     for (const std::size_t k : {1u, 3u, 5u}) {
       for (const bool same : {true, false}) {
-        for (const std::size_t oc : {5u, 7u, 13u}) {
+        for (const std::size_t oc : {5u, 7u, 13u, 64u, 65u, 130u}) {
           const Topology topo("conv-scatter", shape,
                               {LayerSpec::conv(oc, k, same)});
           snn::Network net(topo);

@@ -164,6 +164,8 @@ TEST(IfNeuron, StepAndStepPackedMatchScalarReferenceInEveryRegime) {
         EXPECT_EQ(words_pop.step_packed(current, words), fired) << regime;
         EXPECT_EQ(words.words()[2] >> 2, 0u) << regime;  // tail stays clean
         for (std::size_t i = 0; i < n; ++i) {
+          ASSERT_EQ(std::bit_cast<std::uint32_t>(current[i]), 0u)
+              << regime << " current " << i << " not consumed";
           ASSERT_EQ(got[i], want[i]) << regime << " neuron " << i;
           ASSERT_EQ(words.get(i), want[i] != 0) << regime << " neuron " << i;
           ASSERT_EQ(std::bit_cast<std::uint32_t>(bytes_pop.membrane(i)),

@@ -6,7 +6,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <span>
 #include <sstream>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "api/backends.hpp"
 #include "api/pipeline.hpp"
@@ -15,11 +19,13 @@
 #include "common/rng.hpp"
 #include "compile/compiler.hpp"
 #include "core/executor.hpp"
+#include "core/fault_injection.hpp"
 #include "noc/fabric.hpp"
 #include "noc/route.hpp"
 #include "snn/benchmarks.hpp"
 #include "snn/simulator.hpp"
 #include "tech/sram.hpp"
+#include "tech/technology.hpp"
 
 namespace resparc {
 namespace {
@@ -87,16 +93,19 @@ std::size_t ref_active_in_slice(const core::InputSlice& slice,
   return active;
 }
 
-/// Byte-level transliteration of the PRE-REFACTOR Executor::run (the flat
-/// kBusCyclesPerWord model this PR replaced): the acceptance gate that
-/// analytic NoC fidelity reproduces its energy/latency totals bit-for-bit.
+/// Byte-level transliteration of the pre-NoC Executor::run (the flat
+/// kBusCyclesPerWord model the NoC layer replaced): the acceptance gate
+/// that analytic NoC fidelity reproduces its energy/latency totals
+/// bit-for-bit.  Programmed cells charge at the chip instance's mean
+/// fault multiplier, exactly 1.0 when fault injection is off.
 RunReport reference_flat_run(const Topology& topology, const Mapping& mapping,
                              const snn::SpikeTrace& trace) {
   const core::ResparcConfig& cfg = mapping.config;
   const tech::Technology& t = cfg.technology;
   const tech::DigitalCosts& d = t.digital;
   const tech::Memristor device{t.memristor};
-  const double cell_pj = device.mean_cell_read_energy_pj();
+  const double cell_pj =
+      device.mean_cell_read_energy_pj() * core::chip_energy_scale(mapping);
   const double cell_off_pj = device.cell_read_energy_pj(device.g_min());
   const double sneak = device.params().sneak_leak_fraction;
   const tech::SramModel sram{
@@ -498,6 +507,56 @@ TEST(NocExecutor, AnalyticFidelityIsBitForBitFlatOnSmallNets) {
                              reference_flat_run(fx.topo, m, trace));
 }
 
+/// Chip configurations off the default technology, each with the replay
+/// term it pins: Ag-Si has no sneak leakage (the sneak term's off
+/// branch), the PCM preset leaks 5% per half-selected cell (the default
+/// technology carries the same device), and the fault chip charges
+/// programmed cells at a mean multiplier other than 1.
+std::vector<std::pair<std::string, core::ResparcConfig>> off_default_configs() {
+  std::vector<std::pair<std::string, core::ResparcConfig>> configs;
+  core::ResparcConfig agsi = core::default_config();
+  agsi.technology = tech::agsi_technology();
+  configs.emplace_back("agsi", agsi);
+  core::ResparcConfig pcm = core::default_config();
+  pcm.technology = tech::pcm_technology();
+  configs.emplace_back("pcm", pcm);
+  core::ResparcConfig faulty = core::default_config();
+  faulty.faults.enabled = true;
+  faulty.faults.chip_seed = 42;
+  faulty.faults.stuck_off_rate = 0.01;
+  faulty.faults.stuck_on_rate = 0.005;
+  faulty.faults.programming_sigma = 0.2;
+  configs.emplace_back("faults", faulty);
+  return configs;
+}
+
+/// Checks that each off-default configuration drives the term it is meant
+/// to pin, then replays `traces` against the flat reference.
+void expect_flat_off_default(const Topology& topo,
+                             std::span<const snn::SpikeTrace> traces) {
+  for (const auto& [name, config] : off_default_configs()) {
+    SCOPED_TRACE(name);
+    const double sneak = config.technology.memristor.sneak_leak_fraction;
+    const Mapping m = core::map_network(topo, config);
+    if (name == "agsi") {
+      EXPECT_EQ(sneak, 0.0);
+    } else if (name == "pcm") {
+      EXPECT_EQ(sneak, 0.05);
+    } else {
+      EXPECT_NE(core::chip_energy_scale(m), 1.0);
+    }
+    const core::Executor ex(topo, m);
+    for (const auto& trace : traces)
+      expect_reports_identical(ex.run(trace),
+                               reference_flat_run(topo, m, trace));
+  }
+}
+
+TEST(NocExecutor, AnalyticFidelityIsBitForBitFlatOffDefaultTechnology) {
+  Fixture fx(512, 256);
+  expect_flat_off_default(fx.topo, fx.traces);
+}
+
 TEST(NocExecutor, ProgramRoutesAndSelfRoutesAgreeBitForBit) {
   Fixture fx(256, 128);
   compile::Compiler compiler(core::default_config());
@@ -723,6 +782,20 @@ TEST_P(NocPaperScale, AnalyticReproducesFlatTotalsBitForBit) {
   const core::Executor ex(b.topology, m);
   expect_reports_identical(ex.run(trace),
                            reference_flat_run(b.topology, m, trace));
+}
+
+TEST_P(NocPaperScale, AnalyticReproducesFlatTotalsOffDefaultTechnology) {
+  const snn::BenchmarkSpec& b = spec(GetParam());
+  snn::Network net(b.topology);
+  Rng rng(8);
+  net.init_random(rng, 0.5f);
+  snn::SimConfig cfg;
+  cfg.timesteps = 8;
+  snn::Simulator sim(net, cfg);
+  std::vector<float> img(b.topology.input_neurons());
+  for (auto& p : img) p = static_cast<float>(rng.uniform(0.0, 1.0));
+  const snn::SpikeTrace trace = sim.run(img, rng).trace;
+  expect_flat_off_default(b.topology, {&trace, 1});
 }
 
 // Paper-scale MLP (0) and CNN (3): the acceptance pair of docs/noc.md.
