@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <new>
 
 // Function multi-versioning for the dispatched kernels (kernels.hpp,
 // docs/performance.md).  On x86-64 ELF targets each carries an x86-64-v3
@@ -19,6 +20,20 @@
 #define RESPARC_KERNEL_CLONES
 #endif
 
+// sum_rows binds one of three ISA versions through an ifunc resolver
+// instead: each sums with a different vector type (kernels.hpp), which
+// target_clones cannot express, and a 64-byte vector lowered onto
+// narrower registers spills every accumulator to the stack.  A baseline
+// that already has AVX-512F keeps its single body, as does a Clang
+// without the ISA-level names of __builtin_cpu_supports (before 18).
+#if defined(__x86_64__) && defined(__ELF__) && !defined(__AVX512F__) && \
+    defined(__has_attribute) && \
+    !(defined(__clang__) && __clang_major__ < 18)
+#if __has_attribute(ifunc) && __has_attribute(target)
+#define RESPARC_SUM_ROWS_IFUNC 1
+#endif
+#endif
+
 namespace resparc::kernels {
 
 RESPARC_KERNEL_CLONES
@@ -27,11 +42,71 @@ void accumulate_rows(const float* w, std::size_t stride, std::size_t cols,
   accumulate_rows_body(w, stride, cols, rows, acc);
 }
 
-RESPARC_KERNEL_CLONES
-void sum_rows64(const float* w, std::size_t stride,
-                std::span<const std::uint32_t> rows, float* out) {
-  sum_rows64_body(w, stride, rows, out);
+RowPanel::RowPanel(const float* w, std::size_t rows, std::size_t cols)
+    : rows_(rows),
+      cols_(cols),
+      stride_((cols + kPanelQuantum - 1) / kPanelQuantum * kPanelQuantum) {
+  const std::size_t n = rows_ * stride_;
+  data_.reset(static_cast<float*>(
+      ::operator new[](std::max<std::size_t>(n, 1) * sizeof(float),
+                       std::align_val_t{64})));
+  std::fill(data_.get(), data_.get() + n, 0.0f);
+  for (std::size_t r = 0; r < rows_; ++r)
+    std::copy(w + r * cols_, w + (r + 1) * cols_, data_.get() + r * stride_);
 }
+
+void RowPanel::Free::operator()(float* p) const {
+  ::operator delete[](p, std::align_val_t{64});
+}
+
+#ifdef RESPARC_SUM_ROWS_IFUNC
+namespace {
+
+using SumRows = void(const float*, std::size_t, std::size_t,
+                     std::span<const std::uint32_t>, float*);
+
+[[gnu::target("arch=x86-64-v4")]] void sum_rows_v4(
+    const float* w, std::size_t stride, std::size_t width,
+    std::span<const std::uint32_t> rows, float* out) {
+  sum_rows_body<Lanes64>(w, stride, width, rows, out);
+}
+
+[[gnu::target("arch=x86-64-v3")]] void sum_rows_v3(
+    const float* w, std::size_t stride, std::size_t width,
+    std::span<const std::uint32_t> rows, float* out) {
+  sum_rows_body<Lanes32>(w, stride, width, rows, out);
+}
+
+void sum_rows_baseline(const float* w, std::size_t stride, std::size_t width,
+                       std::span<const std::uint32_t> rows, float* out) {
+  sum_rows_body(w, stride, width, rows, out);
+}
+
+}  // namespace
+
+// Runs once, when the loader binds sum_rows: before static constructors,
+// hence the explicit __builtin_cpu_init, and before any sanitizer runtime
+// has started, hence no instrumentation (its shadow-memory checks would
+// fault).
+extern "C" {
+[[gnu::no_sanitize("address", "thread", "undefined")]]
+static SumRows* resparc_resolve_sum_rows() {
+  __builtin_cpu_init();
+  if (__builtin_cpu_supports("x86-64-v4")) return sum_rows_v4;
+  if (__builtin_cpu_supports("x86-64-v3")) return sum_rows_v3;
+  return sum_rows_baseline;
+}
+}
+
+[[gnu::ifunc("resparc_resolve_sum_rows")]] void sum_rows(
+    const float* w, std::size_t stride, std::size_t width,
+    std::span<const std::uint32_t> rows, float* out);
+#else
+void sum_rows(const float* w, std::size_t stride, std::size_t width,
+              std::span<const std::uint32_t> rows, float* out) {
+  sum_rows_body(w, stride, width, rows, out);
+}
+#endif
 
 RESPARC_KERNEL_CLONES
 std::size_t if_step_words(const IfRule& r, float* m, float* cur,
@@ -44,6 +119,11 @@ std::size_t count_masked(const std::uint64_t* words,
                          const std::uint64_t* masks,
                          const std::uint32_t* index, std::size_t n) {
   return count_masked_body(words, masks, index, n);
+}
+
+RESPARC_KERNEL_CLONES
+WordCounts count_words(std::span<const std::uint64_t> words) {
+  return count_words_body(words.data(), words.size());
 }
 
 void matvec_in_major(const float* w, std::size_t rows, std::size_t cols,

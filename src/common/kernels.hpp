@@ -2,8 +2,10 @@
 //
 // Every hot inner loop of the repository — the trainer's dense/conv
 // forward, the functional simulator's spike-driven row accumulate, conv
-// gather and IF update, and the executor's per-group active-row count —
-// is implemented exactly once here.  The kernels share three invariants:
+// gather (over cache-line-aligned weight panels, RowPanel) and IF update,
+// and the executor's per-group active-row count and per-layer spike and
+// flit count — is implemented exactly once here.  The kernels share three
+// invariants:
 //
 //   * contiguous unit-stride inner loops over `__restrict` pointers, so
 //     the compiler can auto-vectorize without runtime alias checks;
@@ -13,7 +15,8 @@
 //     deterministic and thread-invariant, which is what keeps the
 //     simulator's two scatter branches bit-identical;
 //   * no hidden allocation: kernels write into caller-provided buffers;
-//     workspace (im2col) lives in a caller-owned Scratch arena.
+//     workspace (im2col) lives in a caller-owned Scratch arena, and a
+//     weight panel (RowPanel) is built once by its owner.
 #pragma once
 
 #include <algorithm>
@@ -21,6 +24,7 @@
 #include <bit>
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <utility>
 #include <vector>
@@ -106,39 +110,107 @@ inline float dot(const float* __restrict a, const float* __restrict b,
     row_add(acc, w + static_cast<std::size_t>(rows[i]) * stride, cols);
 }
 
-/// Width of the register-held output block of sum_rows64.
+/// Widest block one sum_rows call sums, in columns.
 inline constexpr std::size_t kRowBlock = 64;
 
-/// The block of sum_rows64_body as kRowBlock / 8 vectors of 8 floats,
-/// one per index in K.  The pack expansions unroll every per-vector
-/// statement at compile time, so the accumulators stay in registers.
-template <std::size_t... K>
-[[gnu::always_inline]] inline void sum_rows64_lanes(
+/// Column quantum of a RowPanel: 16 floats, one 64-byte cache line.
+/// Panel strides and sum_rows block widths are multiples of it.
+inline constexpr std::size_t kPanelQuantum = 16;
+
+/// A row-major float matrix copied onto 64-byte cache lines: each row
+/// starts on a line boundary and is zero-padded from `cols` to `stride`,
+/// the next multiple of kPanelQuantum.  sum_rows reads it one whole line
+/// per vector load.  Move-only; built once (the conv gather's weight
+/// copy, snn::ScatterPlan).
+class RowPanel {
+ public:
+  RowPanel() = default;
+  /// Copies the rows x cols row-major matrix `w` (row r at w + r*cols).
+  RowPanel(const float* w, std::size_t rows, std::size_t cols);
+
+  /// Rows copied.
+  std::size_t rows() const { return rows_; }
+  /// Real columns per row, before the padding.
+  std::size_t cols() const { return cols_; }
+  /// Floats between row starts: cols rounded up to kPanelQuantum.
+  std::size_t stride() const { return stride_; }
+  /// First float of row 0; 64-byte aligned.
+  const float* data() const { return data_.get(); }
+  /// Row r: cols() weights, then zeros up to stride().
+  const float* row(std::size_t r) const { return data() + r * stride_; }
+
+ private:
+  struct Free {
+    void operator()(float* p) const;
+  };
+  std::size_t rows_ = 0, cols_ = 0, stride_ = 0;
+  std::unique_ptr<float[], Free> data_;
+};
+
+/// GCC generic vector of 4 floats: one SSE register.
+using Lanes16 = float __attribute__((vector_size(16)));
+/// GCC generic vector of 8 floats: one AVX register.
+using Lanes32 = float __attribute__((vector_size(32)));
+/// GCC generic vector of 16 floats: one AVX-512 register.
+using Lanes64 = float __attribute__((vector_size(64)));
+
+#if defined(__AVX512F__)
+/// The widest vector the build's baseline ISA holds in one register:
+/// the one sum_rows_body uses unless told otherwise.
+using BaselineLanes = Lanes64;
+#elif defined(__AVX__)
+/// As above, for an AVX baseline.
+using BaselineLanes = Lanes32;
+#else
+/// As above, for an SSE baseline.
+using BaselineLanes = Lanes16;
+#endif
+
+/// A block of sum_rows_body as one Lanes accumulator per index in K.
+/// The pack expansions unroll every per-vector statement at compile
+/// time, so the accumulators stay in registers over the whole list.
+template <typename Lanes, std::size_t... K>
+[[gnu::always_inline]] inline void sum_rows_lanes(
     std::index_sequence<K...>, const float* __restrict w, std::size_t stride,
     std::span<const std::uint32_t> rows, float* __restrict out) {
-  using Lanes = float __attribute__((vector_size(32)));
   constexpr std::size_t kLanes = sizeof(Lanes) / sizeof(float);
-  static_assert(sizeof...(K) * kLanes == kRowBlock);
   Lanes acc[sizeof...(K)] = {};
   Lanes x[sizeof...(K)];
   for (const std::uint32_t r : rows) {
-    const float* __restrict row = w + static_cast<std::size_t>(r) * stride;
+    const float* __restrict row = std::assume_aligned<64>(
+        w + static_cast<std::size_t>(r) * stride);
     (__builtin_memcpy(&x[K], row + K * kLanes, sizeof(Lanes)), ...);
     ((acc[K] += x[K]), ...);
   }
   (__builtin_memcpy(out + K * kLanes, &acc[K], sizeof(Lanes)), ...);
 }
 
-/// The body of sum_rows64.  Eight 8-float accumulators hold the whole
-/// 64-wide block in registers over the entire row list (16 xmm registers
-/// at the baseline ISA, 8 ymm in the x86-64-v3 clone), so each row costs
-/// its loads and adds and nothing else.  Per element the adds run in list
-/// order from +0.0f — the order accumulate_rows gives a zeroed block.
-[[gnu::always_inline]] inline void sum_rows64_body(
-    const float* __restrict w, std::size_t stride,
+/// The body of sum_rows, summing with `Lanes` vectors.  The block is held
+/// in registers over the entire row list, so each row costs its loads and
+/// adds and nothing else.  Per element the adds run in list order from
+/// +0.0f, whatever the vector width.  Inline so each ISA version of
+/// sum_rows compiles it at its own width (kernels.cpp) and a test can
+/// compile it at the baseline ISA to compare them bit for bit.
+template <typename Lanes = BaselineLanes>
+[[gnu::always_inline]] inline void sum_rows_body(
+    const float* __restrict w, std::size_t stride, std::size_t width,
     std::span<const std::uint32_t> rows, float* __restrict out) {
-  sum_rows64_lanes(std::make_index_sequence<kRowBlock / 8>{}, w, stride,
-                   rows, out);
+  constexpr std::size_t kPerQuantum = kPanelQuantum * sizeof(float) /
+                                      sizeof(Lanes);
+  switch (width / kPanelQuantum) {
+    case 1:
+      return sum_rows_lanes<Lanes>(std::make_index_sequence<kPerQuantum>{},
+                                   w, stride, rows, out);
+    case 2:
+      return sum_rows_lanes<Lanes>(
+          std::make_index_sequence<2 * kPerQuantum>{}, w, stride, rows, out);
+    case 3:
+      return sum_rows_lanes<Lanes>(
+          std::make_index_sequence<3 * kPerQuantum>{}, w, stride, rows, out);
+    default:
+      return sum_rows_lanes<Lanes>(
+          std::make_index_sequence<4 * kPerQuantum>{}, w, stride, rows, out);
+  }
 }
 
 /// The body of count_masked: one popcount per plan entry.  popcount64's
@@ -155,36 +227,57 @@ template <std::size_t... K>
   return total;
 }
 
+/// Set bits and nonzero words of a packed spike vector.
+struct WordCounts {
+  std::size_t bits = 0;     ///< set bits: neurons that fired
+  std::size_t nonzero = 0;  ///< words with a set bit: flits sent
+};
+
+/// The body of count_words: both counts in one walk.
+[[gnu::always_inline]] inline WordCounts count_words_body(
+    const std::uint64_t* __restrict words, std::size_t n) {
+  WordCounts c;
+  for (std::size_t i = 0; i < n; ++i) {
+    c.bits += popcount64(words[i]);
+    c.nonzero += words[i] != 0 ? 1 : 0;
+  }
+  return c;
+}
+
 // ------------------------------------------------ dispatched kernels --
-// accumulate_rows, sum_rows64 and if_step_words are the simulator's
-// per-step hot passes, count_masked the replay's.  On x86-64 each is
-// compiled twice from its one inline body — for x86-64-v3 (AVX2, POPCNT)
-// and for the build's baseline — and the loader binds the widest clone
-// the CPU supports (GCC/Clang target_clones, kernels.cpp).  Both clones
-// give the same bits: the bodies fix the per-element order of every
-// addition and contain no multiply-add, so vector width cannot change a
-// result (docs/performance.md).
+// accumulate_rows, sum_rows and if_step_words are the simulator's
+// per-step hot passes, count_masked and count_words the replay's.  On
+// x86-64 each is compiled more than once from its one inline body and the
+// loader binds the widest version the CPU supports.  accumulate_rows,
+// if_step_words, count_masked and count_words carry an x86-64-v3 (AVX2,
+// POPCNT) clone next to the build's baseline (GCC/Clang target_clones).
+// sum_rows has three versions, each summing with the vector its ISA holds
+// in one register: 16 bytes at the baseline, 32 at x86-64-v3 and 64 at
+// x86-64-v4 (AVX-512F), bound by an ifunc resolver (kernels.cpp).  All
+// versions give the same bits: the bodies fix the per-element order of
+// every addition and contain no multiply-add, so vector width cannot
+// change a result (docs/performance.md).
 
 /// Adds weight rows `rows` of the input-major matrix starting at `w`
 /// (row r begins at w + r*stride) onto `acc[0, cols)`: acc[c] += sum
 /// over rows of w[r][c], accumulated in the given row order (groups of
 /// four fused via row_add4 — bit-for-bit identical to one row_add per
 /// row).  `cols <= stride` lets a caller accumulate a column slice of a
-/// wider matrix (the conv gather's output-channel blocks).  This is
-/// the simulator's dense-layer scatter, fed the active-bit list of a
-/// SpikeVector; the conv gather (snn/scatter.cpp) calls it once per
-/// touched output pixel with that pixel's weight-row list.
+/// wider matrix.  This is the simulator's dense-layer scatter, fed the
+/// active-bit list of a SpikeVector.
 void accumulate_rows(const float* w, std::size_t stride, std::size_t cols,
                      std::span<const std::uint32_t> rows, float* acc);
 
 /// Writes out[c] = +0.0f + the sum over `rows` of w[r*stride + c], added
-/// in the given row order, for the kRowBlock columns c in [0, 64): the
-/// same bits as accumulate_rows over a zeroed 64-wide block, with the
-/// block held in registers over the whole list instead of reloaded and
-/// stored every four rows.  `stride >= kRowBlock`.  The conv gather
-/// (snn/scatter.cpp) sums each full 64-channel output block with it.
-void sum_rows64(const float* w, std::size_t stride,
-                std::span<const std::uint32_t> rows, float* out);
+/// in the given row order, for the `width` columns c in [0, width): the
+/// same bits as accumulate_rows over a zeroed block, with the block held
+/// in registers over the whole list.  `w` must be 64-byte aligned,
+/// `stride` a multiple of kPanelQuantum (so every row is), `width` one of
+/// 16, 32, 48 or 64 and `out` hold `width` floats: a block of a RowPanel.
+/// The conv gather (snn/scatter.cpp) sums each output-channel block of a
+/// touched pixel with it.
+void sum_rows(const float* w, std::size_t stride, std::size_t width,
+              std::span<const std::uint32_t> rows, float* out);
 
 /// Returns the sum over i in [0, n) of popcount(words[index[i]] &
 /// masks[i]): the spikes of packed vector `words` that fall in the bit
@@ -193,6 +286,11 @@ void sum_rows64(const float* w, std::size_t stride,
 std::size_t count_masked(const std::uint64_t* words,
                          const std::uint64_t* masks,
                          const std::uint32_t* index, std::size_t n);
+
+/// Set bits and nonzero words of the packed vector `words` in one pass:
+/// the fired neurons and the sent flits the executor charges for one
+/// layer output.
+WordCounts count_words(std::span<const std::uint64_t> words);
 
 /// The constants of one integrate-and-fire population, narrowed to float
 /// once per call (snn::IfParams holds them in double).

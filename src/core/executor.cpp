@@ -16,13 +16,6 @@ using snn::SpikeVector;
 
 namespace {
 
-std::size_t nonzero_words(const SpikeVector& v) {
-  std::size_t n = 0;
-  for (auto w : v.words())
-    if (w) ++n;
-  return n;
-}
-
 /// Total bits spanned by a slice (denominator of the active fraction).
 std::size_t slice_bits(const InputSlice& slice, const Shape3& in_shape) {
   if (slice.kind == SliceKind::kContiguous) return slice.end - slice.begin;
@@ -213,7 +206,7 @@ void Executor::replay_step(const snn::SpikeTrace& trace, std::size_t step,
     const noc::Route& route = routes_.boundaries[0];
     const SpikeVector& in0 = trace.layers[0][step];
     const std::size_t total = in0.word_count();
-    const std::size_t nz = nonzero_words(in0);
+    const std::size_t nz = kernels::count_words(in0.words()).nonzero;
     const std::size_t sent = cfg.event_driven ? nz : total;
     const std::size_t zeros = cfg.event_driven ? total - nz : 0;
     ev.sram_writes += sent;  // host deposits the encoded input
@@ -291,7 +284,9 @@ void Executor::replay_step(const snn::SpikeTrace& trace, std::size_t step,
     ev.buffer_bits += buffer_bits;
     ev.neuron_integrations += integrations;
 
-    ev.neuron_fires += out_vec.count();
+    // One pass over the output gives both the fires and the sent flits.
+    const kernels::WordCounts fired = kernels::count_words(out_vec.words());
+    ev.neuron_fires += fired.bits;
 
     if ((layer_active || !cfg.event_driven) && lm.ccu_transfers_per_neuron > 0)
       ev.ccu_transfers += li.neurons * lm.ccu_transfers_per_neuron;
@@ -299,7 +294,7 @@ void Executor::replay_step(const snn::SpikeTrace& trace, std::size_t step,
     // -- output transfer toward the next layer (or off-chip) -----------
     const noc::Route& route = routes_.boundaries[l + 1];
     const std::size_t total = out_vec.word_count();
-    const std::size_t nz = nonzero_words(out_vec);
+    const std::size_t nz = fired.nonzero;
     const std::size_t sent = cfg.event_driven ? nz : total;
     const std::size_t zeros = cfg.event_driven ? total - nz : 0;
     const bool via_bus = route.uses_bus;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 
+#include "common/error.hpp"
 #include "common/kernels.hpp"
 
 namespace resparc::snn {
@@ -26,11 +27,12 @@ void scatter_pool(const ScatterPlan& plan,
 
 }  // namespace
 
-ScatterPlan::ScatterPlan(const LayerInfo& li) : li_(li) {
+ScatterPlan::ScatterPlan(const LayerInfo& li, const Matrix& w) : li_(li) {
   const Shape3 in = li.in_shape;
   const Shape3 out = li.out_shape;
   switch (li.spec.kind) {
     case LayerKind::kDense:
+      dense_ = &w;
       break;
     case LayerKind::kAvgPool: {
       const std::size_t p = li.spec.pool;
@@ -72,6 +74,9 @@ ScatterPlan::ScatterPlan(const LayerInfo& li) : li_(li) {
       }
       rows_.resize(out.h * out.w * li.fan_in);
       counts_.assign(out.h * out.w, 0);
+      require(w.rows() == li.fan_in && w.cols() == out.c,
+              "scatter plan: conv weights do not match the layer");
+      panel_ = kernels::RowPanel(w.flat().data(), w.rows(), w.cols());
       break;
     }
   }
@@ -81,11 +86,10 @@ ScatterPlan::ScatterPlan(const LayerInfo& li) : li_(li) {
 /// weight row c*k*k + tap to the list of each output pixel it feeds
 /// (ascending events, so each list is in ascending (c, ky, kx) order);
 /// then each touched pixel sums its list across all output channels, one
-/// 64-channel block at a time, into a stack accumulator that starts at
-/// +0.0f, and stores it into the CHW `current`.  Full blocks are summed
-/// in registers by sum_rows64; a narrower last block by accumulate_rows.
-void gather_conv(ScatterPlan& plan, const Matrix& w,
-                 std::span<const std::uint32_t> in_active,
+/// block of at most kRowBlock padded channels at a time, into a stack
+/// accumulator that starts at +0.0f, and stores the block's real
+/// channels into the CHW `current`.
+void gather_conv(ScatterPlan& plan, std::span<const std::uint32_t> in_active,
                  std::span<float> current) {
   const Shape3 in = plan.li_.in_shape;
   const Shape3 out = plan.li_.out_shape;
@@ -93,6 +97,8 @@ void gather_conv(ScatterPlan& plan, const Matrix& w,
   const std::size_t cap = plan.li_.fan_in;
   std::uint32_t* const rows = plan.rows_.data();
   std::uint32_t* const counts = plan.counts_.data();
+  const float* const panel = plan.panel_.data();
+  const std::size_t stride = plan.panel_.stride();
 
   ChannelCursor cursor(in.h * in.w);
   for (const std::uint32_t idx : in_active) {
@@ -104,38 +110,36 @@ void gather_conv(ScatterPlan& plan, const Matrix& w,
 
   // Channel blocks bound the stack accumulator; every output still sees
   // the whole list in order, so the blocking has no numeric effect.
+  // Padding channels are summed (zeros) but never stored.
   constexpr std::size_t kBlock = kernels::kRowBlock;
-  float acc[kBlock] = {};
+  alignas(64) float acc[kBlock] = {};
   for (std::size_t pixel = 0; pixel < plane; ++pixel) {
     const std::size_t n = counts[pixel];
     if (n == 0) continue;
     counts[pixel] = 0;
     const std::span<const std::uint32_t> list(rows + pixel * cap, n);
     for (std::size_t oc0 = 0; oc0 < out.c; oc0 += kBlock) {
+      kernels::sum_rows(panel + oc0, stride, std::min(kBlock, stride - oc0),
+                        list, acc);
       const std::size_t width = std::min(kBlock, out.c - oc0);
-      if (width == kBlock) {
-        kernels::sum_rows64(w.flat().data() + oc0, out.c, list, acc);
-      } else {
-        std::fill(acc, acc + width, 0.0f);
-        kernels::accumulate_rows(w.flat().data() + oc0, out.c, width, list,
-                                 acc);
-      }
       float* const dst = current.data() + oc0 * plane + pixel;
       for (std::size_t j = 0; j < width; ++j) dst[j * plane] = acc[j];
     }
   }
 }
 
-void scatter_accumulate(ScatterPlan& plan, const Matrix& w,
+void scatter_accumulate(ScatterPlan& plan,
                         std::span<const std::uint32_t> in_active,
                         std::span<float> current) {
   switch (plan.layer().spec.kind) {
-    case LayerKind::kDense:
+    case LayerKind::kDense: {
+      const Matrix& w = plan.dense_weights();
       kernels::accumulate_rows(w.flat().data(), w.cols(), w.cols(), in_active,
                                current.data());
       break;
+    }
     case LayerKind::kConv:
-      gather_conv(plan, w, in_active, current);
+      gather_conv(plan, in_active, current);
       break;
     case LayerKind::kAvgPool:
       scatter_pool(plan, in_active, current);
@@ -143,7 +147,7 @@ void scatter_accumulate(ScatterPlan& plan, const Matrix& w,
   }
 }
 
-void scatter_touched(const ScatterPlan& plan, const Matrix& w,
+void scatter_touched(const ScatterPlan& plan,
                      std::span<const std::uint32_t> in_active,
                      std::span<float> current, std::span<std::uint32_t> stamp,
                      std::uint32_t epoch, std::vector<std::uint32_t>& touched) {
@@ -167,7 +171,7 @@ void scatter_touched(const ScatterPlan& plan, const Matrix& w,
       ChannelCursor cursor(li.in_shape.h * li.in_shape.w);
       for (const std::uint32_t idx : in_active) {
         plan.for_each_tap(idx, cursor, [&](std::size_t row, std::size_t pixel) {
-          const auto kernels = w.row(row);
+          const float* const kernels = plan.panel().row(row);
           for (std::size_t oc = 0; oc < channels; ++oc) {
             const std::size_t at = oc * plane + pixel;
             touch(at);

@@ -12,7 +12,9 @@
 // Every geometry decision (which output an input feeds, through which
 // weight row) is read from a per-layer ScatterPlan that the engine builds
 // once, so the per-event work is table loads and adds — no divisions, no
-// border tests.
+// border tests.  The plan also carries the layer's weights: a conv layer's
+// as its own cache-line-aligned copy (kernels::RowPanel), a dense layer's
+// by reference.
 #pragma once
 
 #include <cassert>
@@ -20,6 +22,7 @@
 #include <span>
 #include <vector>
 
+#include "common/kernels.hpp"
 #include "common/matrix.hpp"
 #include "snn/topology.hpp"
 #include "snn/trace.hpp"
@@ -54,15 +57,19 @@ class ChannelCursor {
   std::size_t channel_ = 0;
 };
 
-/// Per-layer scatter geometry plus the conv gather's workspace.  Built
-/// once per layer by the Simulator, never per call; the steady
+/// Per-layer scatter geometry, weights and the conv gather's workspace.
+/// Built once per layer by the Simulator, never per call; the steady
 /// state reuses it without allocating.
 ///
 ///   * Avg-pool: the output index every input index feeds.
 ///   * Conv: for every input-plane pixel, its in-image kernel taps as
-///     (output pixel, tap index ky*k + kx) in ascending tap order, and a
-///     list arena with one fixed-capacity weight-row list per output pixel.
-///   * Dense: nothing beyond the layer description.
+///     (output pixel, tap index ky*k + kx) in ascending tap order; a
+///     list arena with one fixed-capacity weight-row list per output
+///     pixel; and a copy of the weights taken at construction, each row
+///     on its own 64-byte line and zero-padded to a multiple of 16
+///     channels (kernels::RowPanel).  Later edits to the matrix are not
+///     seen.
+///   * Dense: a reference to the weight matrix, read in place.
 class ScatterPlan {
  public:
   /// One in-image kernel tap of an input pixel.
@@ -71,12 +78,20 @@ class ScatterPlan {
     std::uint32_t tap;    ///< ky*k + kx
   };
 
-  /// Builds the tables for layer `li` and sizes the conv gather arena
-  /// (out_h*out_w lists of fan_in row ids).
-  explicit ScatterPlan(const LayerInfo& li);
+  /// Builds the tables for layer `li` with weight matrix `w` (fan_in x
+  /// neurons for dense, fan_in x out_c for conv, ignored for avg-pool) and
+  /// sizes the conv gather arena (out_h*out_w lists of fan_in row ids).
+  /// A dense layer's `w` must outlive the plan.
+  ScatterPlan(const LayerInfo& li, const Matrix& w);
 
   /// The layer this plan was built for.
   const LayerInfo& layer() const { return li_; }
+
+  /// Conv: the plan's copy of the weights, one padded row per (c, ky, kx).
+  const kernels::RowPanel& panel() const { return panel_; }
+
+  /// Dense: the weight matrix the plan reads.
+  const Matrix& dense_weights() const { return *dense_; }
 
   /// Avg-pool: the output index input `idx` feeds.
   std::uint32_t pool_target(std::size_t idx) const { return pool_target_[idx]; }
@@ -94,10 +109,12 @@ class ScatterPlan {
   }
 
  private:
-  friend void gather_conv(ScatterPlan&, const Matrix&,
-                          std::span<const std::uint32_t>, std::span<float>);
+  friend void gather_conv(ScatterPlan&, std::span<const std::uint32_t>,
+                          std::span<float>);
 
   LayerInfo li_;
+  const Matrix* dense_ = nullptr;           ///< dense: the weights
+  kernels::RowPanel panel_;                 ///< conv: the weight copy
   std::vector<std::uint32_t> pool_target_;  ///< avg-pool: in idx -> out idx
   std::size_t taps_per_channel_ = 0;        ///< conv: k*k
   std::vector<std::uint32_t> tap_begin_;    ///< conv: taps_ range per in pixel
@@ -109,18 +126,18 @@ class ScatterPlan {
 };
 
 /// Scatters the fan-out of `in_active` (strictly ascending input indices,
-/// as append_active() emits them) of the layer `plan` was built for, with
-/// weight matrix `w` (empty for pool layers), into `current`.
+/// as append_active() emits them) of the layer `plan` was built for into
+/// `current`.
 ///
 /// Precondition: every output is +0.0f.  Dense and pool layers add onto
 /// it.  Conv layers gather: each event appends its weight row to the list
 /// of every output pixel it feeds, then each touched pixel sums its list
-/// into a small accumulator (kernels::sum_rows64 per full 64-channel
-/// block, kernels::accumulate_rows for a narrower one) and writes it into
-/// `current` (CHW); untouched outputs are not written.  Either way
-/// each output gets its additions in ascending input-index order starting
-/// from +0.0f.
-void scatter_accumulate(ScatterPlan& plan, const Matrix& w,
+/// over the plan's weight panel, one block of at most 64 padded channels
+/// at a time, in registers (kernels::sum_rows), and writes the block's
+/// real channels into `current` (CHW); untouched outputs and padding
+/// channels are not written.  Either way each output gets its additions
+/// in ascending input-index order starting from +0.0f.
+void scatter_accumulate(ScatterPlan& plan,
                         std::span<const std::uint32_t> in_active,
                         std::span<float> current);
 
@@ -132,7 +149,7 @@ void scatter_accumulate(ScatterPlan& plan, const Matrix& w,
 /// the same order, so the touched values are bit-for-bit identical; the
 /// cost is one stamp test per write instead of a pass over the layer.
 /// `epoch` must differ from every stamp left by earlier calls.
-void scatter_touched(const ScatterPlan& plan, const Matrix& w,
+void scatter_touched(const ScatterPlan& plan,
                      std::span<const std::uint32_t> in_active,
                      std::span<float> current, std::span<std::uint32_t> stamp,
                      std::uint32_t epoch, std::vector<std::uint32_t>& touched);

@@ -35,14 +35,15 @@ struct Simulator::Layer {
   std::vector<std::uint32_t> fired;    ///< spikes of a touched step
   std::vector<std::uint32_t> hot;      ///< membrane >= vth after the step
 
-  Layer(const LayerInfo& li, const IfParams& params)
-      : pop(li.neurons, params),
+  Layer(const LayerInfo& li, const LayerParams& params)
+      : pop(li.neurons, params.neuron),
         current(li.neurons, 0.0f),
         out(li.neurons),
-        plan(li) {
+        plan(li, params.weights) {
     // The regime test runs on the float values the IF update compares.
-    const bool inert = static_cast<float>(params.leak_per_step) <= 0.0f &&
-                       static_cast<float>(params.v_threshold) > 0.0f;
+    const bool inert =
+        static_cast<float>(params.neuron.leak_per_step) <= 0.0f &&
+        static_cast<float>(params.neuron.v_threshold) > 0.0f;
     switch (li.spec.kind) {
       case LayerKind::kDense:
         break;  // every event drives every column: always stepped
@@ -71,7 +72,7 @@ void Simulator::ensure_layers() {
   if (layers_.empty()) {
     layers_.reserve(topo.layer_count());
     for (std::size_t l = 0; l < topo.layer_count(); ++l)
-      layers_.emplace_back(topo.layers()[l], net_.layer(l).neuron);
+      layers_.emplace_back(topo.layers()[l], net_.layer(l));
     return;
   }
   // Reuse: back to the constructed state.  The current buffers are
@@ -102,48 +103,56 @@ void Simulator::run(std::span<const float> image, Rng& rng, SimResult& out) {
   ensure_layers();
 
   const std::size_t T = config_.timesteps;
+  encoder_.encode_into(image, T, rng, input_spikes_);
+  std::span<const SpikeVector> in(input_spikes_.data(), T);
+  for (const SpikeVector& spikes : in) out.total_spikes += spikes.count();
   if (config_.record_trace) {
     out.trace.layers.resize(topo.layer_count() + 1);
-    for (auto& lt : out.trace.layers) lt.reserve(T);
+    out.trace.layers[0].assign(in.begin(), in.end());
   }
 
-  encoder_.encode_into(image, T, rng, input_spikes_);
-
-  for (std::size_t t = 0; t < T; ++t) {
-    const SpikeVector* prev = &input_spikes_[t];
-    out.total_spikes += prev->count();
-    if (config_.record_trace) out.trace.layers[0].push_back(*prev);
-
-    for (std::size_t l = 0; l < topo.layer_count(); ++l) {
-      active_scratch_.clear();
-      prev->append_active(active_scratch_);
-      const Layer& layer = layers_[l];
-      // Most outputs this step can write, against the layer size.
-      const double cover =
-          static_cast<double>(active_scratch_.size() * layer.fan_out);
-      const bool touched =
-          layer.may_touch &&
-          cover < kTouchedCrossover * static_cast<double>(layer.out.size());
-      out.total_spikes += touched ? step_touched(l, active_scratch_)
-                                  : step_stepped(l, active_scratch_);
-      prev = &layer.out;
-      if (config_.record_trace) out.trace.layers[l + 1].push_back(*prev);
+  // Layer-major: every step of layer l, then every step of layer l + 1.
+  // Each layer sees its inputs in step order, so the trace is the one a
+  // step-major loop gives.  Without a trace the relay holds one layer's
+  // T vectors: step t reads relay_[t] before overwriting it with its own.
+  for (std::size_t l = 0; l < topo.layer_count(); ++l) {
+    std::vector<SpikeVector>& dst =
+        config_.record_trace ? out.trace.layers[l + 1] : relay_;
+    dst.resize(T);
+    for (std::size_t t = 0; t < T; ++t) {
+      out.total_spikes += step(l, in[t]);
+      dst[t] = layers_[l].out;
     }
+    in = dst;
+  }
 
-    const SpikeVector& spikes = layers_.back().out;
+  for (const SpikeVector& spikes : in)
     for (std::size_t i = 0; i < spikes.size(); ++i)
       if (spikes.get(i)) ++out.output_spike_counts[i];
-  }
   out.predicted_class = static_cast<std::size_t>(std::distance(
       out.output_spike_counts.begin(),
       std::max_element(out.output_spike_counts.begin(),
                        out.output_spike_counts.end())));
 }
 
+std::size_t Simulator::step(std::size_t l, const SpikeVector& in) {
+  active_scratch_.clear();
+  in.append_active(active_scratch_);
+  const Layer& layer = layers_[l];
+  // Most outputs this step can write, against the layer size.
+  const double cover =
+      static_cast<double>(active_scratch_.size() * layer.fan_out);
+  const bool touched =
+      layer.may_touch &&
+      cover < kTouchedCrossover * static_cast<double>(layer.out.size());
+  return touched ? step_touched(l, active_scratch_)
+                 : step_stepped(l, active_scratch_);
+}
+
 std::size_t Simulator::step_stepped(std::size_t l,
                                     std::span<const std::uint32_t> active) {
   Layer& layer = layers_[l];
-  scatter_accumulate(layer.plan, net_.layer(l).weights, active, layer.current);
+  scatter_accumulate(layer.plan, active, layer.current);
   // step_packed consumes the currents, leaving them +0.0f for the next step.
   const std::size_t fired = layer.pop.step_packed(layer.current, layer.out);
   layer.lists_valid = false;
@@ -166,8 +175,8 @@ std::size_t Simulator::step_touched(std::size_t l,
   }
   const std::uint32_t epoch = ++layer.epoch;
   layer.touched.clear();
-  scatter_touched(layer.plan, net_.layer(l).weights, active, layer.current,
-                  layer.stamp, epoch, layer.touched);
+  scatter_touched(layer.plan, active, layer.current, layer.stamp, epoch,
+                  layer.touched);
 
   layer.step_set.assign(layer.touched.begin(), layer.touched.end());
   for (const std::uint32_t i : layer.hot)
@@ -189,20 +198,25 @@ void Simulator::observe_currents(std::span<const float> image, Rng& rng,
   require(layer < topo.layer_count(), "observe_currents: layer out of range");
 
   ensure_layers();
-  encoder_.encode_into(image, config_.timesteps, rng, input_spikes_);
-  Layer& observed = layers_[layer];
-  for (std::size_t t = 0; t < config_.timesteps; ++t) {
-    const SpikeVector* prev = &input_spikes_[t];
-    for (std::size_t l = 0; l < layer; ++l) {
+  const std::size_t T = config_.timesteps;
+  encoder_.encode_into(image, T, rng, input_spikes_);
+  // Layer-major over the prefix, as run() does, on the stepped branch.
+  std::span<const SpikeVector> in(input_spikes_.data(), T);
+  for (std::size_t l = 0; l < layer; ++l) {
+    relay_.resize(T);
+    for (std::size_t t = 0; t < T; ++t) {
       active_scratch_.clear();
-      prev->append_active(active_scratch_);
+      in[t].append_active(active_scratch_);
       step_stepped(l, active_scratch_);
-      prev = &layers_[l].out;
+      relay_[t] = layers_[l].out;
     }
+    in = relay_;
+  }
+  Layer& observed = layers_[layer];
+  for (std::size_t t = 0; t < T; ++t) {
     active_scratch_.clear();
-    prev->append_active(active_scratch_);
-    scatter_accumulate(observed.plan, net_.layer(layer).weights,
-                       active_scratch_, observed.current);
+    in[t].append_active(active_scratch_);
+    scatter_accumulate(observed.plan, active_scratch_, observed.current);
     sink(observed.current);
     std::fill(observed.current.begin(), observed.current.end(), 0.0f);
   }

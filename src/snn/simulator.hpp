@@ -7,6 +7,12 @@
 // motivation and the architecture's zero-skipping (section 3.2) — and
 // making paper-scale networks simulable on a laptop.
 //
+// A presentation runs layer-major: all T steps of layer l, then all T
+// steps of layer l + 1, fed the T spike vectors layer l recorded.  A
+// layer's state depends only on its own inputs in step order, so this
+// is the trace a step-major loop gives, while each layer's weights,
+// membranes and gather lists stay in cache for its T steps.
+//
 // Every layer on every timestep takes one of two branches, chosen from
 // what the step itself shows (events x fan-out against the layer size):
 //
@@ -64,6 +70,13 @@ struct SimResult {
 };
 
 /// Runs a Network presentation-by-presentation.
+///
+/// The first run() or observe_currents() builds the per-layer state from
+/// the network as it is then: each layer's IF constants (threshold,
+/// reset, leak) and a cache-line-aligned copy of each conv layer's
+/// weights (ScatterPlan).  Later edits to those in the Network are not
+/// seen by this Simulator; construct a new one.  Dense weights are read
+/// in place on every step.
 class Simulator {
  public:
   /// The network must outlive the simulator.
@@ -118,6 +131,9 @@ class Simulator {
   /// Builds (first run) or clears (reuse) the per-layer state.
   void ensure_layers();
 
+  /// One timestep of layer l fed spikes `in`, on the branch the step
+  /// calls for; returns its spikes.
+  std::size_t step(std::size_t l, const SpikeVector& in);
   /// One timestep of layer l on the stepped branch; returns its spikes.
   std::size_t step_stepped(std::size_t l,
                            std::span<const std::uint32_t> active);
@@ -133,6 +149,8 @@ class Simulator {
   // allocation-free (buffers only ever grow).
   std::vector<Layer> layers_;                  ///< one per network layer
   std::vector<SpikeVector> input_spikes_;      ///< encoded input
+  /// The latest layer's T spike vectors when no trace records them.
+  std::vector<SpikeVector> relay_;
   std::vector<std::uint32_t> active_scratch_;  ///< event list per layer
 };
 

@@ -115,6 +115,8 @@ TEST(Kernels, AccumulateRowsColumnSliceMatchesFullRun) {
   EXPECT_EQ(full, sliced);
 }
 
+constexpr float kZero = 0.0f;
+
 /// Bitwise equality: unlike operator==, tells +0.0f from -0.0f, so an
 /// output the scatter must leave untouched cannot pass as a written zero.
 bool same_bits(std::span<const float> a, std::span<const float> b) {
@@ -217,37 +219,125 @@ TEST(Kernels, DispatchedIfStepWordsMatchesBaselineBody) {
   }
 }
 
-TEST(Kernels, DispatchedSumRows64MatchesBaselineBody) {
-  // The register-held 64-wide block against its baseline-ISA body and
-  // against accumulate_rows over a zeroed block (the code it replaces in
-  // the conv gather).  Strides 64 (the MNIST-CNN conv2 gather) and wider
-  // (a block of a wider layer); NaN and +-inf rows included.
+/// A sum_rows implementation: the dispatched kernel or one ISA's body.
+using SumRowsFn = void (*)(const float*, std::size_t, std::size_t,
+                           std::span<const std::uint32_t>, float*);
+
+/// Checks `sum_rows` against the baseline-ISA body and a naive ordered
+/// sum on every block of panels with 1, 5, 20, 47, 52, 64, 65 and 130
+/// channels: padded widths 16 (1, 5, and the tails of 65 and 130), 32
+/// (20), 48 (47) and 64 (52, 64 and the full blocks of 65 and 130).  Row
+/// lists run from empty to longer than the panel, with repeats; NaN,
+/// +-inf and -0.0f weights included.
+void expect_sum_rows_matches(SumRowsFn sum_rows, const std::string& name) {
   const float inf = std::numeric_limits<float>::infinity();
   const float nan = std::numeric_limits<float>::quiet_NaN();
   Rng rng(18);
-  for (const std::size_t stride : {64u, 130u}) {
+  for (const std::size_t channels : {1u, 5u, 20u, 47u, 52u, 64u, 65u, 130u}) {
+    Matrix w(40, channels);
+    for (float& v : w.flat()) v = static_cast<float>(rng.normal(0.0, 1.0));
+    w(0, 0) = nan;
+    w(1, channels - 1) = inf;
+    w(2, channels - 1) = -inf;
+    w(3, channels / 2) = -0.0f;
+    const kernels::RowPanel panel(w.flat().data(), w.rows(), w.cols());
+    ASSERT_EQ(reinterpret_cast<std::uintptr_t>(panel.data()) % 64, 0u);
+    ASSERT_EQ(panel.stride() % kernels::kPanelQuantum, 0u);
     for (const std::size_t count : {0u, 1u, 3u, 4u, 7u, 9u, 25u, 468u}) {
-      Matrix w(40, stride);
-      for (float& v : w.flat()) v = static_cast<float>(rng.normal(0.0, 1.0));
-      w.flat()[3] = nan;
-      w.flat()[stride + 5] = inf;
-      w.flat()[2 * stride + 5] = -inf;
-      w.flat()[3 * stride + 63] = -0.0f;
       std::vector<std::uint32_t> rows;
       for (std::size_t i = 0; i < count; ++i)
         rows.push_back(static_cast<std::uint32_t>(rng.below(40)));
-      const std::string label = "stride=" + std::to_string(stride) +
-                                " count=" + std::to_string(count);
-      // Stale values: every output must be overwritten.
-      std::vector<float> dispatched(64, 7.0f), baseline(64, 7.0f);
-      kernels::sum_rows64(w.flat().data(), stride, rows, dispatched.data());
-      kernels::sum_rows64_body(w.flat().data(), stride, rows, baseline.data());
-      EXPECT_TRUE(same_bits(dispatched, baseline)) << label;
-      std::vector<float> by_rows(64, 0.0f);
-      kernels::accumulate_rows(w.flat().data(), stride, 64, rows,
-                               by_rows.data());
-      EXPECT_TRUE(same_bits(dispatched, by_rows)) << label;
+      for (std::size_t c0 = 0; c0 < channels; c0 += kernels::kRowBlock) {
+        const std::size_t width =
+            std::min(kernels::kRowBlock, panel.stride() - c0);
+        const std::string label =
+            name + " channels=" + std::to_string(channels) + " block=" +
+            std::to_string(c0) + " width=" + std::to_string(width) +
+            " count=" + std::to_string(count);
+        // Stale values: every output of the block must be overwritten.
+        std::vector<float> got(width, 7.0f), baseline(width, 7.0f);
+        sum_rows(panel.data() + c0, panel.stride(), width, rows, got.data());
+        kernels::sum_rows_body(panel.data() + c0, panel.stride(), width, rows,
+                               baseline.data());
+        EXPECT_TRUE(same_bits(got, baseline)) << label;
+        std::vector<float> naive(width, 0.0f);
+        for (const std::uint32_t r : rows)
+          for (std::size_t j = 0; j + c0 < channels && j < width; ++j)
+            naive[j] += w(r, c0 + j);
+        EXPECT_TRUE(same_bits(got, naive)) << label;
+      }
     }
+  }
+}
+
+TEST(Kernels, DispatchedSumRowsMatchesBaselineBody) {
+  // Whichever version the loader bound on this CPU.
+  expect_sum_rows_matches(kernels::sum_rows, "dispatched");
+}
+
+#if defined(__x86_64__) && defined(__GNUC__)
+/// The kernel's body compiled at x86-64-v4, as its AVX-512 version is.
+[[gnu::target("arch=x86-64-v4")]] void sum_rows_v4(
+    const float* w, std::size_t stride, std::size_t width,
+    std::span<const std::uint32_t> rows, float* out) {
+  kernels::sum_rows_body<kernels::Lanes64>(w, stride, width, rows, out);
+}
+#endif
+
+TEST(Kernels, SumRowsV4MatchesBaselineBody) {
+  // The 64-byte-vector version on any AVX-512 CPU, whatever the loader
+  // bound.
+#if defined(__x86_64__) && defined(__GNUC__)
+  if (!__builtin_cpu_supports("x86-64-v4"))
+    GTEST_SKIP() << "this CPU lacks AVX-512F (x86-64-v4), so it cannot run "
+                    "the 64-byte-vector version of sum_rows";
+  expect_sum_rows_matches(sum_rows_v4, "x86-64-v4");
+#else
+  GTEST_SKIP() << "the x86-64-v4 version of sum_rows exists only on x86-64";
+#endif
+}
+
+TEST(Kernels, RowPanelPadsEachRowToWholeCacheLines) {
+  Rng rng(20);
+  for (const std::size_t cols : {1u, 16u, 52u, 65u}) {
+    Matrix w(7, cols);
+    for (float& v : w.flat()) v = static_cast<float>(rng.normal(0.0, 1.0));
+    const kernels::RowPanel panel(w.flat().data(), w.rows(), w.cols());
+    EXPECT_EQ(panel.rows(), 7u);
+    EXPECT_EQ(panel.cols(), cols);
+    EXPECT_EQ(panel.stride(), (cols + 15) / 16 * 16);
+    for (std::size_t r = 0; r < w.rows(); ++r) {
+      EXPECT_EQ(reinterpret_cast<std::uintptr_t>(panel.row(r)) % 64, 0u);
+      EXPECT_TRUE(same_bits({panel.row(r), cols}, w.row(r))) << r;
+      for (std::size_t c = cols; c < panel.stride(); ++c)
+        EXPECT_TRUE(same_bits({panel.row(r) + c, 1}, {&kZero, 1})) << r;
+    }
+  }
+}
+
+TEST(Kernels, DispatchedCountWordsMatchesBaselineBody) {
+  // Empty, all-zero, all-ones and random sparse vectors.
+  Rng rng(21);
+  std::vector<std::vector<std::uint64_t>> vectors = {
+      {}, {0, 0, 0}, {~std::uint64_t{0}, ~std::uint64_t{0}}};
+  for (int trial = 0; trial < 50; ++trial) {
+    std::vector<std::uint64_t> v(rng.below(40));
+    for (auto& w : v) w = rng.bernoulli(0.5) ? rng() & rng() & rng() : 0;
+    vectors.push_back(v);
+  }
+  for (const auto& v : vectors) {
+    std::size_t bits = 0, nonzero = 0;
+    for (const std::uint64_t w : v) {
+      bits += static_cast<std::size_t>(std::popcount(w));
+      nonzero += w != 0 ? 1 : 0;
+    }
+    const kernels::WordCounts got = kernels::count_words(v);
+    const kernels::WordCounts base =
+        kernels::count_words_body(v.data(), v.size());
+    EXPECT_EQ(got.bits, bits);
+    EXPECT_EQ(got.nonzero, nonzero);
+    EXPECT_EQ(base.bits, bits);
+    EXPECT_EQ(base.nonzero, nonzero);
   }
 }
 
@@ -419,8 +509,6 @@ TEST(Kernels, Im2colZeroFillsOutOfImageTaps) {
   EXPECT_EQ(col[0 * 4 + 3], 1.0f);
 }
 
-constexpr float kZero = 0.0f;
-
 /// Input spikes with per-neuron probability `density` (0 = all silent).
 snn::SpikeVector random_spikes(std::size_t n, double density, Rng& rng) {
   snn::SpikeVector in(n);
@@ -432,19 +520,19 @@ snn::SpikeVector random_spikes(std::size_t n, double density, Rng& rng) {
 /// Runs scatter_accumulate and its touched form on one plan and compares
 /// each result bitwise with `want`.  The touched list must name each
 /// written output exactly once.
-void expect_scatter_matches(snn::ScatterPlan& plan, const Matrix& w,
+void expect_scatter_matches(snn::ScatterPlan& plan,
                             const snn::SpikeVector& in,
                             const std::vector<float>& want,
                             const std::string& label) {
   std::vector<std::uint32_t> active;
   in.append_active(active);
   std::vector<float> by_index(plan.layer().neurons, 0.0f);
-  snn::scatter_accumulate(plan, w, active, by_index);
+  snn::scatter_accumulate(plan, active, by_index);
   EXPECT_TRUE(same_bits(want, by_index)) << label;
   std::vector<float> by_touch(plan.layer().neurons, 0.0f);
   std::vector<std::uint32_t> stamp(plan.layer().neurons, 0);
   std::vector<std::uint32_t> touched;
-  snn::scatter_touched(plan, w, active, by_touch, stamp, 1, touched);
+  snn::scatter_touched(plan, active, by_touch, stamp, 1, touched);
   EXPECT_TRUE(same_bits(want, by_touch)) << label << " touched";
   std::vector<std::uint32_t> named(touched);
   std::sort(named.begin(), named.end());
@@ -496,9 +584,10 @@ TEST(Kernels, ConvScatterMatchesNaiveChwLoopBitForBit) {
   // each other, so a layout bug they share cannot pass).  Each plan
   // serves every call, which also checks that each call leaves its gather
   // lists empty for the next.  The 5x67 input has rows wider than one
-  // 64-bit spike word.  Channel counts below 64 take the gather's
-  // accumulate_rows block, 64 one full sum_rows64 block, and 65 and 130
-  // full blocks plus a narrow remainder.
+  // 64-bit spike word.  Both forms read the plan's padded weight panel:
+  // 5, 7 and 13 channels sum one 16-wide block, 64 one full 64-wide
+  // block, and 65 and 130 full blocks plus a 16-wide remainder whose
+  // padding channels must not be stored.
   Rng rng(10);
   for (const Shape3 shape : {Shape3{2, 9, 8}, Shape3{2, 5, 67}}) {
     for (const std::size_t k : {1u, 3u, 5u}) {
@@ -510,14 +599,14 @@ TEST(Kernels, ConvScatterMatchesNaiveChwLoopBitForBit) {
           net.init_random(rng, 1.0f);
           const snn::LayerInfo& li = topo.layers()[0];
           const Matrix& w = net.layer(0).weights;
-          snn::ScatterPlan plan(li);
+          snn::ScatterPlan plan(li, w);
           for (const double density : {0.4, 0.0}) {
             const snn::SpikeVector in =
                 random_spikes(li.in_shape.size(), density, rng);
             std::vector<std::uint32_t> active;
             in.append_active(active);
             expect_scatter_matches(
-                plan, w, in, naive_conv_scatter(li, w, active),
+                plan, in, naive_conv_scatter(li, w, active),
                 "in " + std::to_string(shape.h) + "x" +
                     std::to_string(shape.w) + " k" + std::to_string(k) +
                     (same ? " same" : " valid") + " oc " + std::to_string(oc) +
@@ -541,7 +630,7 @@ TEST(Kernels, PoolScatterMatchesNaiveLoopBitForBit) {
     const Shape3 in = li.in_shape;
     const Shape3 out = li.out_shape;
     const Matrix none;
-    snn::ScatterPlan plan(li);
+    snn::ScatterPlan plan(li, none);
     for (const double density : {0.4, 0.0}) {
       const snn::SpikeVector spikes = random_spikes(in.size(), density, rng);
       std::vector<float> want(out.size(), 0.0f);
@@ -553,7 +642,7 @@ TEST(Kernels, PoolScatterMatchesNaiveLoopBitForBit) {
         const std::size_t x = idx % in.w;
         want[(c * out.h + y / pool) * out.w + x / pool] += share;
       }
-      expect_scatter_matches(plan, none, spikes, want,
+      expect_scatter_matches(plan, spikes, want,
                              "pool " + std::to_string(pool) + " density " +
                                  std::to_string(density));
     }

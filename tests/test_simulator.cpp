@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "common/error.hpp"
+#include "snn/benchmarks.hpp"
 #include "snn/quantize.hpp"
 
 namespace resparc::snn {
@@ -150,6 +151,89 @@ TEST(Simulator, TotalSpikesSumsAllLayers) {
   std::vector<float> img{1.0f, 1.0f};
   const SimResult r = sim.run(img, rng);
   EXPECT_EQ(r.total_spikes, 8u * 2u + 8u * 2u);  // inputs + outputs
+}
+
+/// A random-init small MNIST-CNN (conv, pool, conv, pool, dense, dense)
+/// that fires in every layer.
+Network small_cnn() {
+  Network net(small_cnn_topology(DatasetKind::kMnistLike));
+  Rng rng(8);
+  net.init_random(rng, 1.0f);
+  net.set_uniform_threshold(0.3);
+  return net;
+}
+
+std::vector<float> random_image(const Network& net, Rng& rng) {
+  std::vector<float> img(net.topology().input_shape().size());
+  for (float& p : img) p = static_cast<float>(rng.uniform(0.0, 1.0));
+  return img;
+}
+
+TEST(Simulator, RecordTraceOnAndOffAgreeAcrossReuse) {
+  // With no trace the layers hand their spikes on through the reused
+  // relay buffers instead; the results must not notice, presentation
+  // after presentation, on busy input (stepped) and sparse input
+  // (touched).
+  const Network net = small_cnn();
+  Rng irng(12);
+  std::vector<std::vector<float>> images;
+  for (int i = 0; i < 3; ++i) images.push_back(random_image(net, irng));
+  for (const double rate : {1.0, 0.05}) {
+    SimConfig on;
+    on.timesteps = 7;
+    on.encoder.max_rate = rate;
+    SimConfig off = on;
+    off.record_trace = false;
+    Simulator traced(net, on), untraced(net, off);
+    Rng r1(13), r2(13);
+    SimResult a, b;
+    for (const auto& img : images) {
+      traced.run(img, r1, a);
+      untraced.run(img, r2, b);
+      EXPECT_EQ(a.trace.layer_count(), net.topology().layer_count() + 1);
+      EXPECT_EQ(b.trace.layer_count(), 0u);
+      EXPECT_EQ(a.output_spike_counts, b.output_spike_counts) << rate;
+      EXPECT_EQ(a.predicted_class, b.predicted_class) << rate;
+      EXPECT_EQ(a.total_spikes, b.total_spikes) << rate;
+      EXPECT_GT(a.total_spikes, a.trace.layer_spike_count(0)) << rate;
+    }
+  }
+}
+
+TEST(Simulator, ConvWeightsAndThresholdsAreTakenAtFirstRun) {
+  // The first run copies each layer's IF constants and each conv layer's
+  // weights; dense weights are read in place on every step.
+  Network net = small_cnn();
+  Rng irng(14);
+  const std::vector<float> img = random_image(net, irng);
+  SimConfig cfg;
+  cfg.timesteps = 6;
+  Simulator sim(net, cfg);
+  Rng r1(15);
+  const SimResult first = sim.run(img, r1);
+  ASSERT_GT(first.trace.layer_spike_count(1), 0u);
+
+  // Silence conv1 through both its weights and its threshold: the
+  // simulator that already ran does not see it, a new one does.
+  for (float& w : net.layer(0).weights.flat()) w = 0.0f;
+  net.layer(0).neuron.v_threshold = 1e9;
+  Rng r2(15);
+  const SimResult again = sim.run(img, r2);
+  EXPECT_EQ(again.total_spikes, first.total_spikes);
+  EXPECT_EQ(again.output_spike_counts, first.output_spike_counts);
+  Rng r3(15);
+  EXPECT_EQ(Simulator(net, cfg).run(img, r3).trace.layer_spike_count(1), 0u);
+
+  // Layer 4 is dense: zeroing its weights silences it at once.
+  const std::size_t dense = 4;
+  ASSERT_EQ(net.topology().layers()[dense].spec.kind, LayerKind::kDense);
+  ASSERT_GT(first.trace.layer_spike_count(dense + 1), 0u);
+  for (float& w : net.layer(dense).weights.flat()) w = 0.0f;
+  Rng r4(15);
+  const SimResult dense_edit = sim.run(img, r4);
+  EXPECT_EQ(dense_edit.trace.layer_spike_count(dense + 1), 0u);
+  EXPECT_EQ(dense_edit.trace.layer_spike_count(1),
+            first.trace.layer_spike_count(1));
 }
 
 TEST(Calibration, HitsTargetActivityOnRandomNet) {
