@@ -13,10 +13,10 @@
 //   * NoC stall cycles per classification — congestion on real switch
 //     FIFOs; the searched placements must stall strictly less.
 //
-// The search budget honours RESPARC_SEARCH_BUDGET (annealing rounds /
-// beam depth); CI runs the default so the fresh JSON is comparable with
-// the committed snapshot.  Results are deterministic in
-// RESPARC_BENCH_SEED for any thread count.
+// The registered strategies search with the default SearchOptions, so
+// the budget (annealing rounds / beam depth) and the search seed are
+// fixed and the fresh JSON is comparable with the committed snapshot.
+// Results are deterministic in RESPARC_BENCH_SEED for any thread count.
 #include <iostream>
 #include <sstream>
 #include <string>
@@ -55,8 +55,7 @@ int main() {
   const snn::BenchmarkSpec spec = snn::mnist_cnn();
   const bench::Workload w = bench::make_workload(spec);
   const std::size_t mca = 64;
-  const std::size_t budget =
-      compile::search::SearchOptions::from_env().rounds;
+  const std::size_t budget = compile::search::SearchOptions{}.rounds;
 
   Table t({"Strategy", "Energy (uJ)", "Latency (ns)", "Stall cyc",
            "Utilisation", "MCAs", "NCs", "Bus bnd", "Mixed"});

@@ -1,9 +1,9 @@
 // Technology explorer — the paper's "technology-aware mapping" in action.
 //
-// For two memristive technologies (PCM, Ag-Si) this example filters the
-// candidate MCA sizes by a wire-reliability constraint, maps the MNIST
-// benchmarks at every permitted size, and reports the energy-optimal
-// choice per network (paper contribution #3).  Traces come from one
+// For two memristive technologies (the default PCM device, Ag-Si) this
+// example filters the candidate MCA sizes by a wire-reliability
+// constraint, maps the MNIST benchmarks at every permitted size, and
+// reports the energy-optimal choice per network (paper contribution #3).  Traces come from one
 // Pipeline call per benchmark; the size exploration itself is the
 // compile::explore_mca_sizes analysis.
 //
@@ -21,7 +21,7 @@ int main() {
   const std::vector<std::size_t> sizes{32, 64, 128, 256};
 
   for (const tech::Technology& technology :
-       {tech::pcm_technology(), tech::agsi_technology()}) {
+       {tech::default_technology(), tech::agsi_technology()}) {
     // Ag-Si's higher resistance tolerates more wire drop than PCM's 20k
     // on-state; the same wiring therefore permits larger Ag-Si arrays.
     const auto permitted =

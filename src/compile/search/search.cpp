@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 #include <limits>
 #include <mutex>
 #include <set>
@@ -662,35 +661,11 @@ class BeamStrategy final : public SearchStrategyBase {
   }
 };
 
-std::size_t env_size_t(const char* name, std::size_t fallback) {
-  const char* text = std::getenv(name);
-  if (text == nullptr || *text == '\0') return fallback;
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(text, &end, 10);
-  if (end == text || *end != '\0') return fallback;
-  return static_cast<std::size_t>(v);
-}
-
 }  // namespace
-
-SearchOptions SearchOptions::from_env() {
-  SearchOptions opt;
-  opt.rounds = env_size_t("RESPARC_SEARCH_BUDGET", opt.rounds);
-  opt.seed = env_size_t("RESPARC_BENCH_SEED", opt.seed);
-  return opt;
-}
-
-std::unique_ptr<MappingStrategy> make_anneal_strategy() {
-  return make_anneal_strategy(SearchOptions::from_env());
-}
 
 std::unique_ptr<MappingStrategy> make_anneal_strategy(
     const SearchOptions& options) {
   return std::make_unique<AnnealStrategy>(options);
-}
-
-std::unique_ptr<MappingStrategy> make_beam_strategy() {
-  return make_beam_strategy(SearchOptions::from_env());
 }
 
 std::unique_ptr<MappingStrategy> make_beam_strategy(

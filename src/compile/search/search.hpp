@@ -66,25 +66,18 @@ struct SearchOptions {
   std::uint64_t seed = 7;
   /// Worker threads for candidate evaluation (0 = all hardware threads).
   std::size_t threads = 0;
-
-  /// Defaults overridden from the environment: RESPARC_SEARCH_BUDGET caps
-  /// `rounds` (for budget-bounded bench runs), RESPARC_BENCH_SEED
-  /// replaces `seed` (the bench seeding convention, bench/bench_util.hpp).
-  static SearchOptions from_env();
 };
 
-/// Simulated-annealing strategy ("anneal"): Metropolis over single-gene
-/// mutations, analytic-scored, replay-promoted elites.
-std::unique_ptr<MappingStrategy> make_anneal_strategy();
-/// Annealing strategy with explicit knobs (register under a custom name
-/// via compile::register_strategy for budget-controlled searches).
+/// Simulated-annealing strategy: Metropolis over single-gene mutations,
+/// analytic-scored, replay-promoted elites.  The registry's "anneal" is
+/// this with SearchOptions{}; register other knobs under a custom name
+/// via compile::register_strategy for budget-controlled searches.
 std::unique_ptr<MappingStrategy> make_anneal_strategy(
     const SearchOptions& options);
 
-/// Beam-search strategy ("beam"): exhaustive single-gene neighbourhoods,
-/// deterministic beam of `proposals`, replay-promoted elites.
-std::unique_ptr<MappingStrategy> make_beam_strategy();
-/// Beam strategy with explicit knobs (see make_anneal_strategy overload).
+/// Beam-search strategy: exhaustive single-gene neighbourhoods,
+/// deterministic beam of `proposals`, replay-promoted elites.  The
+/// registry's "beam" is this with SearchOptions{}.
 std::unique_ptr<MappingStrategy> make_beam_strategy(
     const SearchOptions& options);
 

@@ -156,8 +156,14 @@ NamedRegistry<StrategyFactory>& registry() {
                  [] { return std::make_unique<GreedyPackStrategy>(); });
     // The optimizing strategies (src/compile/search): annealing / beam
     // search over tile policy, placement and per-layer MCA size.
-    instance.set("anneal", [] { return search::make_anneal_strategy(); });
-    instance.set("beam", [] { return search::make_beam_strategy(); });
+    // Registered with the default options: a program cache key names
+    // the strategy, not its knobs.
+    instance.set("anneal", [] {
+      return search::make_anneal_strategy(search::SearchOptions{});
+    });
+    instance.set("beam", [] {
+      return search::make_beam_strategy(search::SearchOptions{});
+    });
   });
   return instance;
 }

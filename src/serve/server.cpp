@@ -380,8 +380,9 @@ void Server::execute_batch(TenantState& tenant, std::size_t replica,
 
   try {
     std::vector<api::ExecutionReport> reports;
+    // One thread: the batch replays inline on this dispatcher.
     api::Pipeline::execute_each(*tenant.replicas[replica], traces, reports,
-                                config_.compute_threads);
+                                1);
     const auto done = Clock::now();
     for (std::size_t j = 0; j < live.size(); ++j) {
       const Pending& pending = batch[live[j]];

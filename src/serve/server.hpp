@@ -72,10 +72,6 @@ struct ServerConfig {
   std::size_t queue_capacity = 64;
   /// Maximum requests per formed batch.
   std::size_t batch_max = 8;
-  /// ThreadPool workers per batch execution (1 = execute inline on the
-  /// dispatcher; >1 fans the batch over the global pool, the small-burst
-  /// pattern tests/test_thread_pool.cpp stresses).
-  std::size_t compute_threads = 1;
   /// Master seed deriving every session's RNG stream.
   std::uint64_t seed = 7;
   /// Compiled-program cache (directory "" = no persistence).

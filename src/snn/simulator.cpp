@@ -192,44 +192,6 @@ std::size_t Simulator::step_touched(std::size_t l,
   return layer.fired.size();
 }
 
-void Simulator::observe_currents(std::span<const float> image, Rng& rng,
-                                 std::size_t layer, const CurrentSink& sink) {
-  const Topology& topo = net_.topology();
-  require(layer < topo.layer_count(), "observe_currents: layer out of range");
-
-  ensure_layers();
-  const std::size_t T = config_.timesteps;
-  encoder_.encode_into(image, T, rng, input_spikes_);
-  // Layer-major over the prefix, as run() does, on the stepped branch.
-  std::span<const SpikeVector> in(input_spikes_.data(), T);
-  for (std::size_t l = 0; l < layer; ++l) {
-    relay_.resize(T);
-    for (std::size_t t = 0; t < T; ++t) {
-      active_scratch_.clear();
-      in[t].append_active(active_scratch_);
-      step_stepped(l, active_scratch_);
-      relay_[t] = layers_[l].out;
-    }
-    in = relay_;
-  }
-  Layer& observed = layers_[layer];
-  for (std::size_t t = 0; t < T; ++t) {
-    active_scratch_.clear();
-    in[t].append_active(active_scratch_);
-    scatter_accumulate(observed.plan, active_scratch_, observed.current);
-    sink(observed.current);
-    std::fill(observed.current.begin(), observed.current.end(), 0.0f);
-  }
-}
-
-void Simulator::observe_currents(std::span<const float> image, Rng& rng,
-                                 std::size_t layer,
-                                 std::vector<float>& samples_out) {
-  observe_currents(image, rng, layer, [&](std::span<const float> step) {
-    samples_out.insert(samples_out.end(), step.begin(), step.end());
-  });
-}
-
 float select_kth_positive(std::span<const float> values, std::size_t k) {
   require(k < values.size(), "select_kth_positive: k out of range");
   // Rank k lies in the 16-bit bucket where the running count passes it;
@@ -255,53 +217,83 @@ std::vector<double> calibrate_thresholds(
   require(target_activity > 0.0 && target_activity < 1.0,
           "target activity must be in (0,1)");
   require(!images.empty(), "calibration needs at least one image");
+  require(config.timesteps > 0, "calibration needs timesteps > 0");
+  const Topology& topo = net.topology();
+  const std::size_t T = config.timesteps;
+
+  // One encoding per image, in image order: in[i*T + t] is image i's
+  // input at step t.  Each layer's spikes replace it as the next layer's.
+  std::vector<SpikeVector> in, out, encoded;
+  RateEncoder encoder(config.encoder);
+  for (const auto& img : images) {
+    require(img.size() == topo.input_shape().size(),
+            "calibration: image size does not match topology input");
+    encoder.encode_into(img, T, rng, encoded);
+    in.insert(in.end(), encoded.begin(), encoded.end());
+  }
 
   std::vector<double> chosen;
-  const std::size_t layer_count = net.topology().layer_count();
-  for (std::size_t l = 0; l < layer_count; ++l) {
+  std::vector<std::uint32_t> active;
+  for (std::size_t l = 0; l < topo.layer_count(); ++l) {
+    const LayerInfo& li = topo.layers()[l];
+    LayerParams& params = net.layer(l);
+    ScatterPlan plan(li, params.weights);
+    std::vector<float> current(li.neurons, 0.0f);
+    const auto scatter = [&](const SpikeVector& spikes) {
+      active.clear();
+      spikes.append_active(active);
+      scatter_accumulate(plan, active, current);
+    };
+
     // Pool layers keep their fixed semantics: fire when at least half the
     // window was active.  Their threshold is not calibrated.
-    if (net.topology().layers()[l].spec.kind == LayerKind::kAvgPool) {
-      net.layer(l).neuron.v_threshold = 0.5;
-      chosen.push_back(0.5);
-      continue;
-    }
-    // Keep strictly positive currents; a layer that never receives positive
-    // drive keeps threshold 1 (it will stay silent, which is honest).  The
-    // buffer is sized for every current but left uninitialised, so only
-    // pages that kept samples reach are ever touched.  Each current is
-    // stored at the end of the kept run, which advances only past a
-    // positive one: no branch on the data.
-    const std::size_t bound = net.topology().layers()[l].neurons *
-                              config.timesteps * images.size();
-    const auto pos = std::make_unique_for_overwrite<float[]>(bound);
-    std::size_t kept = 0;
-    Simulator sim(net, config);
-    for (const auto& img : images)
-      sim.observe_currents(img, rng, l, [&](std::span<const float> step) {
-        float* out = pos.get();
-        std::size_t n = kept;
-        for (const float c : step) {
-          out[n] = c;
-          n += c > 0.0f ? 1 : 0;
+    double vth = 0.5;
+    if (li.spec.kind != LayerKind::kAvgPool) {
+      // Keep strictly positive currents; a layer that never receives
+      // positive drive keeps threshold 1 (it will stay silent, which is
+      // honest).  The buffer is sized for every current but left
+      // uninitialised, so only pages that kept samples reach are ever
+      // touched.  Each current is stored at the end of the kept run, which
+      // advances only past a positive one: no branch on the data.
+      const auto pos =
+          std::make_unique_for_overwrite<float[]>(li.neurons * in.size());
+      std::size_t kept = 0;
+      for (const SpikeVector& spikes : in) {
+        scatter(spikes);
+        for (float& c : current) {
+          pos[kept] = c;
+          kept += c > 0.0f ? 1 : 0;
+          c = 0.0f;
         }
-        kept = n;
-      });
-
-    double vth = 1.0;
-    if (kept > 0) {
-      // The threshold acts on *accumulated* membrane, so a neuron whose mean
-      // positive per-step current is c fires roughly every vth/c steps.
-      // Setting vth to the (1-a) quantile of per-step currents yields a
-      // per-step fire probability of ~a for the upper tail of neurons.
-      const double q = 1.0 - target_activity;
-      const std::size_t idx = std::min(
-          kept - 1, static_cast<std::size_t>(q * static_cast<double>(kept)));
-      vth = std::max(1e-6, static_cast<double>(select_kth_positive(
-                               {pos.get(), kept}, idx)));
+      }
+      vth = 1.0;
+      if (kept > 0) {
+        // The threshold acts on *accumulated* membrane, so a neuron whose
+        // mean positive per-step current is c fires roughly every vth/c
+        // steps.  Setting vth to the (1-a) quantile of per-step currents
+        // yields a per-step fire probability of ~a for the upper tail.
+        const double q = 1.0 - target_activity;
+        const std::size_t idx = std::min(
+            kept - 1, static_cast<std::size_t>(q * static_cast<double>(kept)));
+        vth = std::max(1e-6, static_cast<double>(select_kth_positive(
+                                 {pos.get(), kept}, idx)));
+      }
     }
-    net.layer(l).neuron.v_threshold = vth;
+    params.neuron.v_threshold = vth;
     chosen.push_back(vth);
+    if (l + 1 == topo.layer_count()) break;
+
+    // Step the layer at its new threshold, one presentation per image;
+    // step_packed leaves the currents +0.0f for the next scatter.
+    IfPopulation pop(li.neurons, params.neuron);
+    out.resize(in.size());
+    for (std::size_t k = 0; k < in.size(); ++k) {
+      if (k % T == 0) pop.clear();
+      scatter(in[k]);
+      out[k].reset(li.neurons);
+      pop.step_packed(current, out[k]);
+    }
+    std::swap(in, out);
   }
   return chosen;
 }

@@ -33,11 +33,15 @@
 // The simulator is the single source of spike traces for BOTH architecture
 // models (RESPARC and the CMOS baseline), which guarantees the two sides of
 // every comparison saw identical workloads.
+//
+// calibrate_thresholds (below) runs no Simulator: it makes one layer-major
+// pass of its own over every calibration image, with the same scatter and
+// the stepped branch's IF update, choosing each layer's threshold before
+// it steps that layer.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <span>
 #include <string>
 #include <vector>
@@ -71,12 +75,11 @@ struct SimResult {
 
 /// Runs a Network presentation-by-presentation.
 ///
-/// The first run() or observe_currents() builds the per-layer state from
-/// the network as it is then: each layer's IF constants (threshold,
-/// reset, leak) and a cache-line-aligned copy of each conv layer's
-/// weights (ScatterPlan).  Later edits to those in the Network are not
-/// seen by this Simulator; construct a new one.  Dense weights are read
-/// in place on every step.
+/// The first run() builds the per-layer state from the network as it is
+/// then: each layer's IF constants (threshold, reset, leak) and a
+/// cache-line-aligned copy of each conv layer's weights (ScatterPlan).
+/// Later edits to those in the Network are not seen by this Simulator;
+/// construct a new one.  Dense weights are read in place on every step.
 class Simulator {
  public:
   /// The network must outlive the simulator.
@@ -108,21 +111,6 @@ class Simulator {
   /// this fraction of the layer's neurons.  Measured with
   /// bench/bench_sparse_execution on the paper-scale MNIST-CNN.
   static constexpr double kTouchedCrossover = 0.25;
-
-  /// Receives the observed layer's input currents of one timestep, one
-  /// float per neuron; the span is valid only for the call.
-  using CurrentSink = std::function<void(std::span<const float>)>;
-
-  /// Presents one image up to `layer` and hands `sink` the per-neuron
-  /// input currents arriving at `layer`, once per timestep.  Layers before
-  /// `layer` run on the stepped branch; layers after it are not executed.
-  void observe_currents(std::span<const float> image, Rng& rng,
-                        std::size_t layer, const CurrentSink& sink);
-
-  /// Appends every current the sink form observes to `samples_out`
-  /// (timestep-major, neurons x timesteps floats per presentation).
-  void observe_currents(std::span<const float> image, Rng& rng,
-                        std::size_t layer, std::vector<float>& samples_out);
 
  private:
   /// Per-layer engine state (defined in simulator.cpp).
@@ -159,14 +147,21 @@ class Simulator {
 /// roughly `target_activity` — the regime the paper's energy numbers assume.
 /// `images` are flat intensity vectors.  Returns the chosen thresholds.
 ///
-/// Each layer's currents stream straight from observe_currents into one
-/// buffer that keeps only those > 0.0f (NaN, +-0 and negatives never
-/// enter), and select_kth_positive picks sample k = min(n-1, floor(q*n)),
-/// q = 1 - target_activity, of the n kept.  The selection is exact: the
-/// threshold is the value std::nth_element would put at k.  Memory: the
-/// buffer reserves neurons x timesteps x images floats of address space,
-/// but only the pages holding kept samples (4 bytes each, plus one page)
-/// become resident; the selection adds a fixed 512 KiB histogram.
+/// One layer-major pass, with no Simulator: each image is encoded once, in
+/// image order (the Rng advances exactly as by one encode per image).
+/// Layer l scatters its T inputs of every image (snn/scatter.hpp), picks
+/// its threshold, then steps once per image at that threshold; its spikes
+/// are layer l + 1's inputs.  So every layer sees the one shared encoding,
+/// with the thresholds below it already set.  Pool layers keep 0.5.
+///
+/// The positive currents (> 0.0f; NaN, +-0 and negatives never enter)
+/// stream into one buffer, and select_kth_positive picks sample
+/// k = min(n-1, floor(q*n)), q = 1 - target_activity, of the n kept.  The
+/// selection is exact: the threshold is the value std::nth_element would
+/// put at k.  Memory: the images' spikes of two adjacent layers, packed;
+/// the buffer reserves neurons x timesteps x images floats of address
+/// space, but only the pages holding kept samples (4 bytes each, plus one
+/// page) become resident; the selection adds a fixed 512 KiB histogram.
 std::vector<double> calibrate_thresholds(Network& net,
                                          std::span<const std::vector<float>> images,
                                          const SimConfig& config, Rng& rng,

@@ -17,13 +17,6 @@ Technology default_technology() {
   return t;
 }
 
-Technology pcm_technology() {
-  Technology t;
-  t.name = "pcm-45nm";
-  t.memristor = pcm_params();
-  return t;
-}
-
 Technology agsi_technology() {
   Technology t;
   t.name = "agsi-45nm";

@@ -30,11 +30,9 @@ struct Technology {
   void validate() const;
 };
 
-/// The paper's evaluation technology: PCM-class device, 45 nm digital.
+/// The paper's evaluation technology and the PCM preset: the PCM device
+/// (pcm_params(), 5% sneak leakage), 45 nm digital.
 Technology default_technology();
-
-/// PCM preset (same device range as the default; explicit name).
-Technology pcm_technology();
 
 /// Ag-Si preset (more resistive device: lower crossbar read energy).
 Technology agsi_technology();

@@ -5,10 +5,12 @@
 // anchor for the convolution/pool arithmetic.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <vector>
 
 #include "common/rng.hpp"
 #include "snn/network.hpp"
+#include "snn/scatter.hpp"
 #include "snn/simulator.hpp"
 #include "train/ann.hpp"
 
@@ -50,27 +52,15 @@ void expect_drive_matches(const Topology& topo, std::uint64_t seed) {
   for (std::size_t i = 0; i < image.size(); ++i)
     ASSERT_EQ(result.trace.layers[0][0].get(i), image[i] == 1.0f);
 
-  // Recompute the first-layer drive via the simulator's own state is not
-  // exposed; instead compare spike-free membrane == ANN pre-activation by
-  // re-running with thresholds that never fire and reading the ANN side.
+  // Layer-0 drive: scatter the step-0 input events through the engine's
+  // own tables, then compare it with the ANN's layer-0 output.
   const train::ForwardPass pass = ann.forward(image);
-  // The ANN applies ReLU on hidden layers, so only the FIRST layer's
-  // linear output is directly comparable; deeper layers see different
-  // inputs (no spikes flowed).  Layer 0 comparison is exact:
-  snn::Network probe(topo);
-  probe.layer(0).weights = ann.weights(0);
-  probe.layer(0).neuron.v_threshold = 1e9;
-  // drive = sum of weights over active inputs; compute directly:
   std::vector<float> drive(topo.layers()[0].neurons, 0.0f);
   {
-    snn::SimConfig one;
-    one.timesteps = 1;
-    one.encoder.poisson = false;
-    snn::Simulator s2(probe, one);
-    std::vector<float> samples;
-    s2.observe_currents(image, rng, 0, samples);
-    ASSERT_EQ(samples.size(), drive.size());
-    for (std::size_t i = 0; i < drive.size(); ++i) drive[i] = samples[i];
+    snn::ScatterPlan plan(topo.layers()[0], net.layer(0).weights);
+    std::vector<std::uint32_t> active;
+    result.trace.layers[0][0].append_active(active);
+    snn::scatter_accumulate(plan, active, drive);
   }
   // ANN pre-activation of layer 0 equals post-activation when no ReLU is
   // applied... the recorded activations are post-ReLU for hidden layers,

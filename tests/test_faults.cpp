@@ -194,9 +194,12 @@ TEST(FaultFree, DisabledConfigKeepsTheFingerprint) {
 
 /// Shared golden workload: the exact replay numbers of the pre-layer
 /// build (captured before fault injection existed); every engine must
-/// still reproduce them bit for bit with faults disabled.
+/// still reproduce them bit for bit with faults disabled.  Re-baselined
+/// once since, when threshold calibration became one layer-major pass
+/// over a single encoding per image: the workload's calibrated
+/// thresholds, and so its spikes, moved (6714.1407249999993 before).
 struct Golden {
-  static constexpr double kEnergyPj = 6714.1407249999993;
+  static constexpr double kEnergyPj = 6719.6197249999987;
   static constexpr double kLatencyNs = 790.0;
   static constexpr std::size_t kClassifications = 2;
 };

@@ -500,6 +500,9 @@ TEST(NocRoute, LcaSpansTheWholeSourceLayerRange) {
 
 TEST(NocExecutor, AnalyticFidelityIsBitForBitFlatOnSmallNets) {
   Fixture fx(512, 256);
+  // The default PCM device leaks: this pins the sneak term's on branch.
+  EXPECT_EQ(core::default_config().technology.memristor.sneak_leak_fraction,
+            0.05);
   const Mapping m = core::map_network(fx.topo, core::default_config());
   const core::Executor ex(fx.topo, m);
   for (const auto& trace : fx.traces)
@@ -509,17 +512,14 @@ TEST(NocExecutor, AnalyticFidelityIsBitForBitFlatOnSmallNets) {
 
 /// Chip configurations off the default technology, each with the replay
 /// term it pins: Ag-Si has no sneak leakage (the sneak term's off
-/// branch), the PCM preset leaks 5% per half-selected cell (the default
-/// technology carries the same device), and the fault chip charges
-/// programmed cells at a mean multiplier other than 1.
+/// branch; the default PCM device leaks 5% per half-selected cell), and
+/// the fault chip charges programmed cells at a mean multiplier other
+/// than 1.
 std::vector<std::pair<std::string, core::ResparcConfig>> off_default_configs() {
   std::vector<std::pair<std::string, core::ResparcConfig>> configs;
   core::ResparcConfig agsi = core::default_config();
   agsi.technology = tech::agsi_technology();
   configs.emplace_back("agsi", agsi);
-  core::ResparcConfig pcm = core::default_config();
-  pcm.technology = tech::pcm_technology();
-  configs.emplace_back("pcm", pcm);
   core::ResparcConfig faulty = core::default_config();
   faulty.faults.enabled = true;
   faulty.faults.chip_seed = 42;
@@ -540,8 +540,6 @@ void expect_flat_off_default(const Topology& topo,
     const Mapping m = core::map_network(topo, config);
     if (name == "agsi") {
       EXPECT_EQ(sneak, 0.0);
-    } else if (name == "pcm") {
-      EXPECT_EQ(sneak, 0.05);
     } else {
       EXPECT_NE(core::chip_energy_scale(m), 1.0);
     }

@@ -8,7 +8,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <cstdlib>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -325,20 +324,6 @@ TEST(SearchOptionsSeam, DegenerateOptionsStillCompileClean) {
   const verify::VerifyReport report = verify::verify_program(program);
   EXPECT_TRUE(report.ok()) << report.to_string();
   EXPECT_EQ(program.strategy, "anneal");
-}
-
-// The env seams the bench/CI jobs steer the search with.
-TEST(SearchOptionsSeam, FromEnvReadsBudgetAndSeed) {
-  ASSERT_EQ(setenv("RESPARC_SEARCH_BUDGET", "5", 1), 0);
-  ASSERT_EQ(setenv("RESPARC_BENCH_SEED", "99", 1), 0);
-  const SearchOptions opt = SearchOptions::from_env();
-  EXPECT_EQ(opt.rounds, 5u);
-  EXPECT_EQ(opt.seed, 99u);
-  ASSERT_EQ(unsetenv("RESPARC_SEARCH_BUDGET"), 0);
-  ASSERT_EQ(unsetenv("RESPARC_BENCH_SEED"), 0);
-  const SearchOptions defaults = SearchOptions::from_env();
-  EXPECT_EQ(defaults.rounds, SearchOptions{}.rounds);
-  EXPECT_EQ(defaults.seed, SearchOptions{}.seed);
 }
 
 }  // namespace

@@ -349,6 +349,47 @@ TEST(SelectKthPositive, RejectsRankOutOfRange) {
   EXPECT_THROW(select_kth_positive({}, 0), ConfigError);
 }
 
+/// Layer `li`'s input currents for one step of input spikes `in`, summed
+/// naively: ascending input order, each output from +0.0f, as
+/// api::reference_run sums them.
+std::vector<float> naive_currents(const LayerInfo& li, const Matrix& w,
+                                  const SpikeVector& in) {
+  std::vector<float> current(li.neurons, 0.0f);
+  const Shape3 is = li.in_shape;
+  const Shape3 os = li.out_shape;
+  for (std::size_t idx = 0; idx < in.size(); ++idx) {
+    if (!in.get(idx)) continue;
+    const std::size_t c = idx / (is.h * is.w);
+    const std::size_t y = idx / is.w % is.h;
+    const std::size_t x = idx % is.w;
+    switch (li.spec.kind) {
+      case LayerKind::kDense:
+        for (std::size_t o = 0; o < li.neurons; ++o) current[o] += w(idx, o);
+        break;
+      case LayerKind::kConv: {
+        const std::size_t k = li.spec.kernel;
+        const std::size_t pad = li.spec.same_padding ? k / 2 : 0;
+        for (std::size_t ky = 0; ky < k; ++ky)
+          for (std::size_t kx = 0; kx < k; ++kx) {
+            if (y + pad < ky || y + pad - ky >= os.h) continue;
+            if (x + pad < kx || x + pad - kx >= os.w) continue;
+            const std::size_t pixel = (y + pad - ky) * os.w + (x + pad - kx);
+            for (std::size_t oc = 0; oc < os.c; ++oc)
+              current[oc * os.h * os.w + pixel] += w((c * k + ky) * k + kx, oc);
+          }
+        break;
+      }
+      case LayerKind::kAvgPool: {
+        const std::size_t p = li.spec.pool;
+        current[(c * os.h + y / p) * os.w + x / p] +=
+            1.0f / static_cast<float>(p * p);
+        break;
+      }
+    }
+  }
+  return current;
+}
+
 TEST(Calibration, ThresholdsMatchNthElementReference) {
   Topology topo("cpcpd", Shape3{1, 12, 12},
                 {LayerSpec::conv(4, 3), LayerSpec::avg_pool(2),
@@ -364,24 +405,28 @@ TEST(Calibration, ThresholdsMatchNthElementReference) {
     images.push_back(std::move(img));
   }
   SimConfig cfg;
-  cfg.timesteps = 16;  // Poisson encoding: every pass draws from the Rng
+  cfg.timesteps = 16;  // Poisson encoding: every encode draws from the Rng
   const double target = 0.10;
 
-  // The reference: every current collected, the positive ones copied out,
-  // std::nth_element at the same rank, from a copy of the same Rng.
+  // The reference, layer by layer: Simulator::run traces from a copy of
+  // the same Rng (one encoding per image, the thresholds below the layer
+  // already set), the layer's currents summed naively, the positive ones
+  // copied out, std::nth_element at the same rank.
   Network ref_net = net;
-  Rng ref_rng = rng;
   std::vector<double> expected;
   for (std::size_t l = 0; l < topo.layer_count(); ++l) {
+    const LayerInfo& li = topo.layers()[l];
     double vth = 0.5;
-    if (topo.layers()[l].spec.kind != LayerKind::kAvgPool) {
-      Simulator sim(ref_net, cfg);
-      std::vector<float> samples;
-      for (const auto& img : images)
-        sim.observe_currents(img, ref_rng, l, samples);
+    if (li.spec.kind != LayerKind::kAvgPool) {
+      Simulator sim(ref_net, cfg);  // takes the thresholds set so far
+      Rng ref_rng = rng;
       std::vector<float> pos;
-      for (const float s : samples)
-        if (s > 0.0f) pos.push_back(s);
+      for (const auto& img : images) {
+        const SimResult r = sim.run(img, ref_rng);
+        for (const SpikeVector& in : r.trace.layers[l])
+          for (const float c : naive_currents(li, ref_net.layer(l).weights, in))
+            if (c > 0.0f) pos.push_back(c);
+      }
       ASSERT_FALSE(pos.empty()) << "layer " << l;
       const std::size_t idx = std::min(
           pos.size() - 1, static_cast<std::size_t>(
@@ -402,8 +447,27 @@ TEST(Calibration, ThresholdsMatchNthElementReference) {
     EXPECT_EQ(chosen[l], expected[l]) << "layer " << l;
     EXPECT_EQ(net.layer(l).neuron.v_threshold, expected[l]) << "layer " << l;
   }
-  // Both paths drew the same number of encodings.
-  EXPECT_EQ(rng(), ref_rng());
+}
+
+TEST(Calibration, EncodesEachImageOnce) {
+  const BenchmarkSpec spec = mnist_cnn();
+  Network net(spec.topology);
+  Rng rng(41);
+  net.init_random(rng);
+  std::vector<std::vector<float>> images;
+  for (int i = 0; i < 2; ++i) {
+    std::vector<float> img(spec.topology.input_shape().size());
+    for (auto& p : img) p = static_cast<float>(rng.uniform(0.0, 1.0));
+    images.push_back(std::move(img));
+  }
+  SimConfig cfg;
+  cfg.timesteps = 8;
+  Rng once = rng;
+  RateEncoder encoder(cfg.encoder);
+  for (const auto& img : images) encoder.encode(img, cfg.timesteps, once);
+
+  calibrate_thresholds(net, images, cfg, rng, 0.10);
+  for (int i = 0; i < 4; ++i) EXPECT_EQ(rng(), once());
 }
 
 TEST(EvaluateAccuracy, PerfectOnSeparableToy) {

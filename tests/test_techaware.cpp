@@ -67,9 +67,6 @@ TEST(TechAware, PermissibleSizesMatchRecordedGrid) {
     std::vector<std::size_t> kept;  // one count per wire resistance
   };
   const std::vector<Row> rows{
-      {tech::pcm_technology(), 0.75, {6, 6, 5, 4, 4, 3}},
-      {tech::pcm_technology(), 0.80, {6, 5, 4, 4, 3, 2}},
-      {tech::pcm_technology(), 0.90, {6, 4, 3, 3, 2, 1}},
       {tech::agsi_technology(), 0.75, {6, 6, 6, 6, 6, 5}},
       {tech::agsi_technology(), 0.80, {6, 6, 6, 6, 6, 5}},
       {tech::agsi_technology(), 0.90, {6, 6, 6, 5, 5, 4}},
@@ -106,7 +103,8 @@ TEST(TechAware, AgSiToleratesMoreWireThanPcm) {
   // Ag-Si sustains larger arrays under the same wiring (the behaviour the
   // technology_explorer example demonstrates).
   const std::vector<std::size_t> sizes{32, 64, 128, 256, 512};
-  const auto pcm = permissible_sizes(sizes, tech::pcm_technology(), 15.0, 0.75);
+  const auto pcm =
+      permissible_sizes(sizes, tech::default_technology(), 15.0, 0.75);
   const auto agsi =
       permissible_sizes(sizes, tech::agsi_technology(), 15.0, 0.75);
   EXPECT_GE(agsi.size(), pcm.size());
