@@ -12,7 +12,7 @@
 // speedup over the rate-1.0 row; throughput must rise monotonically with
 // sparsity.  The simulator picks its stepped or touched branch per layer
 // and step (snn/simulator.hpp), so this sweep is also what the
-// Simulator::kTouchedCrossover constant is measured with.  Results go to
+// Simulator touched-branch crossovers are measured with.  Results go to
 // stdout and bench/trajectory/bench_sparse_execution.json (the trajectory
 // envelope of bench/trajectory/README.md).
 //

@@ -115,10 +115,10 @@ std::size_t if_step_words(const IfRule& r, float* m, float* cur,
 }
 
 RESPARC_KERNEL_CLONES
-std::size_t count_masked(const std::uint64_t* words,
-                         const std::uint64_t* masks,
-                         const std::uint32_t* index, std::size_t n) {
-  return count_masked_body(words, masks, index, n);
+void count_masked(const std::uint64_t* words, const std::uint64_t* masks,
+                  const std::uint32_t* index, const std::uint32_t* bounds,
+                  std::size_t groups, std::uint32_t* counts) {
+  count_masked_body(words, masks, index, bounds, groups, counts);
 }
 
 RESPARC_KERNEL_CLONES

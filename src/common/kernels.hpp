@@ -3,9 +3,9 @@
 // Every hot inner loop of the repository — the trainer's dense/conv
 // forward, the functional simulator's spike-driven row accumulate, conv
 // gather (over cache-line-aligned weight panels, RowPanel) and IF update,
-// and the executor's per-group active-row count and per-layer spike and
-// flit count — is implemented exactly once here.  The kernels share three
-// invariants:
+// and the executor's per-layer active-row count over every MCA group and
+// per-layer spike and flit count — is implemented exactly once here.
+// The kernels share three invariants:
 //
 //   * contiguous unit-stride inner loops over `__restrict` pointers, so
 //     the compiler can auto-vectorize without runtime alias checks;
@@ -213,18 +213,22 @@ template <typename Lanes = BaselineLanes>
   }
 }
 
-/// The body of count_masked: one popcount per plan entry.  popcount64's
-/// bit count is the idiom GCC turns into one POPCNT where the target has
-/// it, so the x86-64-v3 clone issues the instruction and the baseline
-/// clone keeps the inline count.
-[[gnu::always_inline]] inline std::size_t count_masked_body(
+/// The body of count_masked: one popcount per plan entry, summed per
+/// group.  popcount64's bit count is the idiom GCC turns into one POPCNT
+/// where the target has it, so the x86-64-v3 clone issues the
+/// instruction and the baseline clone keeps the inline count.
+[[gnu::always_inline]] inline void count_masked_body(
     const std::uint64_t* __restrict words,
     const std::uint64_t* __restrict masks,
-    const std::uint32_t* __restrict index, std::size_t n) {
-  std::size_t total = 0;
-  for (std::size_t i = 0; i < n; ++i)
-    total += popcount64(words[index[i]] & masks[i]);
-  return total;
+    const std::uint32_t* __restrict index,
+    const std::uint32_t* __restrict bounds, std::size_t groups,
+    std::uint32_t* __restrict counts) {
+  for (std::size_t g = 0; g < groups; ++g) {
+    std::uint32_t n = 0;
+    for (std::uint32_t i = bounds[g]; i < bounds[g + 1]; ++i)
+      n += popcount64(words[index[i]] & masks[i]);
+    counts[g] = n;
+  }
 }
 
 /// Set bits and nonzero words of a packed spike vector.
@@ -264,7 +268,7 @@ struct WordCounts {
 /// four fused via row_add4 — bit-for-bit identical to one row_add per
 /// row).  `cols <= stride` lets a caller accumulate a column slice of a
 /// wider matrix.  This is the simulator's dense-layer scatter, fed the
-/// active-bit list of a SpikeVector.
+/// set bits of a SpikeVector a batch at a time (snn/scatter.cpp).
 void accumulate_rows(const float* w, std::size_t stride, std::size_t cols,
                      std::span<const std::uint32_t> rows, float* acc);
 
@@ -279,13 +283,16 @@ void accumulate_rows(const float* w, std::size_t stride, std::size_t cols,
 void sum_rows(const float* w, std::size_t stride, std::size_t width,
               std::span<const std::uint32_t> rows, float* out);
 
-/// Returns the sum over i in [0, n) of popcount(words[index[i]] &
+/// For each group g in [0, groups), writes counts[g] = the sum over the
+/// entries i in [bounds[g], bounds[g + 1]) of popcount(words[index[i]] &
 /// masks[i]): the spikes of packed vector `words` that fall in the bit
-/// sets the (index, mask) entries name.  The executor counts each MCA
-/// group's active rows with it from the group's word-mask plan.
-std::size_t count_masked(const std::uint64_t* words,
-                         const std::uint64_t* masks,
-                         const std::uint32_t* index, std::size_t n);
+/// sets group g's (index, mask) entries name.  `bounds` holds groups + 1
+/// ascending offsets; a group with no entries counts 0.  The executor
+/// counts the active rows of every MCA group of a layer in one call,
+/// from the layer's word-mask plan.
+void count_masked(const std::uint64_t* words, const std::uint64_t* masks,
+                  const std::uint32_t* index, const std::uint32_t* bounds,
+                  std::size_t groups, std::uint32_t* counts);
 
 /// Set bits and nonzero words of the packed vector `words` in one pass:
 /// the fired neurons and the sent flits the executor charges for one

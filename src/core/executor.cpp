@@ -118,6 +118,8 @@ Executor::Executor(const snn::Topology& topology, const Mapping& mapping,
     const std::size_t N = mapping.layer_mca_size(l);
     leak_columns_ += mapping.layers[l].mca_count * N;
     plan.groups.reserve(mapping.layers[l].groups.size());
+    plan.bounds.reserve(mapping.layers[l].groups.size() + 1);
+    plan.bounds.push_back(0);
     for (const McaGroup& g : mapping.layers[l].groups) {
       // The plan indexes input words directly, so a slice reaching past
       // the layer input would read past the spike vector.
@@ -150,7 +152,8 @@ Executor::Executor(const snn::Topology& topology, const Mapping& mapping,
                        base + g.slice.x1 + 1);
           }
       }
-      gr.plan_end = narrow(plan.words.size());
+      plan.bounds.push_back(narrow(plan.words.size()));
+      plan.mcas += g.mca_count;
       plan.groups.push_back(gr);
     }
   }
@@ -159,11 +162,11 @@ Executor::Executor(const snn::Topology& topology, const Mapping& mapping,
 std::size_t Executor::active_rows(std::size_t layer, std::size_t group,
                                   const SpikeVector& spikes) const {
   const LayerPlan& plan = plans_[layer];
-  const std::size_t begin = group > 0 ? plan.groups[group - 1].plan_end : 0;
-  return kernels::count_masked(spikes.words().data(),
-                               plan.masks.data() + begin,
-                               plan.words.data() + begin,
-                               plan.groups[group].plan_end - begin);
+  std::uint32_t active = 0;
+  kernels::count_masked(spikes.words().data(), plan.masks.data(),
+                        plan.words.data(), plan.bounds.data() + group, 1,
+                        &active);
+  return active;
 }
 
 Executor::ReplayCosts Executor::make_costs() const {
@@ -229,57 +232,60 @@ void Executor::replay_step(const snn::SpikeTrace& trace, std::size_t step,
     const SpikeVector& out_vec = trace.layers[l + 1][step];
 
     // The group loop tallies into locals and writes them back once; the
-    // doubles see the same additions in the same order as in place.
+    // doubles see the same additions in the same order as in place.  One
+    // count_masked call counts up to kCountBlock groups into the stack:
+    // executors replay concurrently, so the buffer is not a member, and a
+    // replay allocates nothing.  A skipped group's record is not read:
+    // the skipped arrays are the layer's arrays minus the activated ones.
     const LayerPlan& plan = plans_[l];
     const std::uint64_t* const in_words = in_vec.words().data();
-    const std::uint64_t* const masks = plan.masks.data();
-    const std::uint32_t* const words = plan.words.data();
     double crossbar_pj = e.crossbar_pj;
     double control_pj = e.control_pj;
-    std::size_t mca_skips = 0, mca_activations = 0, buffer_bits = 0,
-                integrations = 0;
+    std::size_t mca_activations = 0, buffer_bits = 0, integrations = 0;
     bool layer_active = false;
-    std::uint32_t begin = 0;
-    for (const GroupRecord& g : plan.groups) {
-      const std::size_t active = kernels::count_masked(
-          in_words, masks + begin, words + begin, g.plan_end - begin);
-      begin = g.plan_end;
-      if (active == 0 && cfg.event_driven) {
-        mca_skips += g.mca_count;
-        continue;
+    constexpr std::size_t kCountBlock = 2048;
+    std::uint32_t counts[kCountBlock];
+    for (std::size_t g0 = 0; g0 < plan.groups.size(); g0 += kCountBlock) {
+      const std::size_t n = std::min(kCountBlock, plan.groups.size() - g0);
+      kernels::count_masked(in_words, plan.masks.data(), plan.words.data(),
+                            plan.bounds.data() + g0, n, counts);
+      for (std::size_t j = 0; j < n; ++j) {
+        const std::size_t active = counts[j];
+        if (active == 0 && cfg.event_driven) continue;
+        const GroupRecord& g = plan.groups[g0 + j];
+        layer_active = layer_active || active > 0;
+        const double fraction =
+            g.bits != 0.0 ? static_cast<double>(active) / g.bits : 0.0;
+        // Programmed cells on driven rows dissipate at the mean programmed
+        // conductance; the *unmapped* crosspoints of a driven row still sit
+        // at G_off and leak V^2*G_off*t each — the physical cost of poor
+        // utilisation that makes oversized MCAs lose on sparse (CNN)
+        // connectivity (paper section 5.2, Fig. 12(c)).
+        const double driven_rows = fraction * g.driven_scale;
+        const double driven_cells = driven_rows * g.mca_size_d;
+        const double used_cells = fraction * g.synapses;
+        crossbar_pj += used_cells * cell_pj +
+                       std::max(0.0, driven_cells - used_cells) * cell_off_pj;
+        // Sneak paths: in a selectorless array every *half-selected* cell
+        // leaks a fraction of a full read during each access [Liang,
+        // TED'10] — the total grows with the square of the array size,
+        // which is the paper's reason large MCAs lose (sections 1, 5.2).
+        if (sneak > 0.0) {
+          crossbar_pj +=
+              sneak * std::max(0.0, g.total_cells - driven_cells) * cell_off_pj;
+        }
+        mca_activations += g.mca_count;
+        // The iBUFF feeds all N row drivers of each array regardless of how
+        // many rows carry mapped synapses, and every physical column's
+        // sense/interface path cycles on a read, used or not.
+        buffer_bits += g.buffer_bits;
+        control_pj += g.control_pj;
+        integrations += g.cols_used;
       }
-      layer_active = layer_active || active > 0;
-      const double fraction =
-          g.bits != 0.0 ? static_cast<double>(active) / g.bits : 0.0;
-      // Programmed cells on driven rows dissipate at the mean programmed
-      // conductance; the *unmapped* crosspoints of a driven row still sit
-      // at G_off and leak V^2*G_off*t each — the physical cost of poor
-      // utilisation that makes oversized MCAs lose on sparse (CNN)
-      // connectivity (paper section 5.2, Fig. 12(c)).
-      const double driven_rows = fraction * g.driven_scale;
-      const double driven_cells = driven_rows * g.mca_size_d;
-      const double used_cells = fraction * g.synapses;
-      crossbar_pj += used_cells * cell_pj +
-                     std::max(0.0, driven_cells - used_cells) * cell_off_pj;
-      // Sneak paths: in a selectorless array every *half-selected* cell
-      // leaks a fraction of a full read during each access [Liang,
-      // TED'10] — the total grows with the square of the array size,
-      // which is the paper's reason large MCAs lose (sections 1, 5.2).
-      if (sneak > 0.0) {
-        crossbar_pj +=
-            sneak * std::max(0.0, g.total_cells - driven_cells) * cell_off_pj;
-      }
-      mca_activations += g.mca_count;
-      // The iBUFF feeds all N row drivers of each array regardless of how
-      // many rows carry mapped synapses, and every physical column's
-      // sense/interface path cycles on a read, used or not.
-      buffer_bits += g.buffer_bits;
-      control_pj += g.control_pj;
-      integrations += g.cols_used;
     }
     e.crossbar_pj = crossbar_pj;
     e.control_pj = control_pj;
-    ev.mca_skips += mca_skips;
+    ev.mca_skips += plan.mcas - mca_activations;
     ev.mca_activations += mca_activations;
     ev.buffer_bits += buffer_bits;
     ev.neuron_integrations += integrations;

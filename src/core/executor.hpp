@@ -96,9 +96,6 @@ class Executor {
   /// (same operands, same operations), so replay results are bit-for-bit
   /// unchanged.
   struct GroupRecord {
-    /// End of the group's entries in its layer's word-mask plan; they
-    /// begin at the previous record's end (0 for the first group).
-    std::uint32_t plan_end = 0;
     std::uint32_t mca_count = 0;    ///< arrays in the group
     std::uint32_t cols_used = 0;    ///< neurons integrated per activation
     std::uint32_t buffer_bits = 0;  ///< iBUFF bits fed per activation
@@ -115,14 +112,19 @@ class Executor {
 
   /// One layer's replay tables.  The word-mask plan lists each group's
   /// input slice as (word, mask) entries, so a group's active count is
-  /// the sum of popcount(input[word[i]] & mask[i]) over its entries
-  /// (kernels::count_masked).  A contiguous slice is its covered words; a
-  /// window is its per-(channel, row) bit runs, with runs that fall in the
-  /// same word merged into one entry.  Built once at construction.
+  /// the sum of popcount(input[word[i]] & mask[i]) over its entries, and
+  /// one kernels::count_masked call counts every group of the layer.  A
+  /// contiguous slice is its covered words; a window is its per-(channel,
+  /// row) bit runs, with runs that fall in the same word merged into one
+  /// entry.  Built once at construction.
   struct LayerPlan {
     std::vector<GroupRecord> groups;
     std::vector<std::uint64_t> masks;  ///< plan entry masks
     std::vector<std::uint32_t> words;  ///< plan entry input-word indices
+    /// Group g's entries are [bounds[g], bounds[g + 1]): groups + 1
+    /// offsets, starting at 0.
+    std::vector<std::uint32_t> bounds;
+    std::size_t mcas = 0;  ///< arrays over all groups
   };
 
   const snn::Topology& topology_;

@@ -17,12 +17,31 @@ float pool_share(const LayerInfo& li) {
 }
 
 /// Each event touches exactly one output, read from the plan's table.
-void scatter_pool(const ScatterPlan& plan,
-                  std::span<const std::uint32_t> in_active,
+void scatter_pool(const ScatterPlan& plan, const SpikeVector& in,
                   std::span<float> current) {
   const float share = pool_share(plan.layer());
-  for (const std::uint32_t idx : in_active)
-    current[plan.pool_target(idx)] += share;
+  in.for_each_active(
+      [&](std::uint32_t idx) { current[plan.pool_target(idx)] += share; });
+}
+
+/// Dense: the decoded rows go to accumulate_rows kBatch at a time.  A
+/// multiple of four, so every batch but the last fuses all its rows.
+void scatter_dense(const ScatterPlan& plan, const SpikeVector& in,
+                   std::span<float> current) {
+  constexpr std::size_t kBatch = 256;
+  const Matrix& w = plan.dense_weights();
+  std::uint32_t rows[kBatch];
+  std::size_t n = 0;
+  const auto flush = [&] {
+    kernels::accumulate_rows(w.flat().data(), w.cols(), w.cols(), {rows, n},
+                             current.data());
+    n = 0;
+  };
+  in.for_each_active([&](std::uint32_t idx) {
+    rows[n++] = idx;
+    if (n == kBatch) flush();
+  });
+  if (n > 0) flush();
 }
 
 }  // namespace
@@ -89,9 +108,9 @@ ScatterPlan::ScatterPlan(const LayerInfo& li, const Matrix& w) : li_(li) {
 /// block of at most kRowBlock padded channels at a time, into a stack
 /// accumulator that starts at +0.0f, and stores the block's real
 /// channels into the CHW `current`.
-void gather_conv(ScatterPlan& plan, std::span<const std::uint32_t> in_active,
+void gather_conv(ScatterPlan& plan, const SpikeVector& in,
                  std::span<float> current) {
-  const Shape3 in = plan.li_.in_shape;
+  const Shape3 in_shape = plan.li_.in_shape;
   const Shape3 out = plan.li_.out_shape;
   const std::size_t plane = out.h * out.w;
   const std::size_t cap = plan.li_.fan_in;
@@ -100,13 +119,13 @@ void gather_conv(ScatterPlan& plan, std::span<const std::uint32_t> in_active,
   const float* const panel = plan.panel_.data();
   const std::size_t stride = plan.panel_.stride();
 
-  ChannelCursor cursor(in.h * in.w);
-  for (const std::uint32_t idx : in_active) {
+  ChannelCursor cursor(in_shape.h * in_shape.w);
+  in.for_each_active([&](std::uint32_t idx) {
     plan.for_each_tap(idx, cursor, [&](std::size_t row, std::size_t pixel) {
       assert(counts[pixel] < cap);  // a repeated event would overflow
       rows[pixel * cap + counts[pixel]++] = static_cast<std::uint32_t>(row);
     });
-  }
+  });
 
   // Channel blocks bound the stack accumulator; every output still sees
   // the whole list in order, so the blocking has no numeric effect.
@@ -128,30 +147,27 @@ void gather_conv(ScatterPlan& plan, std::span<const std::uint32_t> in_active,
   }
 }
 
-void scatter_accumulate(ScatterPlan& plan,
-                        std::span<const std::uint32_t> in_active,
+void scatter_accumulate(ScatterPlan& plan, const SpikeVector& in,
                         std::span<float> current) {
+  assert(in.size() == plan.layer().in_shape.size());
   switch (plan.layer().spec.kind) {
-    case LayerKind::kDense: {
-      const Matrix& w = plan.dense_weights();
-      kernels::accumulate_rows(w.flat().data(), w.cols(), w.cols(), in_active,
-                               current.data());
+    case LayerKind::kDense:
+      scatter_dense(plan, in, current);
       break;
-    }
     case LayerKind::kConv:
-      gather_conv(plan, in_active, current);
+      gather_conv(plan, in, current);
       break;
     case LayerKind::kAvgPool:
-      scatter_pool(plan, in_active, current);
+      scatter_pool(plan, in, current);
       break;
   }
 }
 
-void scatter_touched(const ScatterPlan& plan,
-                     std::span<const std::uint32_t> in_active,
+void scatter_touched(const ScatterPlan& plan, const SpikeVector& in,
                      std::span<float> current, std::span<std::uint32_t> stamp,
                      std::uint32_t epoch, std::vector<std::uint32_t>& touched) {
   const LayerInfo& li = plan.layer();
+  assert(in.size() == li.in_shape.size());
   const auto touch = [&](std::size_t at) {
     if (stamp[at] != epoch) {
       stamp[at] = epoch;
@@ -169,7 +185,7 @@ void scatter_touched(const ScatterPlan& plan,
       const std::size_t channels = li.out_shape.c;
       const std::size_t plane = li.out_shape.h * li.out_shape.w;
       ChannelCursor cursor(li.in_shape.h * li.in_shape.w);
-      for (const std::uint32_t idx : in_active) {
+      in.for_each_active([&](std::uint32_t idx) {
         plan.for_each_tap(idx, cursor, [&](std::size_t row, std::size_t pixel) {
           const float* const kernels = plan.panel().row(row);
           for (std::size_t oc = 0; oc < channels; ++oc) {
@@ -178,19 +194,27 @@ void scatter_touched(const ScatterPlan& plan,
             current[at] += kernels[oc];
           }
         });
-      }
+      });
       break;
     }
     case LayerKind::kAvgPool: {
       const float share = pool_share(li);
-      for (const std::uint32_t idx : in_active) {
+      in.for_each_active([&](std::uint32_t idx) {
         const std::size_t at = plan.pool_target(idx);
         touch(at);
         current[at] += share;
-      }
+      });
       break;
     }
   }
+}
+
+std::uint32_t next_epoch(std::uint32_t& epoch, std::span<std::uint32_t> stamp) {
+  if (++epoch == 0) {
+    std::fill(stamp.begin(), stamp.end(), 0u);
+    epoch = 1;
+  }
+  return epoch;
 }
 
 }  // namespace resparc::snn

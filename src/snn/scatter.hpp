@@ -109,7 +109,7 @@ class ScatterPlan {
   }
 
  private:
-  friend void gather_conv(ScatterPlan&, std::span<const std::uint32_t>,
+  friend void gather_conv(ScatterPlan&, const SpikeVector&,
                           std::span<float>);
 
   LayerInfo li_;
@@ -125,33 +125,41 @@ class ScatterPlan {
   std::vector<std::uint32_t> counts_;
 };
 
-/// Scatters the fan-out of `in_active` (strictly ascending input indices,
-/// as append_active() emits them) of the layer `plan` was built for into
-/// `current`.
+/// Scatters the fan-out of the spikes `in` (the layer input, one bit per
+/// input index) of the layer `plan` was built for into `current`.  The
+/// set bits are decoded in place from the packed words, in ascending
+/// index order (SpikeVector::for_each_active); no event list is built.
 ///
 /// Precondition: every output is +0.0f.  Dense and pool layers add onto
-/// it.  Conv layers gather: each event appends its weight row to the list
-/// of every output pixel it feeds, then each touched pixel sums its list
-/// over the plan's weight panel, one block of at most 64 padded channels
-/// at a time, in registers (kernels::sum_rows), and writes the block's
-/// real channels into `current` (CHW); untouched outputs and padding
-/// channels are not written.  Either way each output gets its additions
-/// in ascending input-index order starting from +0.0f.
-void scatter_accumulate(ScatterPlan& plan,
-                        std::span<const std::uint32_t> in_active,
+/// it: dense through kernels::accumulate_rows, fed the decoded indices
+/// 256 at a time (any row grouping gives the same bits).  Conv
+/// layers gather: each event appends its weight row to the list of every
+/// output pixel it feeds, then each touched pixel sums its list over the
+/// plan's weight panel, one block of at most 64 padded channels at a
+/// time, in registers (kernels::sum_rows), and writes the block's real
+/// channels into `current` (CHW); untouched outputs and padding channels
+/// are not written.  Either way each output gets its additions in
+/// ascending input-index order starting from +0.0f.
+void scatter_accumulate(ScatterPlan& plan, const SpikeVector& in,
                         std::span<float> current);
 
 /// Touched form of scatter_accumulate for conv and avg-pool layers:
-/// adds the fan-out of `in_active` straight into `current` (which must be
-/// +0.0f at every output) and appends each output written for the first
-/// time in `epoch` to `touched`, marking it with stamp[output] = epoch.
-/// Every output receives the additions scatter_accumulate gives it, in
-/// the same order, so the touched values are bit-for-bit identical; the
-/// cost is one stamp test per write instead of a pass over the layer.
-/// `epoch` must differ from every stamp left by earlier calls.
-void scatter_touched(const ScatterPlan& plan,
-                     std::span<const std::uint32_t> in_active,
+/// adds the fan-out of the spikes `in` straight into `current` (which
+/// must be +0.0f at every output) and appends each output written for the
+/// first time in `epoch` to `touched`, marking it with stamp[output] =
+/// epoch.  Every output receives the additions scatter_accumulate gives
+/// it, in the same order, so the touched values are bit-for-bit
+/// identical; the cost is one stamp test per write instead of a pass over
+/// the layer.  `epoch` must differ from every stamp left by earlier calls
+/// (next_epoch keeps that true).
+void scatter_touched(const ScatterPlan& plan, const SpikeVector& in,
                      std::span<float> current, std::span<std::uint32_t> stamp,
                      std::uint32_t epoch, std::vector<std::uint32_t>& touched);
+
+/// Advances `epoch` to the next value scatter_touched may use with
+/// `stamp` and returns it.  Stamps start at 0, so when the 32-bit epoch
+/// would wrap to 0 every stamp is reset to 0 and the epoch restarts at 1:
+/// the result then differs from every stamp, however many steps ran.
+std::uint32_t next_epoch(std::uint32_t& epoch, std::span<std::uint32_t> stamp);
 
 }  // namespace resparc::snn

@@ -20,6 +20,9 @@ struct Simulator::Layer {
   /// Most outputs one input event can write: k*k*out_c for conv, 1 for
   /// avg-pool.
   std::size_t fan_out = 0;
+  /// A step goes touched while events x fan_out stays below this: the
+  /// layer kind's crossover times its neurons.
+  double touch_below = 0.0;
   /// Conv/pool layer with no leak and vth > 0: the regime where an
   /// untouched, non-hot neuron provably keeps its membrane and stays
   /// silent, so the touched branch is exact.
@@ -49,13 +52,16 @@ struct Simulator::Layer {
         break;  // every event drives every column: always stepped
       case LayerKind::kConv:
         fan_out = li.spec.kernel * li.spec.kernel * li.out_shape.c;
+        touch_below = kConvTouchedCrossover;
         may_touch = inert;
         break;
       case LayerKind::kAvgPool:
         fan_out = 1;
+        touch_below = kPoolTouchedCrossover;
         may_touch = inert;
         break;
     }
+    touch_below *= static_cast<double>(li.neurons);
     if (may_touch) stamp.assign(li.neurons, 0);
   }
 };
@@ -76,7 +82,8 @@ void Simulator::ensure_layers() {
     return;
   }
   // Reuse: back to the constructed state.  The current buffers are
-  // already zero, and stamps self-correct because the epoch only grows.
+  // already zero, and stamps stay valid because next_epoch never repeats
+  // an epoch a stamp holds.
   for (Layer& layer : layers_) {
     layer.pop.clear();
     layer.out.reset(layer.out.size());
@@ -105,7 +112,13 @@ void Simulator::run(std::span<const float> image, Rng& rng, SimResult& out) {
   const std::size_t T = config_.timesteps;
   encoder_.encode_into(image, T, rng, input_spikes_);
   std::span<const SpikeVector> in(input_spikes_.data(), T);
-  for (const SpikeVector& spikes : in) out.total_spikes += spikes.count();
+  // events_[t] counts the spikes of in[t]: the encoder's here, then the
+  // fires each layer's step returns.
+  events_.resize(T);
+  for (std::size_t t = 0; t < T; ++t) {
+    events_[t] = in[t].count();
+    out.total_spikes += events_[t];
+  }
   if (config_.record_trace) {
     out.trace.layers.resize(topo.layer_count() + 1);
     out.trace.layers[0].assign(in.begin(), in.end());
@@ -120,7 +133,8 @@ void Simulator::run(std::span<const float> image, Rng& rng, SimResult& out) {
         config_.record_trace ? out.trace.layers[l + 1] : relay_;
     dst.resize(T);
     for (std::size_t t = 0; t < T; ++t) {
-      out.total_spikes += step(l, in[t]);
+      events_[t] = step(l, in[t], events_[t]);
+      out.total_spikes += events_[t];
       dst[t] = layers_[l].out;
     }
     in = dst;
@@ -135,32 +149,26 @@ void Simulator::run(std::span<const float> image, Rng& rng, SimResult& out) {
                        out.output_spike_counts.end())));
 }
 
-std::size_t Simulator::step(std::size_t l, const SpikeVector& in) {
-  active_scratch_.clear();
-  in.append_active(active_scratch_);
+std::size_t Simulator::step(std::size_t l, const SpikeVector& in,
+                            std::size_t events) {
   const Layer& layer = layers_[l];
   // Most outputs this step can write, against the layer size.
-  const double cover =
-      static_cast<double>(active_scratch_.size() * layer.fan_out);
   const bool touched =
       layer.may_touch &&
-      cover < kTouchedCrossover * static_cast<double>(layer.out.size());
-  return touched ? step_touched(l, active_scratch_)
-                 : step_stepped(l, active_scratch_);
+      static_cast<double>(events * layer.fan_out) < layer.touch_below;
+  return touched ? step_touched(l, in) : step_stepped(l, in);
 }
 
-std::size_t Simulator::step_stepped(std::size_t l,
-                                    std::span<const std::uint32_t> active) {
+std::size_t Simulator::step_stepped(std::size_t l, const SpikeVector& in) {
   Layer& layer = layers_[l];
-  scatter_accumulate(layer.plan, active, layer.current);
+  scatter_accumulate(layer.plan, in, layer.current);
   // step_packed consumes the currents, leaving them +0.0f for the next step.
   const std::size_t fired = layer.pop.step_packed(layer.current, layer.out);
   layer.lists_valid = false;
   return fired;
 }
 
-std::size_t Simulator::step_touched(std::size_t l,
-                                    std::span<const std::uint32_t> active) {
+std::size_t Simulator::step_touched(std::size_t l, const SpikeVector& in) {
   Layer& layer = layers_[l];
   if (layer.lists_valid) {
     for (const std::uint32_t i : layer.fired) layer.out.clear(i);
@@ -173,9 +181,9 @@ std::size_t Simulator::step_touched(std::size_t l,
     layer.pop.retain_hot(layer.hot);
     layer.out.reset(layer.out.size());
   }
-  const std::uint32_t epoch = ++layer.epoch;
+  const std::uint32_t epoch = next_epoch(layer.epoch, layer.stamp);
   layer.touched.clear();
-  scatter_touched(layer.plan, active, layer.current, layer.stamp, epoch,
+  scatter_touched(layer.plan, in, layer.current, layer.stamp, epoch,
                   layer.touched);
 
   layer.step_set.assign(layer.touched.begin(), layer.touched.end());
@@ -233,17 +241,11 @@ std::vector<double> calibrate_thresholds(
   }
 
   std::vector<double> chosen;
-  std::vector<std::uint32_t> active;
   for (std::size_t l = 0; l < topo.layer_count(); ++l) {
     const LayerInfo& li = topo.layers()[l];
     LayerParams& params = net.layer(l);
     ScatterPlan plan(li, params.weights);
     std::vector<float> current(li.neurons, 0.0f);
-    const auto scatter = [&](const SpikeVector& spikes) {
-      active.clear();
-      spikes.append_active(active);
-      scatter_accumulate(plan, active, current);
-    };
 
     // Pool layers keep their fixed semantics: fire when at least half the
     // window was active.  Their threshold is not calibrated.
@@ -253,18 +255,31 @@ std::vector<double> calibrate_thresholds(
       // positive drive keeps threshold 1 (it will stay silent, which is
       // honest).  The buffer is sized for every current but left
       // uninitialised, so only pages that kept samples reach are ever
-      // touched.  Each current is stored at the end of the kept run, which
-      // advances only past a positive one: no branch on the data.
+      // touched.  A block of kBlock currents with no positive one (a
+      // third of conv1's on perfbench) is only cleared.  In any other,
+      // each current is stored at the end of the kept run, which advances
+      // only past a positive one: no branch on the data.
+      constexpr std::size_t kBlock = 16;
       const auto pos =
           std::make_unique_for_overwrite<float[]>(li.neurons * in.size());
       std::size_t kept = 0;
-      for (const SpikeVector& spikes : in) {
-        scatter(spikes);
-        for (float& c : current) {
-          pos[kept] = c;
-          kept += c > 0.0f ? 1 : 0;
-          c = 0.0f;
+      const auto keep = [&](const float* c, std::size_t n) {
+        for (std::size_t j = 0; j < n; ++j) {
+          pos[kept] = c[j];
+          kept += c[j] > 0.0f ? 1 : 0;
         }
+      };
+      for (const SpikeVector& spikes : in) {
+        scatter_accumulate(plan, spikes, current);
+        float* const c = current.data();
+        std::size_t b = 0;
+        for (; b + kBlock <= li.neurons; b += kBlock) {
+          bool any = false;
+          for (std::size_t j = 0; j < kBlock; ++j) any |= c[b + j] > 0.0f;
+          if (any) keep(c + b, kBlock);
+        }
+        keep(c + b, li.neurons - b);
+        std::fill(current.begin(), current.end(), 0.0f);
       }
       vth = 1.0;
       if (kept > 0) {
@@ -289,7 +304,7 @@ std::vector<double> calibrate_thresholds(
     out.resize(in.size());
     for (std::size_t k = 0; k < in.size(); ++k) {
       if (k % T == 0) pop.clear();
-      scatter(in[k]);
+      scatter_accumulate(plan, in[k], current);
       out[k].reset(li.neurons);
       pop.step_packed(current, out[k]);
     }

@@ -16,7 +16,7 @@
 // Every layer on every timestep takes one of two branches, chosen from
 // what the step itself shows (events x fan-out against the layer size):
 //
-//   * stepped — scatter the input events (snn/scatter.hpp), then run the
+//   * stepped — scatter the input spikes (snn/scatter.hpp), then run the
 //     branch-free IF update over the whole population straight into
 //     packed spike words.  Busy steps, fully connected layers and layers
 //     whose silent neurons still evolve (leak > 0, vth <= 0) go here.
@@ -106,11 +106,16 @@ class Simulator {
   /// presentations concurrently, one Simulator per worker.
   void set_pool(ThreadPool* /*pool*/, std::size_t /*parts*/ = 0) {}
 
-  /// Branch crossover: a conv/pool step takes the touched branch while
-  /// events x fan-out (the most outputs the step can write) stays below
-  /// this fraction of the layer's neurons.  Measured with
-  /// bench/bench_sparse_execution on the paper-scale MNIST-CNN.
-  static constexpr double kTouchedCrossover = 0.25;
+  /// Branch crossover of a conv layer: a conv step takes the touched
+  /// branch while events x fan-out (the most outputs the step can write)
+  /// stays below this fraction of the layer's neurons.  Swept on the
+  /// paper-scale MNIST-CNN (docs/performance.md section 4).
+  static constexpr double kConvTouchedCrossover = 0.25;
+  /// The same crossover for an avg-pool layer (fan-out 1).  Lower than
+  /// conv's: a stepped pool step is one table add per event plus the IF
+  /// pass, so the touched branch's stamp test and scattered IF pay off
+  /// only on sparser steps.
+  static constexpr double kPoolTouchedCrossover = 0.1;
 
  private:
   /// Per-layer engine state (defined in simulator.cpp).
@@ -119,15 +124,13 @@ class Simulator {
   /// Builds (first run) or clears (reuse) the per-layer state.
   void ensure_layers();
 
-  /// One timestep of layer l fed spikes `in`, on the branch the step
-  /// calls for; returns its spikes.
-  std::size_t step(std::size_t l, const SpikeVector& in);
+  /// One timestep of layer l fed spikes `in`, which hold `events` set
+  /// bits, on the branch the step calls for; returns its spikes.
+  std::size_t step(std::size_t l, const SpikeVector& in, std::size_t events);
   /// One timestep of layer l on the stepped branch; returns its spikes.
-  std::size_t step_stepped(std::size_t l,
-                           std::span<const std::uint32_t> active);
+  std::size_t step_stepped(std::size_t l, const SpikeVector& in);
   /// One timestep of layer l on the touched branch; returns its spikes.
-  std::size_t step_touched(std::size_t l,
-                           std::span<const std::uint32_t> active);
+  std::size_t step_touched(std::size_t l, const SpikeVector& in);
 
   const Network& net_;
   SimConfig config_;
@@ -139,7 +142,8 @@ class Simulator {
   std::vector<SpikeVector> input_spikes_;      ///< encoded input
   /// The latest layer's T spike vectors when no trace records them.
   std::vector<SpikeVector> relay_;
-  std::vector<std::uint32_t> active_scratch_;  ///< event list per layer
+  /// Spikes of each of the T vectors the next layer reads.
+  std::vector<std::size_t> events_;
 };
 
 /// Sets each layer's threshold to the (1 - target_activity) quantile of its

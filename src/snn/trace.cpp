@@ -1,7 +1,5 @@
 #include "snn/trace.hpp"
 
-#include <bit>
-
 #include "common/kernels.hpp"
 
 namespace resparc::snn {
@@ -48,17 +46,6 @@ std::size_t SpikeVector::count_range(std::size_t begin, std::size_t end) const {
 
 bool SpikeVector::none_in_range(std::size_t begin, std::size_t end) const {
   return count_range(begin, end) == 0;
-}
-
-void SpikeVector::append_active(std::vector<std::uint32_t>& out) const {
-  for (std::size_t w = 0; w < words_.size(); ++w) {
-    std::uint64_t word = words_[w];
-    while (word) {
-      const unsigned bit = static_cast<unsigned>(std::countr_zero(word));
-      out.push_back(static_cast<std::uint32_t>((w << 6) + bit));
-      word &= word - 1;  // clear the lowest set bit
-    }
-  }
 }
 
 std::size_t SpikeTrace::layer_spike_count(std::size_t l) const {

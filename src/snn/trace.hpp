@@ -8,6 +8,7 @@
 // out of the representation for free.
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -56,7 +57,7 @@ class SpikeVector {
   /// one store — the word-granular producer of the packed datapath
   /// (docs/performance.md).  Bits at and above size() are masked off
   /// before the store, so a sloppy tail word can never plant stale bits
-  /// that would leak into count()/append_active()
+  /// that would leak into count()/for_each_active()
   /// (tests/test_trace.cpp enforces the tail invariant).
   void set_word(std::size_t w, std::uint64_t bits) {
     const std::size_t valid = neurons_ - (w << 6);  // bits in use in word w
@@ -66,10 +67,6 @@ class SpikeVector {
 
   /// Number of set bits.
   std::size_t count() const;
-
-  /// Popcount over the packed words — identical to count(); the name the
-  /// packed-datapath call sites use (docs/performance.md).
-  std::size_t active_count() const { return count(); }
 
   /// True when no neuron spiked.
   bool none() const;
@@ -81,11 +78,22 @@ class SpikeVector {
   /// True when no bit is set within [begin, end).
   bool none_in_range(std::size_t begin, std::size_t end) const;
 
-  /// Appends the index of every set bit to `out` in ascending order — the
-  /// AER-style active-event list the simulator scatters
-  /// (snn/simulator.hpp).  Zero words are skipped wholesale, so the cost
-  /// is O(words + spikes) rather than O(neurons).
-  void append_active(std::vector<std::uint32_t>& out) const;
+  /// Calls fn(i) for the index i of every set bit, in ascending order,
+  /// decoding the packed words in place: a zero word costs one test, a
+  /// set bit one count-trailing-zeros.  The simulator's scatters read
+  /// their input spikes through it (snn/scatter.hpp).
+  template <typename Fn>
+  void for_each_active(Fn&& fn) const {
+    for (std::size_t w = 0; w < words_.size(); ++w) {
+      for (std::uint64_t bits = words_[w]; bits != 0; bits &= bits - 1)
+        fn(static_cast<std::uint32_t>((w << 6) + std::countr_zero(bits)));
+    }
+  }
+
+  /// Appends the index of every set bit to `out` in ascending order.
+  void append_active(std::vector<std::uint32_t>& out) const {
+    for_each_active([&](std::uint32_t i) { out.push_back(i); });
+  }
 
  private:
   std::size_t neurons_ = 0;

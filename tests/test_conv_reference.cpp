@@ -58,9 +58,7 @@ void expect_drive_matches(const Topology& topo, std::uint64_t seed) {
   std::vector<float> drive(topo.layers()[0].neurons, 0.0f);
   {
     snn::ScatterPlan plan(topo.layers()[0], net.layer(0).weights);
-    std::vector<std::uint32_t> active;
-    result.trace.layers[0][0].append_active(active);
-    snn::scatter_accumulate(plan, active, drive);
+    snn::scatter_accumulate(plan, result.trace.layers[0][0], drive);
   }
   // ANN pre-activation of layer 0 equals post-activation when no ReLU is
   // applied... the recorded activations are post-ReLU for hidden layers,

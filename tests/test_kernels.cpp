@@ -14,6 +14,7 @@
 #include <limits>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/kernels.hpp"
@@ -342,45 +343,58 @@ TEST(Kernels, DispatchedCountWordsMatchesBaselineBody) {
 }
 
 TEST(Kernels, DispatchedCountMaskedMatchesBaselineBody) {
-  // An empty range, all-ones masks, entries on the last word of the
-  // vector, and random words, masks and indices.
+  // One call counts every group of a layer.  Cases: no groups, groups
+  // with zero entries (first, middle and last), all-ones masks, entries
+  // on the last word of the vector, and random words, masks, indices and
+  // group sizes.
   Rng rng(19);
   std::vector<std::uint64_t> words(13);
   for (auto& w : words) w = rng();
   words[5] = ~std::uint64_t{0};
   words.back() = std::uint64_t{1} << 63;
-  const auto reference = [&](std::span<const std::uint64_t> masks,
-                             std::span<const std::uint32_t> index) {
-    std::size_t n = 0;
-    for (std::size_t i = 0; i < masks.size(); ++i)
-      n += static_cast<std::size_t>(std::popcount(words[index[i]] & masks[i]));
-    return n;
-  };
   const auto check = [&](const std::vector<std::uint64_t>& masks,
                          const std::vector<std::uint32_t>& index,
+                         const std::vector<std::uint32_t>& bounds,
                          const std::string& label) {
-    const std::size_t got = kernels::count_masked(
-        words.data(), masks.data(), index.data(), masks.size());
-    EXPECT_EQ(got, kernels::count_masked_body(words.data(), masks.data(),
-                                              index.data(), masks.size()))
-        << label;
-    EXPECT_EQ(got, reference(masks, index)) << label;
+    const std::size_t groups = bounds.size() - 1;
+    // A sentinel past the last group must stay untouched.
+    std::vector<std::uint32_t> got(groups + 1, 0xdeadbeefu);
+    std::vector<std::uint32_t> base(groups + 1, 0xdeadbeefu);
+    kernels::count_masked(words.data(), masks.data(), index.data(),
+                          bounds.data(), groups, got.data());
+    kernels::count_masked_body(words.data(), masks.data(), index.data(),
+                               bounds.data(), groups, base.data());
+    EXPECT_EQ(got, base) << label;
+    EXPECT_EQ(got.back(), 0xdeadbeefu) << label;
+    for (std::size_t g = 0; g < groups; ++g) {
+      std::uint32_t want = 0;
+      for (std::uint32_t i = bounds[g]; i < bounds[g + 1]; ++i)
+        want += static_cast<std::uint32_t>(
+            std::popcount(words[index[i]] & masks[i]));
+      EXPECT_EQ(got[g], want) << label << " group " << g;
+    }
   };
   const std::uint32_t last = static_cast<std::uint32_t>(words.size() - 1);
-  EXPECT_EQ(kernels::count_masked(words.data(), nullptr, nullptr, 0), 0u);
-  EXPECT_EQ(kernels::count_masked_body(words.data(), nullptr, nullptr, 0), 0u);
+  check({}, {}, {0}, "no groups");
+  check({}, {}, {0, 0, 0}, "groups with no entries");
   check({~std::uint64_t{0}, ~std::uint64_t{0}, ~std::uint64_t{0}},
-        {5, 0, last}, "all-ones masks");
-  check({~std::uint64_t{0} << 63, 1}, {last, last}, "last word");
+        {5, 0, last}, {0, 3}, "all-ones masks");
+  check({~std::uint64_t{0} << 63, 1}, {last, last}, {0, 0, 1, 1, 2, 2},
+        "last word between empty groups");
   for (int trial = 0; trial < 200; ++trial) {
-    const std::size_t n = rng.below(40);
+    const std::size_t groups = rng.below(12);
+    std::vector<std::uint32_t> bounds = {0};
+    for (std::size_t g = 0; g < groups; ++g)
+      bounds.push_back(bounds.back() +
+                       static_cast<std::uint32_t>(rng.below(6)));
+    const std::size_t n = bounds.back();
     std::vector<std::uint64_t> masks(n);
     std::vector<std::uint32_t> index(n);
     for (std::size_t i = 0; i < n; ++i) {
       masks[i] = rng() & rng();
       index[i] = static_cast<std::uint32_t>(rng.below(words.size()));
     }
-    check(masks, index, "random trial " + std::to_string(trial));
+    check(masks, index, bounds, "random trial " + std::to_string(trial));
   }
 }
 
@@ -517,6 +531,20 @@ snn::SpikeVector random_spikes(std::size_t n, double density, Rng& rng) {
   return in;
 }
 
+/// The scatter inputs of one layer of `n` inputs: random at 0.4, silent,
+/// every input (so a partial last word is full up to its last valid
+/// bit), and the last input alone.
+std::vector<std::pair<snn::SpikeVector, std::string>> scatter_inputs(
+    std::size_t n, Rng& rng) {
+  snn::SpikeVector all(n), last(n);
+  for (std::size_t i = 0; i < n; ++i) all.set(i);
+  last.set(n - 1);
+  return {{random_spikes(n, 0.4, rng), "density 0.4"},
+          {random_spikes(n, 0.0, rng), "silent"},
+          {all, "all inputs"},
+          {last, "last input"}};
+}
+
 /// Runs scatter_accumulate and its touched form on one plan and compares
 /// each result bitwise with `want`.  The touched list must name each
 /// written output exactly once.
@@ -524,15 +552,13 @@ void expect_scatter_matches(snn::ScatterPlan& plan,
                             const snn::SpikeVector& in,
                             const std::vector<float>& want,
                             const std::string& label) {
-  std::vector<std::uint32_t> active;
-  in.append_active(active);
   std::vector<float> by_index(plan.layer().neurons, 0.0f);
-  snn::scatter_accumulate(plan, active, by_index);
+  snn::scatter_accumulate(plan, in, by_index);
   EXPECT_TRUE(same_bits(want, by_index)) << label;
   std::vector<float> by_touch(plan.layer().neurons, 0.0f);
   std::vector<std::uint32_t> stamp(plan.layer().neurons, 0);
   std::vector<std::uint32_t> touched;
-  snn::scatter_touched(plan, active, by_touch, stamp, 1, touched);
+  snn::scatter_touched(plan, in, by_touch, stamp, 1, touched);
   EXPECT_TRUE(same_bits(want, by_touch)) << label << " touched";
   std::vector<std::uint32_t> named(touched);
   std::sort(named.begin(), named.end());
@@ -584,7 +610,9 @@ TEST(Kernels, ConvScatterMatchesNaiveChwLoopBitForBit) {
   // each other, so a layout bug they share cannot pass).  Each plan
   // serves every call, which also checks that each call leaves its gather
   // lists empty for the next.  The 5x67 input has rows wider than one
-  // 64-bit spike word.  Both forms read the plan's padded weight panel:
+  // 64-bit spike word.  Both inputs (144 and 670 spikes) end in a partial
+  // word, read through its last valid bit by the "all inputs" and "last
+  // input" cases.  Both forms read the plan's padded weight panel:
   // 5, 7 and 13 channels sum one 16-wide block, 64 one full 64-wide
   // block, and 65 and 130 full blocks plus a 16-wide remainder whose
   // padding channels must not be stored.
@@ -600,9 +628,8 @@ TEST(Kernels, ConvScatterMatchesNaiveChwLoopBitForBit) {
           const snn::LayerInfo& li = topo.layers()[0];
           const Matrix& w = net.layer(0).weights;
           snn::ScatterPlan plan(li, w);
-          for (const double density : {0.4, 0.0}) {
-            const snn::SpikeVector in =
-                random_spikes(li.in_shape.size(), density, rng);
+          for (const auto& [in, what] :
+               scatter_inputs(li.in_shape.size(), rng)) {
             std::vector<std::uint32_t> active;
             in.append_active(active);
             expect_scatter_matches(
@@ -610,7 +637,7 @@ TEST(Kernels, ConvScatterMatchesNaiveChwLoopBitForBit) {
                 "in " + std::to_string(shape.h) + "x" +
                     std::to_string(shape.w) + " k" + std::to_string(k) +
                     (same ? " same" : " valid") + " oc " + std::to_string(oc) +
-                    " density " + std::to_string(density));
+                    " " + what);
           }
         }
       }
@@ -631,8 +658,7 @@ TEST(Kernels, PoolScatterMatchesNaiveLoopBitForBit) {
     const Shape3 out = li.out_shape;
     const Matrix none;
     snn::ScatterPlan plan(li, none);
-    for (const double density : {0.4, 0.0}) {
-      const snn::SpikeVector spikes = random_spikes(in.size(), density, rng);
+    for (const auto& [spikes, what] : scatter_inputs(in.size(), rng)) {
       std::vector<float> want(out.size(), 0.0f);
       const float share = 1.0f / static_cast<float>(pool * pool);
       for (std::size_t idx = 0; idx < in.size(); ++idx) {
@@ -643,10 +669,73 @@ TEST(Kernels, PoolScatterMatchesNaiveLoopBitForBit) {
         want[(c * out.h + y / pool) * out.w + x / pool] += share;
       }
       expect_scatter_matches(plan, spikes, want,
-                             "pool " + std::to_string(pool) + " density " +
-                                 std::to_string(density));
+                             "pool " + std::to_string(pool) + " " + what);
     }
   }
+}
+
+TEST(Kernels, DenseScatterMatchesNaiveOrderedSumBitForBit) {
+  // The dense scatter decodes the packed words into batches for
+  // accumulate_rows; each output must still be the plain sum of its
+  // weights over the spiking inputs in ascending order from +0.0f.
+  // Input sizes straddle one word, end in a partial word, and (700 at
+  // full density) fill several batches.
+  Rng rng(12);
+  for (const std::size_t n : {1u, 63u, 64u, 65u, 300u, 700u}) {
+    for (const std::size_t cols : {1u, 5u, 33u}) {
+      const Topology topo("dense-scatter", Shape3{1, 1, n},
+                          {LayerSpec::dense(cols)});
+      snn::Network net(topo);
+      net.init_random(rng, 1.0f);
+      const Matrix& w = net.layer(0).weights;
+      snn::ScatterPlan plan(topo.layers()[0], w);
+      for (const auto& [in, what] : scatter_inputs(n, rng)) {
+        std::vector<float> want(cols, 0.0f);
+        for (std::size_t r = 0; r < n; ++r)
+          if (in.get(r))
+            for (std::size_t c = 0; c < cols; ++c) want[c] += w(r, c);
+        std::vector<float> got(cols, 0.0f);
+        snn::scatter_accumulate(plan, in, got);
+        EXPECT_TRUE(same_bits(want, got))
+            << "in " << n << " cols " << cols << " " << what;
+      }
+    }
+  }
+}
+
+TEST(Kernels, TouchedEpochWrapResetsStamps) {
+  // After 2^32 - 1 touched steps the next epoch would be 0, the stamp of
+  // every output never written: next_epoch must instead clear the stamps
+  // and restart at 1, so the following touched scatter reports every
+  // output it writes, also those last stamped in epoch 1.
+  const Topology topo("epoch-wrap", Shape3{1, 4, 4},
+                      {LayerSpec::avg_pool(2)});
+  const snn::LayerInfo& li = topo.layers()[0];
+  const Matrix none;
+  const snn::ScatterPlan plan(li, none);
+  std::vector<std::uint32_t> stamp = {1, 0, 7, UINT32_MAX};
+
+  std::uint32_t epoch = 6;
+  EXPECT_EQ(snn::next_epoch(epoch, stamp), 7u);
+  EXPECT_EQ(stamp, (std::vector<std::uint32_t>{1, 0, 7, UINT32_MAX}));
+
+  epoch = UINT32_MAX;
+  const std::uint32_t next = snn::next_epoch(epoch, stamp);
+  EXPECT_EQ(next, 1u);
+  EXPECT_EQ(epoch, 1u);
+  EXPECT_EQ(stamp, (std::vector<std::uint32_t>(4, 0)));
+
+  std::fill(stamp.begin(), stamp.end(), 1u);  // left by the old epoch 1
+  epoch = UINT32_MAX;
+  snn::SpikeVector in(li.in_shape.size());
+  for (std::size_t i = 0; i < in.size(); ++i) in.set(i);
+  std::vector<float> current(li.neurons, 0.0f);
+  std::vector<std::uint32_t> touched;
+  snn::scatter_touched(plan, in, current, stamp, snn::next_epoch(epoch, stamp),
+                       touched);
+  std::sort(touched.begin(), touched.end());
+  EXPECT_EQ(touched, (std::vector<std::uint32_t>{0, 1, 2, 3}));
+  for (const float c : current) EXPECT_EQ(c, 1.0f);
 }
 
 TEST(Kernels, ReusedSimulatorMatchesFreshBitForBit) {

@@ -510,6 +510,28 @@ TEST(NocExecutor, AnalyticFidelityIsBitForBitFlatOnSmallNets) {
                              reference_flat_run(fx.topo, m, trace));
 }
 
+TEST(NocExecutor, AnalyticFidelityIsBitForBitFlatOnALayerOfManyGroups) {
+  // 72 channels x 32 output rows give the pool layer 2,304 MCA groups,
+  // more than one replay count call covers (2,048), so the replay counts
+  // the layer in two blocks.
+  const Topology topo("many-groups", Shape3{72, 64, 64},
+                      {LayerSpec::avg_pool(2), LayerSpec::dense(10)});
+  snn::Network net(topo);
+  Rng rng(11);
+  net.init_random(rng, 0.5f);
+  snn::SimConfig cfg;
+  cfg.timesteps = 4;
+  snn::Simulator sim(net, cfg);
+  std::vector<float> img(topo.input_neurons());
+  for (auto& p : img) p = static_cast<float>(rng.uniform(0.0, 0.3));
+  const snn::SpikeTrace trace = sim.run(img, rng).trace;
+
+  const Mapping m = core::map_network(topo, core::default_config());
+  ASSERT_GT(m.layers[0].groups.size(), 2048u);
+  expect_reports_identical(core::Executor(topo, m).run(trace),
+                           reference_flat_run(topo, m, trace));
+}
+
 /// Chip configurations off the default technology, each with the replay
 /// term it pins: Ag-Si has no sneak leakage (the sneak term's off
 /// branch; the default PCM device leaks 5% per half-selected cell), and

@@ -175,7 +175,7 @@ TEST(SparseParity, BranchSwitchCarriesHotNeuronsBitForBit) {
   const double busy_cover = static_cast<double>(
       topo.input_shape().size() * conv.spec.kernel * conv.spec.kernel *
       conv.out_shape.c);
-  ASSERT_GE(busy_cover, snn::Simulator::kTouchedCrossover *
+  ASSERT_GE(busy_cover, snn::Simulator::kConvTouchedCrossover *
                             static_cast<double>(conv.neurons));
 
   std::string pattern;  // 'B' busy, 'S' silent input
